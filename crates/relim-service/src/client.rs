@@ -1,16 +1,18 @@
 //! A blocking client for the daemon's JSON-lines protocol.
 //!
-//! One TCP connection per call (the protocol allows pipelining on a kept
-//! connection, but the CLI and the bench kernels are one-shot callers —
-//! connection setup is nanoseconds next to a round-elimination job).
+//! One TCP connection per call, made through [`crate::wire::roundtrip`]
+//! (the protocol allows pipelining on a kept connection, but the CLI and
+//! the bench kernels are one-shot callers). Connection setup costs tens
+//! of microseconds on loopback, small next to a round-elimination job.
+//! The per-call timeout bounds the connect as well as every read and
+//! write.
 
 use crate::ops::OpRequest;
 use crate::protocol::{self, PingInfo};
 use crate::queue::Class;
 use crate::trace::{TraceContext, TraceDump};
+use crate::wire::{self, WireError};
 use relim_json::Json;
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::time::Duration;
 
 /// A client error: connection failures, protocol violations, or an
@@ -25,6 +27,30 @@ impl std::fmt::Display for ClientError {
 }
 
 impl std::error::Error for ClientError {}
+
+impl From<WireError> for ClientError {
+    fn from(e: WireError) -> ClientError {
+        ClientError(e.message)
+    }
+}
+
+/// `Ok` when the response says `ok: true`; otherwise the server's
+/// `error` text behind `context`.
+fn require_ok(doc: &Json, context: &str) -> Result<(), ClientError> {
+    if doc.get("ok").and_then(Json::as_bool) == Some(true) {
+        return Ok(());
+    }
+    let error = doc.get("error").and_then(Json::as_str).unwrap_or("unspecified error");
+    Err(ClientError(format!("{context}: {error}")))
+}
+
+/// The string field `key` of a response (`what` names it in the error).
+fn str_field(doc: &Json, what: &str, key: &str) -> Result<String, ClientError> {
+    doc.get(key)
+        .and_then(Json::as_str)
+        .map(str::to_owned)
+        .ok_or_else(|| ClientError(format!("{what} missing `{key}`")))
+}
 
 /// A successful job response.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,7 +78,8 @@ impl Client {
         Client { addr: addr.into(), timeout: Duration::from_secs(600) }
     }
 
-    /// Overrides the per-call I/O timeout.
+    /// Overrides the per-call timeout, which bounds the connect as well
+    /// as every read and write.
     #[must_use]
     pub fn with_timeout(mut self, timeout: Duration) -> Client {
         self.timeout = timeout;
@@ -86,25 +113,16 @@ impl Client {
         class: Option<Class>,
         trace: Option<&TraceContext>,
     ) -> Result<JobReply, ClientError> {
-        let doc = self.roundtrip(&protocol::render_job_request_traced(op, class, None, trace))?;
-        let ok = doc.get("ok").and_then(Json::as_bool).unwrap_or(false);
-        if !ok {
-            let error = doc.get("error").and_then(Json::as_str).unwrap_or("unspecified error");
-            return Err(ClientError(format!("server refused the job: {error}")));
-        }
-        let field = |key: &str| {
-            doc.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_owned)
-                .ok_or_else(|| ClientError(format!("response missing `{key}`")))
-        };
+        let line = protocol::render_job_request_traced(op, class, None, trace);
+        let doc = self.raw_roundtrip(&line)?;
+        require_ok(&doc, "server refused the job")?;
         Ok(JobReply {
             cached: doc
                 .get("cached")
                 .and_then(Json::as_bool)
                 .ok_or_else(|| ClientError("response missing `cached`".into()))?,
-            digest: field("digest")?,
-            result: field("result")?,
+            digest: str_field(&doc, "response", "digest")?,
+            result: str_field(&doc, "response", "result")?,
         })
     }
 
@@ -115,7 +133,7 @@ impl Client {
     ///
     /// Connection/protocol failures.
     pub fn status(&self) -> Result<Json, ClientError> {
-        let doc = self.roundtrip(&protocol::render_admin_request("status", None))?;
+        let doc = self.raw_roundtrip(&protocol::render_admin_request("status", None))?;
         doc.get("counters")
             .cloned()
             .ok_or_else(|| ClientError("status response missing `counters`".into()))
@@ -128,11 +146,8 @@ impl Client {
     ///
     /// Connection/protocol failures.
     pub fn metrics(&self) -> Result<String, ClientError> {
-        let doc = self.roundtrip(&protocol::render_admin_request("metrics", None))?;
-        doc.get("metrics")
-            .and_then(Json::as_str)
-            .map(str::to_owned)
-            .ok_or_else(|| ClientError("metrics response missing `metrics`".into()))
+        let doc = self.raw_roundtrip(&protocol::render_admin_request("metrics", None))?;
+        str_field(&doc, "metrics response", "metrics")
     }
 
     /// Fetches the scheduler event log: the timeline JSON object and its
@@ -142,17 +157,12 @@ impl Client {
     ///
     /// Connection/protocol failures.
     pub fn timeline(&self) -> Result<(Json, String), ClientError> {
-        let doc = self.roundtrip(&protocol::render_admin_request("timeline", None))?;
+        let doc = self.raw_roundtrip(&protocol::render_admin_request("timeline", None))?;
         let timeline = doc
             .get("timeline")
             .cloned()
             .ok_or_else(|| ClientError("timeline response missing `timeline`".into()))?;
-        let gantt = doc
-            .get("gantt")
-            .and_then(Json::as_str)
-            .map(str::to_owned)
-            .ok_or_else(|| ClientError("timeline response missing `gantt`".into()))?;
-        Ok((timeline, gantt))
+        Ok((timeline, str_field(&doc, "timeline response", "gantt")?))
     }
 
     /// Fetches one stored entry by content address: its canonical key
@@ -162,18 +172,12 @@ impl Client {
     ///
     /// Connection/protocol failures and unknown digests.
     pub fn lookup(&self, digest: &str) -> Result<(String, String), ClientError> {
-        let doc = self.roundtrip(&protocol::render_lookup_request(digest, None))?;
-        if doc.get("ok").and_then(Json::as_bool) != Some(true) {
-            let error = doc.get("error").and_then(Json::as_str).unwrap_or("unspecified error");
-            return Err(ClientError(format!("lookup failed: {error}")));
-        }
-        let field = |key: &str| {
-            doc.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_owned)
-                .ok_or_else(|| ClientError(format!("lookup response missing `{key}`")))
-        };
-        Ok((field("key")?, field("result")?))
+        let doc = self.raw_roundtrip(&protocol::render_lookup_request(digest, None))?;
+        require_ok(&doc, "lookup failed")?;
+        Ok((
+            str_field(&doc, "lookup response", "key")?,
+            str_field(&doc, "lookup response", "result")?,
+        ))
     }
 
     /// Fetches one stored entry the fleet way: `Some((key, result))`
@@ -184,52 +188,39 @@ impl Client {
     ///
     /// Connection/protocol failures and server-refused requests.
     pub fn fetch(&self, digest: &str) -> Result<Option<(String, String)>, ClientError> {
-        let doc = self.roundtrip(&protocol::render_fetch_request(digest, None))?;
-        if doc.get("ok").and_then(Json::as_bool) != Some(true) {
-            let error = doc.get("error").and_then(Json::as_str).unwrap_or("unspecified error");
-            return Err(ClientError(format!("fetch failed: {error}")));
-        }
+        let doc = self.raw_roundtrip(&protocol::render_fetch_request(digest, None))?;
+        require_ok(&doc, "fetch failed")?;
         if doc.get("found").and_then(Json::as_bool) != Some(true) {
             return Ok(None);
         }
-        let field = |key: &str| {
-            doc.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_owned)
-                .ok_or_else(|| ClientError(format!("fetch response missing `{key}`")))
-        };
-        Ok(Some((field("key")?, field("result")?)))
+        Ok(Some((
+            str_field(&doc, "fetch response", "key")?,
+            str_field(&doc, "fetch response", "result")?,
+        )))
     }
 
-    /// Pings the daemon: `(uptime_ms, store_entries)` on a pong. The
-    /// same exchange the fleet's breaker uses as its liveness probe.
+    /// Pings the daemon: `(uptime_ms, store_entries)` on a pong (see
+    /// [`Client::ping_info`]).
     ///
     /// # Errors
     ///
     /// Connection/protocol failures and pong-less responses.
     pub fn ping(&self) -> Result<(u64, u64), ClientError> {
-        let doc = self.roundtrip(&protocol::render_admin_request("ping", None))?;
-        if doc.get("pong").and_then(Json::as_bool) != Some(true) {
-            return Err(ClientError(format!("{} answered ping without a pong", self.addr)));
-        }
-        let int = |key: &str| {
-            doc.get(key)
-                .and_then(Json::as_i64)
-                .ok_or_else(|| ClientError(format!("ping response missing `{key}`")))
-        };
-        Ok((int("uptime_ms")?.max(0) as u64, int("store_entries")?.max(0) as u64))
+        self.ping_info().map(|info| (info.uptime_ms, info.store_entries))
     }
 
     /// Pings the daemon and returns the full pong: uptime, store size
     /// and the timeline/span window capacities with their drop counts —
     /// what `relim trace --peers` uses to warn about incomplete merges.
-    /// Fields an older daemon does not send read as zero.
+    /// Fields an older daemon does not send read as zero. This is the
+    /// one pong parser: `relim ping` and the fleet's breaker probe both
+    /// come through here.
     ///
     /// # Errors
     ///
     /// Connection/protocol failures and pong-less responses.
     pub fn ping_info(&self) -> Result<PingInfo, ClientError> {
-        let doc = self.roundtrip(&protocol::render_admin_request("ping", None))?;
+        let doc = self.raw_roundtrip(&protocol::render_admin_request("ping", None))?;
         if doc.get("pong").and_then(Json::as_bool) != Some(true) {
             return Err(ClientError(format!("{} answered ping without a pong", self.addr)));
         }
@@ -244,11 +235,8 @@ impl Client {
     ///
     /// Connection/protocol failures and malformed dumps.
     pub fn trace_dump(&self, trace_id: Option<u64>) -> Result<TraceDump, ClientError> {
-        let doc = self.roundtrip(&protocol::render_trace_request(trace_id, None))?;
-        if doc.get("ok").and_then(Json::as_bool) != Some(true) {
-            let error = doc.get("error").and_then(Json::as_str).unwrap_or("unspecified error");
-            return Err(ClientError(format!("trace dump failed: {error}")));
-        }
+        let doc = self.raw_roundtrip(&protocol::render_trace_request(trace_id, None))?;
+        require_ok(&doc, "trace dump failed")?;
         let trace =
             doc.get("trace").ok_or_else(|| ClientError("trace response missing `trace`".into()))?;
         TraceDump::parse(trace).map_err(ClientError)
@@ -260,7 +248,7 @@ impl Client {
     ///
     /// Connection/protocol failures.
     pub fn shutdown(&self) -> Result<(), ClientError> {
-        let doc = self.roundtrip(&protocol::render_admin_request("shutdown", None))?;
+        let doc = self.raw_roundtrip(&protocol::render_admin_request("shutdown", None))?;
         match doc.get("shutting_down").and_then(Json::as_bool) {
             Some(true) => Ok(()),
             _ => Err(ClientError("shutdown was not acknowledged".into())),
@@ -274,29 +262,6 @@ impl Client {
     ///
     /// Connection failures and unparsable responses.
     pub fn raw_roundtrip(&self, line: &str) -> Result<Json, ClientError> {
-        self.roundtrip(line)
-    }
-
-    fn roundtrip(&self, line: &str) -> Result<Json, ClientError> {
-        let stream = TcpStream::connect(&self.addr)
-            .map_err(|e| ClientError(format!("cannot connect to {}: {e}", self.addr)))?;
-        stream.set_read_timeout(Some(self.timeout)).map_err(|e| ClientError(e.to_string()))?;
-        stream.set_write_timeout(Some(self.timeout)).map_err(|e| ClientError(e.to_string()))?;
-        let mut writer = stream.try_clone().map_err(|e| ClientError(e.to_string()))?;
-        writer
-            .write_all(line.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .and_then(|()| writer.flush())
-            .map_err(|e| ClientError(format!("write to {} failed: {e}", self.addr)))?;
-        let mut reader = BufReader::new(stream);
-        let mut response = String::new();
-        let n = reader
-            .read_line(&mut response)
-            .map_err(|e| ClientError(format!("read from {} failed: {e}", self.addr)))?;
-        if n == 0 {
-            return Err(ClientError(format!("{} closed the connection", self.addr)));
-        }
-        Json::parse(response.trim_end())
-            .map_err(|e| ClientError(format!("unparsable response from {}: {e}", self.addr)))
+        Ok(wire::roundtrip(&self.addr, line, self.timeout)?)
     }
 }

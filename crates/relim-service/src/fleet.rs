@@ -50,13 +50,13 @@
 //! same bytes as a fleet with none, which returns the same bytes as a
 //! lone daemon — only latency and the degradation counters differ.
 
-use crate::protocol;
+use crate::client::Client;
+use crate::protocol::{self, PingInfo};
 use crate::ring::Ring;
 use crate::store::digest_of;
-use crate::trace::{FetchTrace, Span, TraceContext};
+use crate::trace::{FetchTrace, TraceContext};
+use crate::wire;
 use relim_json::Json;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -136,6 +136,24 @@ enum BreakerState {
     },
 }
 
+/// The per-peer counters in counters-tree spelling and key order:
+/// fetch attempts by result, closed→open breaker transitions, and
+/// background probes that ponged (closing the breaker) or failed
+/// (re-arming the cooldown).
+const PEER_COUNTERS: [&str; 6] =
+    ["fetch_ok", "fetch_err", "fetch_timeout", "breaker_open", "probe_ok", "probe_err"];
+const FETCH_OK: usize = 0;
+const FETCH_ERR: usize = 1;
+const FETCH_TIMEOUT: usize = 2;
+const BREAKER_OPEN: usize = 3;
+const PROBE_OK: usize = 4;
+const PROBE_ERR: usize = 5;
+
+/// The fleet-level read-through outcomes, after the summed peer
+/// counters in the `peer` object: verified remote hits, answered
+/// misses, and unreachable owners (each computed locally).
+const FLEET_COUNTERS: [&str; 3] = ["remote_hits", "remote_misses", "degraded_local"];
+
 /// A remote-store client for one fleet peer: timeouts, bounded retries,
 /// a circuit breaker, and per-peer counters.
 pub struct PeerClient {
@@ -145,16 +163,8 @@ pub struct PeerClient {
     backoff: Duration,
     breaker_threshold: u32,
     breaker_cooldown: Duration,
-    fetch_ok: AtomicU64,
-    fetch_err: AtomicU64,
-    fetch_timeout: AtomicU64,
-    /// Cumulative closed→open transitions (the scrapeable
-    /// `breaker_open` counter).
-    breaker_opened: AtomicU64,
-    /// Background probes that ponged (and closed the breaker).
-    probe_ok: AtomicU64,
-    /// Background probes that failed (and re-armed the cooldown).
-    probe_err: AtomicU64,
+    /// Indexed like [`PEER_COUNTERS`].
+    counts: [AtomicU64; PEER_COUNTERS.len()],
     breaker: Mutex<BreakerState>,
 }
 
@@ -173,12 +183,7 @@ impl PeerClient {
             backoff: config.backoff,
             breaker_threshold: config.breaker_threshold.max(1),
             breaker_cooldown: config.breaker_cooldown,
-            fetch_ok: AtomicU64::new(0),
-            fetch_err: AtomicU64::new(0),
-            fetch_timeout: AtomicU64::new(0),
-            breaker_opened: AtomicU64::new(0),
-            probe_ok: AtomicU64::new(0),
-            probe_err: AtomicU64::new(0),
+            counts: Default::default(),
             breaker: Mutex::new(BreakerState::Closed { consecutive_failures: 0 }),
         }
     }
@@ -186,6 +191,14 @@ impl PeerClient {
     /// The peer's address.
     pub fn addr(&self) -> &str {
         &self.addr
+    }
+
+    fn bump(&self, counter: usize) {
+        self.counts[counter].fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn count(&self, counter: usize) -> u64 {
+        self.counts[counter].load(Ordering::Relaxed)
     }
 
     /// Whether the breaker currently rejects requests.
@@ -202,20 +215,17 @@ impl PeerClient {
     pub fn fetch(&self, digest: &str, key: &str, trace: Option<&FetchTrace<'_>>) -> FetchOutcome {
         if !self.admit() {
             if let Some(t) = trace {
-                let now = t.log.now_ns();
-                t.log.record(Span {
-                    trace_id: t.trace_id,
-                    span_id: t.log.next_span_id(),
-                    parent: Some(t.parent),
-                    name: "peer-fetch".to_owned(),
-                    start_ns: now,
-                    dur_ns: 0,
-                    attrs: vec![
+                t.log.record_since(
+                    t.ctx,
+                    t.log.next_span_id(),
+                    "peer-fetch",
+                    t.log.now_ns(),
+                    vec![
                         ("peer".to_owned(), self.addr.clone()),
                         ("breaker".to_owned(), "open".to_owned()),
                         ("rejected".to_owned(), "true".to_owned()),
                     ],
-                });
+                );
             }
             return FetchOutcome::Unavailable;
         }
@@ -229,45 +239,34 @@ impl PeerClient {
                 Some(t) => (t.log.next_span_id(), t.log.now_ns()),
                 None => (0, 0),
             };
-            let line = match trace {
-                Some(t) => protocol::render_fetch_request_traced(
-                    digest,
-                    None,
-                    Some(&TraceContext { trace_id: t.trace_id, parent: Some(span_id) }),
-                ),
-                None => protocol::render_fetch_request(digest, None),
-            };
+            let ctx = trace.map(|t| TraceContext { parent: Some(span_id), ..t.ctx });
+            let line = protocol::render_fetch_request_traced(digest, None, ctx.as_ref());
             let record_attempt = |result: &str| {
                 if let Some(t) = trace {
-                    t.log.record(Span {
-                        trace_id: t.trace_id,
+                    let breaker = if self.breaker_is_open() { "open" } else { "closed" };
+                    t.log.record_since(
+                        t.ctx,
                         span_id,
-                        parent: Some(t.parent),
-                        name: "peer-fetch".to_owned(),
+                        "peer-fetch",
                         start_ns,
-                        dur_ns: t.log.now_ns().saturating_sub(start_ns),
-                        attrs: vec![
+                        vec![
                             ("peer".to_owned(), self.addr.clone()),
                             ("attempt".to_owned(), attempt.to_string()),
                             ("result".to_owned(), result.to_owned()),
-                            (
-                                "breaker".to_owned(),
-                                if self.breaker_is_open() { "open" } else { "closed" }.to_owned(),
-                            ),
+                            ("breaker".to_owned(), breaker.to_owned()),
                         ],
-                    });
+                    );
                 }
             };
-            match self.roundtrip_once(&line) {
+            match wire::roundtrip(&self.addr, &line, self.timeout) {
                 Ok(doc) => {
                     self.record_success();
-                    self.fetch_ok.fetch_add(1, Ordering::Relaxed);
+                    self.bump(FETCH_OK);
                     record_attempt("ok");
                     return verify_fetch(&doc, digest, key);
                 }
                 Err(e) => {
-                    let counter = if e.timed_out { &self.fetch_timeout } else { &self.fetch_err };
-                    counter.fetch_add(1, Ordering::Relaxed);
+                    self.bump(if e.timed_out { FETCH_TIMEOUT } else { FETCH_ERR });
                     self.record_failure();
                     record_attempt(if e.timed_out { "timeout" } else { "err" });
                 }
@@ -277,24 +276,17 @@ impl PeerClient {
     }
 
     /// One liveness probe: `{"op": "ping"}`, a single attempt under the
-    /// configured timeout. Returns `(uptime_ms, store_entries)` on a
-    /// pong. This is the same exchange `relim ping` performs — the
+    /// configured timeout, returning the pong. This is
+    /// [`Client::ping_info`], the exchange `relim ping` performs — the
     /// breaker's half-open recovery rides the health-check path.
     ///
     /// # Errors
     ///
     /// A human-readable description of the connection or protocol
     /// failure.
-    pub fn ping(&self) -> Result<(u64, u64), String> {
-        let doc = self
-            .roundtrip_once(&protocol::render_admin_request("ping", None))
-            .map_err(|e| e.message)?;
-        if doc.get("pong").and_then(Json::as_bool) != Some(true) {
-            return Err(format!("{} answered ping without a pong", self.addr));
-        }
-        let uptime = doc.get("uptime_ms").and_then(Json::as_i64).unwrap_or(0).max(0) as u64;
-        let entries = doc.get("store_entries").and_then(Json::as_i64).unwrap_or(0).max(0) as u64;
-        Ok((uptime, entries))
+    pub fn ping(&self) -> Result<PingInfo, String> {
+        let client = Client::new(self.addr.clone()).with_timeout(self.timeout);
+        client.ping_info().map_err(|e| e.0)
     }
 
     /// Admission check against the breaker: closed admits, open rejects
@@ -325,12 +317,12 @@ impl PeerClient {
         }
         match self.ping() {
             Ok(_) => {
-                self.probe_ok.fetch_add(1, Ordering::Relaxed);
+                self.bump(PROBE_OK);
                 *self.breaker.lock().expect("breaker lock poisoned") =
                     BreakerState::Closed { consecutive_failures: 0 };
             }
             Err(_) => {
-                self.probe_err.fetch_add(1, Ordering::Relaxed);
+                self.bump(PROBE_ERR);
                 *self.breaker.lock().expect("breaker lock poisoned") =
                     BreakerState::Open { since: Instant::now() };
             }
@@ -350,7 +342,7 @@ impl PeerClient {
                 let failures = consecutive_failures + 1;
                 if failures >= self.breaker_threshold {
                     *breaker = BreakerState::Open { since: Instant::now() };
-                    self.breaker_opened.fetch_add(1, Ordering::Relaxed);
+                    self.bump(BREAKER_OPEN);
                 } else {
                     *breaker = BreakerState::Closed { consecutive_failures: failures };
                 }
@@ -359,57 +351,6 @@ impl PeerClient {
             BreakerState::Open { .. } => {}
         }
     }
-
-    /// One request/response exchange under the configured timeouts.
-    fn roundtrip_once(&self, line: &str) -> Result<Json, PeerError> {
-        let target = resolve(&self.addr).map_err(PeerError::plain)?;
-        let stream = TcpStream::connect_timeout(&target, self.timeout).map_err(PeerError::io)?;
-        stream.set_read_timeout(Some(self.timeout)).map_err(PeerError::io)?;
-        stream.set_write_timeout(Some(self.timeout)).map_err(PeerError::io)?;
-        let mut writer = stream.try_clone().map_err(PeerError::io)?;
-        writer
-            .write_all(line.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .and_then(|()| writer.flush())
-            .map_err(PeerError::io)?;
-        let mut reader = BufReader::new(stream);
-        let mut response = String::new();
-        let n = reader.read_line(&mut response).map_err(PeerError::io)?;
-        if n == 0 {
-            return Err(PeerError::plain("peer closed the connection".to_owned()));
-        }
-        Json::parse(response.trim_end())
-            .map_err(|e| PeerError::plain(format!("unparsable peer response: {e}")))
-    }
-}
-
-/// A peer call failure, tagged with whether it was a timeout (for the
-/// `fetch_timeout` vs `fetch_err` split).
-struct PeerError {
-    message: String,
-    timed_out: bool,
-}
-
-impl PeerError {
-    fn io(e: std::io::Error) -> PeerError {
-        let timed_out =
-            matches!(e.kind(), std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock);
-        PeerError { message: e.to_string(), timed_out }
-    }
-
-    fn plain(message: String) -> PeerError {
-        PeerError { message, timed_out: false }
-    }
-}
-
-/// Resolves `host:port` to the first socket address (the fleet runs on
-/// literal addresses in practice; DNS is tolerated but the first answer
-/// wins deterministically).
-fn resolve(addr: &str) -> Result<SocketAddr, String> {
-    addr.to_socket_addrs()
-        .map_err(|e| format!("cannot resolve {addr}: {e}"))?
-        .next()
-        .ok_or_else(|| format!("{addr} resolves to no address"))
 }
 
 /// Verifies a peer's fetch response: only an exact canonical-key match
@@ -448,13 +389,9 @@ pub struct Fleet {
     self_addr: String,
     /// Peer clients addressable by ring name, sorted by address.
     peers: Vec<PeerClient>,
-    /// Remote fetches that verified and were written through locally.
-    remote_hits: AtomicU64,
-    /// Remote fetches answered (or failed verification) without bytes —
-    /// computed locally.
-    remote_misses: AtomicU64,
-    /// Requests whose remote owner was unreachable — computed locally.
-    degraded_local: AtomicU64,
+    /// Read-through outcomes, indexed like [`FLEET_COUNTERS`]. A fetch
+    /// that failed verification counts as a miss.
+    outcomes: [AtomicU64; FLEET_COUNTERS.len()],
 }
 
 impl std::fmt::Debug for Fleet {
@@ -481,14 +418,7 @@ impl Fleet {
             .collect();
         peers.sort_by(|a, b| a.addr.cmp(&b.addr));
         peers.dedup_by(|a, b| a.addr == b.addr);
-        Fleet {
-            ring,
-            self_addr: config.self_addr.clone(),
-            peers,
-            remote_hits: AtomicU64::new(0),
-            remote_misses: AtomicU64::new(0),
-            degraded_local: AtomicU64::new(0),
-        }
+        Fleet { ring, self_addr: config.self_addr.clone(), peers, outcomes: Default::default() }
     }
 
     /// This daemon's own ring name.
@@ -530,12 +460,12 @@ impl Fleet {
             return FetchOutcome::Miss;
         };
         let outcome = peer.fetch(digest, key, trace);
-        let counter = match outcome {
-            FetchOutcome::Hit(_) => &self.remote_hits,
-            FetchOutcome::Miss => &self.remote_misses,
-            FetchOutcome::Unavailable => &self.degraded_local,
+        let slot = match outcome {
+            FetchOutcome::Hit(_) => 0,
+            FetchOutcome::Miss => 1,
+            FetchOutcome::Unavailable => 2,
         };
-        counter.fetch_add(1, Ordering::Relaxed);
+        self.outcomes[slot].fetch_add(1, Ordering::Relaxed);
         outcome
     }
 
@@ -549,57 +479,29 @@ impl Fleet {
         }
     }
 
-    /// The aggregate `peer` counters object (see
+    /// The aggregate `peer` counters object: each peer counter summed
+    /// over the peers, then the read-through outcomes (see
     /// [`zero_counters_json`] for the fleetless shape).
     pub fn counters_json(&self) -> Json {
-        let sum = |pick: fn(&PeerClient) -> &AtomicU64| -> i64 {
-            self.peers.iter().map(|p| pick(p).load(Ordering::Relaxed) as i64).sum()
-        };
-        Json::Obj(vec![
-            ("fetch_ok".into(), Json::Int(sum(|p| &p.fetch_ok))),
-            ("fetch_err".into(), Json::Int(sum(|p| &p.fetch_err))),
-            ("fetch_timeout".into(), Json::Int(sum(|p| &p.fetch_timeout))),
-            ("breaker_open".into(), Json::Int(sum(|p| &p.breaker_opened))),
-            ("probe_ok".into(), Json::Int(sum(|p| &p.probe_ok))),
-            ("probe_err".into(), Json::Int(sum(|p| &p.probe_err))),
-            ("remote_hits".into(), Json::Int(self.remote_hits.load(Ordering::Relaxed) as i64)),
-            ("remote_misses".into(), Json::Int(self.remote_misses.load(Ordering::Relaxed) as i64)),
-            (
-                "degraded_local".into(),
-                Json::Int(self.degraded_local.load(Ordering::Relaxed) as i64),
-            ),
-        ])
+        let sum = |i: usize| self.peers.iter().map(|p| p.count(i)).sum::<u64>();
+        let outcomes = self.outcomes.iter().map(|c| c.load(Ordering::Relaxed));
+        let values = (0..PEER_COUNTERS.len()).map(sum).chain(outcomes);
+        let names = PEER_COUNTERS.iter().chain(&FLEET_COUNTERS);
+        Json::Obj(names.zip(values).map(|(n, v)| ((*n).to_owned(), Json::Int(v as i64))).collect())
     }
 
     /// The per-peer counters object, keyed by sanitized address (`.`
     /// and `:` become `_`, so the Prometheus derivation yields names
     /// like `relim_peers_127_0_0_1_7402_fetch_ok`).
     pub fn per_peer_json(&self) -> Json {
-        let peers = self
-            .peers
-            .iter()
-            .map(|p| {
-                (
-                    sanitize_addr(&p.addr),
-                    Json::Obj(vec![
-                        ("fetch_ok".into(), Json::Int(p.fetch_ok.load(Ordering::Relaxed) as i64)),
-                        ("fetch_err".into(), Json::Int(p.fetch_err.load(Ordering::Relaxed) as i64)),
-                        (
-                            "fetch_timeout".into(),
-                            Json::Int(p.fetch_timeout.load(Ordering::Relaxed) as i64),
-                        ),
-                        (
-                            "breaker_open".into(),
-                            Json::Int(p.breaker_opened.load(Ordering::Relaxed) as i64),
-                        ),
-                        ("probe_ok".into(), Json::Int(p.probe_ok.load(Ordering::Relaxed) as i64)),
-                        ("probe_err".into(), Json::Int(p.probe_err.load(Ordering::Relaxed) as i64)),
-                        ("breaker_is_open".into(), Json::Bool(p.breaker_is_open())),
-                    ]),
-                )
-            })
-            .collect();
-        Json::Obj(peers)
+        let peer_json = |p: &PeerClient| {
+            let counts = PEER_COUNTERS.iter().enumerate();
+            let mut fields: Vec<(String, Json)> =
+                counts.map(|(i, n)| ((*n).to_owned(), Json::Int(p.count(i) as i64))).collect();
+            fields.push(("breaker_is_open".into(), Json::Bool(p.breaker_is_open())));
+            (sanitize_addr(&p.addr), Json::Obj(fields))
+        };
+        Json::Obj(self.peers.iter().map(peer_json).collect())
     }
 }
 
@@ -608,17 +510,8 @@ impl Fleet {
 /// dashboards and alerts need no reconfiguration when a daemon joins a
 /// fleet.
 pub fn zero_counters_json() -> Json {
-    Json::Obj(vec![
-        ("fetch_ok".into(), Json::Int(0)),
-        ("fetch_err".into(), Json::Int(0)),
-        ("fetch_timeout".into(), Json::Int(0)),
-        ("breaker_open".into(), Json::Int(0)),
-        ("probe_ok".into(), Json::Int(0)),
-        ("probe_err".into(), Json::Int(0)),
-        ("remote_hits".into(), Json::Int(0)),
-        ("remote_misses".into(), Json::Int(0)),
-        ("degraded_local".into(), Json::Int(0)),
-    ])
+    let names = PEER_COUNTERS.iter().chain(&FLEET_COUNTERS);
+    Json::Obj(names.map(|n| ((*n).to_owned(), Json::Int(0))).collect())
 }
 
 /// A peer address as a counters-tree key: every byte outside
@@ -661,12 +554,12 @@ mod tests {
         assert_eq!(outcome, FetchOutcome::Unavailable);
         let peer = &fleet.peers()[0];
         assert!(peer.breaker_is_open(), "3 consecutive attempt failures open the breaker");
-        assert_eq!(peer.breaker_opened.load(Ordering::Relaxed), 1);
-        assert_eq!(peer.fetch_err.load(Ordering::Relaxed), 3, "initial try + 2 retries");
+        assert_eq!(peer.count(BREAKER_OPEN), 1);
+        assert_eq!(peer.count(FETCH_ERR), 3, "initial try + 2 retries");
         // The next read-through is rejected by the breaker without new
         // connection attempts (live requests never probe).
         assert_eq!(fleet.read_through(&digest, "key", None), FetchOutcome::Unavailable);
-        assert_eq!(peer.fetch_err.load(Ordering::Relaxed), 3, "breaker short-circuits");
+        assert_eq!(peer.count(FETCH_ERR), 3, "breaker short-circuits");
         let counters = fleet.counters_json();
         assert_eq!(counters.get("degraded_local").and_then(Json::as_i64), Some(2));
         assert_eq!(counters.get("breaker_open").and_then(Json::as_i64), Some(1));
@@ -684,7 +577,7 @@ mod tests {
             .find(|d| matches!(fleet.route(d), Route::Local))
             .expect("self gets some share");
         assert_eq!(fleet.read_through(&digest, "key", None), FetchOutcome::Miss);
-        assert_eq!(fleet.peers()[0].fetch_err.load(Ordering::Relaxed), 0, "no network touched");
+        assert_eq!(fleet.peers()[0].count(FETCH_ERR), 0, "no network touched");
     }
 
     #[test]
@@ -707,9 +600,9 @@ mod tests {
         std::thread::sleep(Duration::from_millis(5));
         fleet.probe_open_breakers();
         assert!(peer.breaker_is_open(), "a failed probe re-arms the breaker");
-        assert_eq!(peer.probe_err.load(Ordering::Relaxed), 1);
+        assert_eq!(peer.count(PROBE_ERR), 1);
         assert_eq!(fleet.read_through(&digest, "key", None), FetchOutcome::Unavailable);
-        assert_eq!(peer.fetch_err.load(Ordering::Relaxed), 3, "no new fetch attempts");
+        assert_eq!(peer.count(FETCH_ERR), 3, "no new fetch attempts");
 
         // Revive the peer on the same address: the next due probe pongs
         // and closes the breaker — no live request involved.
@@ -718,9 +611,9 @@ mod tests {
         std::thread::sleep(Duration::from_millis(5));
         fleet.probe_open_breakers();
         assert!(!peer.breaker_is_open(), "a pong closes the breaker");
-        assert_eq!(peer.probe_ok.load(Ordering::Relaxed), 1);
+        assert_eq!(peer.count(PROBE_OK), 1);
         fleet.probe_open_breakers();
-        assert_eq!(peer.probe_ok.load(Ordering::Relaxed), 1, "closed breakers are not probed");
+        assert_eq!(peer.count(PROBE_OK), 1, "closed breakers are not probed");
         let counters = fleet.counters_json();
         assert_eq!(counters.get("probe_ok").and_then(Json::as_i64), Some(1));
         assert_eq!(counters.get("probe_err").and_then(Json::as_i64), Some(1));
@@ -737,7 +630,8 @@ mod tests {
             .find(|d| matches!(fleet.route(d), Route::Remote(_)))
             .expect("a two-member ring gives the peer some share");
         let log = crate::trace::SpanLog::new(64);
-        let ft = FetchTrace { log: &log, trace_id: 42, parent: 7 };
+        let ctx = TraceContext { trace_id: 42, parent: Some(7) };
+        let ft = FetchTrace { log: &log, ctx };
         assert_eq!(fleet.read_through(&digest, "key", Some(&ft)), FetchOutcome::Unavailable);
         let spans = log.snapshot(Some(42)).spans;
         assert_eq!(spans.len(), 3, "one span per attempt");

@@ -35,6 +35,10 @@
 //!   "batch-level priorities" item as a policy carried by the service.
 //! * [`protocol`] — the wire format: one compact JSON object per line,
 //!   in both directions.
+//! * [`wire`] — the one transport under it: every sender (the daemon,
+//!   the client, the fleet's peer calls) writes a frame as a single
+//!   write, and both clients make their request/response round trips
+//!   through it, under one connect/read/write timeout.
 //! * [`server`] — the daemon: a thread-per-connection TCP listener, a
 //!   configurable **executor pool** (default `min(4, cores)`) draining
 //!   the job queue into the shared `Engine` — whose sharded sub-multiset
@@ -59,7 +63,8 @@
 //!   can never drift — including per-op × per-outcome **latency
 //!   histograms**) and the bounded scheduler event log behind
 //!   `{"op": "timeline"}` (enqueue/promote/start/finish per job, dumped
-//!   as JSON plus a text gantt).
+//!   as JSON plus a text gantt). The event log and the span log of
+//!   [`trace`] are two instances of one bounded window.
 //! * [`trace`] — request-scoped **distributed tracing**: a trace
 //!   context minted at ingress rides `submit`/`fetch` requests across
 //!   the fleet, each daemon records its spans (parse, queue-wait,
@@ -103,6 +108,8 @@ pub mod server;
 pub mod store;
 pub mod timeline;
 pub mod trace;
+mod window;
+pub mod wire;
 
 pub use client::Client;
 pub use fleet::{Fleet, FleetConfig};

@@ -200,6 +200,17 @@ fn trace_fields(trace: Option<&TraceContext>) -> Vec<(String, Json)> {
     fields
 }
 
+/// One message line: the echoed `id` when there is one, then `fields`
+/// in order, rendered compactly (so the line holds no raw `\n`).
+fn message<K: Into<String>>(
+    id: Option<i64>,
+    fields: impl IntoIterator<Item = (K, Json)>,
+) -> String {
+    let id = id.map(|id| ("id".to_owned(), Json::Int(id)));
+    let fields = fields.into_iter().map(|(k, v)| (k.into(), v));
+    Json::Obj(id.into_iter().chain(fields).collect()).render_compact()
+}
+
 /// Renders a request line for a job (the client side of
 /// [`parse_request`]).
 pub fn render_job_request(op: &OpRequest, class: Option<Class>, id: Option<i64>) -> String {
@@ -213,87 +224,55 @@ pub fn render_job_request_traced(
     id: Option<i64>,
     trace: Option<&TraceContext>,
 ) -> String {
-    let mut fields = Vec::new();
-    if let Some(id) = id {
-        fields.push(("id".to_owned(), Json::Int(id)));
-    }
-    fields.extend(op.to_json_fields());
-    if let Some(class) = class {
-        fields.push(("priority".to_owned(), Json::str(class.as_str())));
-    }
-    fields.extend(trace_fields(trace));
-    Json::Obj(fields).render_compact()
+    let priority = class.map(|class| ("priority".to_owned(), Json::str(class.as_str())));
+    message(id, op.to_json_fields().into_iter().chain(priority).chain(trace_fields(trace)))
 }
 
 /// Renders an admin request line (`status` / `shutdown`).
 pub fn render_admin_request(op: &str, id: Option<i64>) -> String {
-    let mut fields = Vec::new();
-    if let Some(id) = id {
-        fields.push(("id".to_owned(), Json::Int(id)));
-    }
-    fields.push(("op".to_owned(), Json::str(op)));
-    Json::Obj(fields).render_compact()
+    message(id, [("op", Json::str(op))])
 }
 
 /// Renders a successful job response line.
 pub fn render_job_response(id: Option<i64>, cached: bool, digest: &str, result: &str) -> String {
-    let mut fields = Vec::new();
-    if let Some(id) = id {
-        fields.push(("id".to_owned(), Json::Int(id)));
-    }
-    fields.push(("ok".to_owned(), Json::Bool(true)));
-    fields.push(("cached".to_owned(), Json::Bool(cached)));
-    fields.push(("digest".to_owned(), Json::str(digest)));
-    fields.push(("result".to_owned(), Json::str(result)));
-    Json::Obj(fields).render_compact()
+    message(
+        id,
+        [
+            ("ok", Json::Bool(true)),
+            ("cached", Json::Bool(cached)),
+            ("digest", Json::str(digest)),
+            ("result", Json::str(result)),
+        ],
+    )
 }
 
 /// Renders a lookup request line (the client side of the `lookup` op).
 pub fn render_lookup_request(digest: &str, id: Option<i64>) -> String {
-    let mut fields = Vec::new();
-    if let Some(id) = id {
-        fields.push(("id".to_owned(), Json::Int(id)));
-    }
-    fields.push(("op".to_owned(), Json::str("lookup")));
-    fields.push(("digest".to_owned(), Json::str(digest)));
-    Json::Obj(fields).render_compact()
+    message(id, [("op", Json::str("lookup")), ("digest", Json::str(digest))])
 }
 
 /// Renders a metrics response line around the exposition text.
 pub fn render_metrics_response(id: Option<i64>, metrics: &str) -> String {
-    let mut fields = Vec::new();
-    if let Some(id) = id {
-        fields.push(("id".to_owned(), Json::Int(id)));
-    }
-    fields.push(("ok".to_owned(), Json::Bool(true)));
-    fields.push(("metrics".to_owned(), Json::str(metrics)));
-    Json::Obj(fields).render_compact()
+    message(id, [("ok", Json::Bool(true)), ("metrics", Json::str(metrics))])
 }
 
 /// Renders a timeline response line around the event-log JSON and its
 /// gantt rendering.
 pub fn render_timeline_response(id: Option<i64>, timeline: Json, gantt: &str) -> String {
-    let mut fields = Vec::new();
-    if let Some(id) = id {
-        fields.push(("id".to_owned(), Json::Int(id)));
-    }
-    fields.push(("ok".to_owned(), Json::Bool(true)));
-    fields.push(("timeline".to_owned(), timeline));
-    fields.push(("gantt".to_owned(), Json::str(gantt)));
-    Json::Obj(fields).render_compact()
+    message(id, [("ok", Json::Bool(true)), ("timeline", timeline), ("gantt", Json::str(gantt))])
 }
 
 /// Renders a successful lookup response line.
 pub fn render_lookup_response(id: Option<i64>, digest: &str, key: &str, result: &str) -> String {
-    let mut fields = Vec::new();
-    if let Some(id) = id {
-        fields.push(("id".to_owned(), Json::Int(id)));
-    }
-    fields.push(("ok".to_owned(), Json::Bool(true)));
-    fields.push(("digest".to_owned(), Json::str(digest)));
-    fields.push(("key".to_owned(), Json::str(key)));
-    fields.push(("result".to_owned(), Json::str(result)));
-    Json::Obj(fields).render_compact()
+    message(
+        id,
+        [
+            ("ok", Json::Bool(true)),
+            ("digest", Json::str(digest)),
+            ("key", Json::str(key)),
+            ("result", Json::str(result)),
+        ],
+    )
 }
 
 /// Renders a fetch request line (the client side of the `fetch` op).
@@ -309,61 +288,37 @@ pub fn render_fetch_request_traced(
     id: Option<i64>,
     trace: Option<&TraceContext>,
 ) -> String {
-    let mut fields = Vec::new();
-    if let Some(id) = id {
-        fields.push(("id".to_owned(), Json::Int(id)));
-    }
-    fields.push(("op".to_owned(), Json::str("fetch")));
-    fields.push(("digest".to_owned(), Json::str(digest)));
-    fields.extend(trace_fields(trace));
-    Json::Obj(fields).render_compact()
+    let fields = [("op".to_owned(), Json::str("fetch")), ("digest".to_owned(), Json::str(digest))];
+    message(id, fields.into_iter().chain(trace_fields(trace)))
 }
 
 /// Renders a trace-dump request line (the client side of the `trace`
 /// op).
 pub fn render_trace_request(trace_id: Option<u64>, id: Option<i64>) -> String {
-    let mut fields = Vec::new();
-    if let Some(id) = id {
-        fields.push(("id".to_owned(), Json::Int(id)));
-    }
-    fields.push(("op".to_owned(), Json::str("trace")));
-    if let Some(trace_id) = trace_id {
-        fields.push(("trace_id".to_owned(), Json::str(crate::trace::render_id(trace_id))));
-    }
-    Json::Obj(fields).render_compact()
+    let filter = trace_id.map(|t| ("trace_id", Json::str(crate::trace::render_id(t))));
+    message(id, [("op", Json::str("trace"))].into_iter().chain(filter))
 }
 
 /// Renders a trace response line around a span-dump object (see
 /// [`crate::trace::TraceSnapshot::to_json`]).
 pub fn render_trace_response(id: Option<i64>, trace: Json) -> String {
-    let mut fields = Vec::new();
-    if let Some(id) = id {
-        fields.push(("id".to_owned(), Json::Int(id)));
-    }
-    fields.push(("ok".to_owned(), Json::Bool(true)));
-    fields.push(("trace".to_owned(), trace));
-    Json::Obj(fields).render_compact()
+    message(id, [("ok", Json::Bool(true)), ("trace", trace)])
 }
 
 /// Renders a fetch response line: `found: true` with the stored key and
 /// result, or `found: false` for a miss — both `ok`, because a peer's
 /// cold cache is an answer, not a fault.
 pub fn render_fetch_response(id: Option<i64>, digest: &str, entry: Option<(&str, &str)>) -> String {
-    let mut fields = Vec::new();
-    if let Some(id) = id {
-        fields.push(("id".to_owned(), Json::Int(id)));
-    }
-    fields.push(("ok".to_owned(), Json::Bool(true)));
-    fields.push(("digest".to_owned(), Json::str(digest)));
+    let mut fields = vec![("ok", Json::Bool(true)), ("digest", Json::str(digest))];
     match entry {
-        Some((key, result)) => {
-            fields.push(("found".to_owned(), Json::Bool(true)));
-            fields.push(("key".to_owned(), Json::str(key)));
-            fields.push(("result".to_owned(), Json::str(result)));
-        }
-        None => fields.push(("found".to_owned(), Json::Bool(false))),
+        Some((key, result)) => fields.extend([
+            ("found", Json::Bool(true)),
+            ("key", Json::str(key)),
+            ("result", Json::str(result)),
+        ]),
+        None => fields.push(("found", Json::Bool(false))),
     }
-    Json::Obj(fields).render_compact()
+    message(id, fields)
 }
 
 /// The payload of a ping response: liveness plus the cheap health
@@ -406,52 +361,35 @@ impl PingInfo {
 
 /// Renders a ping response line (see [`PingInfo`]).
 pub fn render_ping_response(id: Option<i64>, info: &PingInfo) -> String {
-    let mut fields = Vec::new();
-    if let Some(id) = id {
-        fields.push(("id".to_owned(), Json::Int(id)));
-    }
-    fields.push(("ok".to_owned(), Json::Bool(true)));
-    fields.push(("pong".to_owned(), Json::Bool(true)));
-    fields.push(("uptime_ms".to_owned(), Json::Int(info.uptime_ms as i64)));
-    fields.push(("store_entries".to_owned(), Json::Int(info.store_entries as i64)));
-    fields.push(("timeline_window".to_owned(), Json::Int(info.timeline_window as i64)));
-    fields.push(("timeline_dropped".to_owned(), Json::Int(info.timeline_dropped as i64)));
-    fields.push(("span_window".to_owned(), Json::Int(info.span_window as i64)));
-    fields.push(("span_dropped".to_owned(), Json::Int(info.span_dropped as i64)));
-    Json::Obj(fields).render_compact()
+    let int = |v: u64| Json::Int(v as i64);
+    message(
+        id,
+        [
+            ("ok", Json::Bool(true)),
+            ("pong", Json::Bool(true)),
+            ("uptime_ms", int(info.uptime_ms)),
+            ("store_entries", int(info.store_entries)),
+            ("timeline_window", int(info.timeline_window)),
+            ("timeline_dropped", int(info.timeline_dropped)),
+            ("span_window", int(info.span_window)),
+            ("span_dropped", int(info.span_dropped)),
+        ],
+    )
 }
 
 /// Renders a status response line around a `counters` object.
 pub fn render_status_response(id: Option<i64>, counters: Json) -> String {
-    let mut fields = Vec::new();
-    if let Some(id) = id {
-        fields.push(("id".to_owned(), Json::Int(id)));
-    }
-    fields.push(("ok".to_owned(), Json::Bool(true)));
-    fields.push(("counters".to_owned(), counters));
-    Json::Obj(fields).render_compact()
+    message(id, [("ok", Json::Bool(true)), ("counters", counters)])
 }
 
 /// Renders a shutdown acknowledgement line.
 pub fn render_shutdown_response(id: Option<i64>) -> String {
-    let mut fields = Vec::new();
-    if let Some(id) = id {
-        fields.push(("id".to_owned(), Json::Int(id)));
-    }
-    fields.push(("ok".to_owned(), Json::Bool(true)));
-    fields.push(("shutting_down".to_owned(), Json::Bool(true)));
-    Json::Obj(fields).render_compact()
+    message(id, [("ok", Json::Bool(true)), ("shutting_down", Json::Bool(true))])
 }
 
 /// Renders a failure response line.
 pub fn render_error_response(id: Option<i64>, error: &str) -> String {
-    let mut fields = Vec::new();
-    if let Some(id) = id {
-        fields.push(("id".to_owned(), Json::Int(id)));
-    }
-    fields.push(("ok".to_owned(), Json::Bool(false)));
-    fields.push(("error".to_owned(), Json::str(error)));
-    Json::Obj(fields).render_compact()
+    message(id, [("ok", Json::Bool(false)), ("error", Json::str(error))])
 }
 
 #[cfg(test)]

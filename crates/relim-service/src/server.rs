@@ -58,10 +58,11 @@ use crate::protocol::{self, PingInfo, Request, RequestBody};
 use crate::queue::{Class, JobQueue, DEFAULT_AGING_LIMIT};
 use crate::store::{InflightClaim, ResultStore};
 use crate::timeline::{EventKind, EventLog, DEFAULT_EVENT_CAPACITY};
-use crate::trace::{FetchTrace, Span, SpanLog, TraceContext, TraceSnapshot, DEFAULT_SPAN_CAPACITY};
+use crate::trace::{FetchTrace, SpanLog, TraceContext, TraceSnapshot, DEFAULT_SPAN_CAPACITY};
+use crate::wire;
 use relim_core::Engine;
 use relim_json::Json;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -148,57 +149,102 @@ struct Job {
 
 /// What the executor needs to attach its spans to the owning request.
 struct JobTrace {
-    trace_id: u64,
-    /// The request's root span id — the parent of the executor spans.
-    parent: u64,
+    /// The request's trace, with its root span as the parent of the
+    /// executor spans.
+    ctx: TraceContext,
     /// When the job entered the queue (span-log clock): the queue-wait
     /// span runs from here to the executor's pop.
     enqueued_ns: u64,
 }
 
-/// The op lanes of the latency grid, in counters-tree spelling (the
-/// `ops` object uses the same keys, so exposition names line up).
-const LANE_OPS: [&str; 5] = ["autolb", "autoub", "iterate", "sweep", "zero_round"];
+/// The counted request kinds in counters-tree spelling and key order:
+/// the five job ops, then the admin ops (`shutdown` is not counted).
+/// The job ops are also the rows of `store_hits` and of the latency
+/// grid, so exposition names line up.
+const OP_NAMES: [&str; 12] = [
+    "autolb",
+    "autoub",
+    "iterate",
+    "sweep",
+    "zero_round",
+    "status",
+    "metrics",
+    "timeline",
+    "lookup",
+    "fetch",
+    "ping",
+    "trace",
+];
+
+/// How many leading [`OP_NAMES`] are job ops.
+const JOB_OPS: usize = 5;
+
+/// The [`OP_NAMES`] slot of a job op.
+fn job_slot(op: &OpRequest) -> usize {
+    match op {
+        OpRequest::AutoLb { .. } => 0,
+        OpRequest::AutoUb { .. } => 1,
+        OpRequest::Iterate { .. } => 2,
+        OpRequest::Sweep { .. } => 3,
+        OpRequest::ZeroRound { .. } => 4,
+    }
+}
+
+/// The [`OP_NAMES`] slot a request counts under (`None` for shutdown).
+fn op_slot(body: &RequestBody) -> Option<usize> {
+    Some(match body {
+        RequestBody::Job { op, .. } => job_slot(op),
+        RequestBody::Status => 5,
+        RequestBody::Metrics => 6,
+        RequestBody::Timeline => 7,
+        RequestBody::Lookup { .. } => 8,
+        RequestBody::Fetch { .. } => 9,
+        RequestBody::Ping => 10,
+        RequestBody::Trace { .. } => 11,
+        RequestBody::Shutdown => return None,
+    })
+}
+
+/// A counters object pairing each name with its counter, in order.
+fn counts_json(names: &[&str], counts: &[AtomicU64]) -> Json {
+    let pairs = names.iter().zip(counts);
+    Json::Obj(
+        pairs
+            .map(|(n, c)| ((*n).to_owned(), Json::Int(c.load(Ordering::Relaxed) as i64)))
+            .collect(),
+    )
+}
+
+/// The counters object of a bounded window (timeline or span log).
+fn window_json(recorded: u64, dropped: u64, window: usize) -> Json {
+    Json::Obj(vec![
+        ("recorded".into(), Json::Int(recorded as i64)),
+        ("dropped".into(), Json::Int(dropped as i64)),
+        ("window".into(), Json::Int(window as i64)),
+    ])
+}
 
 /// Per-op × per-outcome latency histograms: every job request records
 /// into exactly one cell, so the cells partition the traffic. Each
 /// cell is a power-of-two-bucketed [`LatencyHistogram`] the metrics
 /// endpoint derives into a Prometheus histogram family.
+#[derive(Default)]
 struct LatencyGrid {
-    cells: [[LatencyHistogram; 3]; 5],
+    cells: [[LatencyHistogram; 3]; JOB_OPS],
 }
 
 impl LatencyGrid {
-    fn new() -> LatencyGrid {
-        LatencyGrid {
-            cells: std::array::from_fn(|_| std::array::from_fn(|_| LatencyHistogram::new())),
-        }
-    }
-
     fn record(&self, op: usize, outcome: Outcome, ns: u64) {
         self.cells[op][outcome as usize].record(ns);
     }
 
     fn json(&self) -> Json {
-        Json::Obj(
-            LANE_OPS
-                .iter()
-                .enumerate()
-                .map(|(i, name)| {
-                    (
-                        (*name).to_owned(),
-                        Json::Obj(vec![
-                            ("hit".to_owned(), self.cells[i][Outcome::Hit as usize].json()),
-                            (
-                                "computed".to_owned(),
-                                self.cells[i][Outcome::Computed as usize].json(),
-                            ),
-                            ("error".to_owned(), self.cells[i][Outcome::Error as usize].json()),
-                        ]),
-                    )
-                })
-                .collect(),
-        )
+        let row = |cells: &[LatencyHistogram; 3]| {
+            let cell = |o: Outcome| (o.as_str().to_owned(), cells[o as usize].json());
+            Json::Obj(Outcome::ALL.into_iter().map(cell).collect())
+        };
+        let rows = OP_NAMES[..JOB_OPS].iter().zip(&self.cells);
+        Json::Obj(rows.map(|(n, c)| ((*n).to_owned(), row(c))).collect())
     }
 }
 
@@ -215,24 +261,17 @@ enum Outcome {
 }
 
 impl Outcome {
-    /// The spelling the root span's `outcome` attribute uses.
+    /// Every outcome, in latency-grid column order.
+    const ALL: [Outcome; 3] = [Outcome::Hit, Outcome::Computed, Outcome::Error];
+
+    /// The spelling of the latency-grid key and of the root span's
+    /// `outcome` attribute.
     fn as_str(self) -> &'static str {
         match self {
             Outcome::Hit => "hit",
             Outcome::Computed => "computed",
             Outcome::Error => "error",
         }
-    }
-}
-
-/// The `latency` grid row of an [`OpRequest`] (indexes [`LANE_OPS`]).
-fn op_lane_index(op: &OpRequest) -> usize {
-    match op {
-        OpRequest::AutoLb { .. } => 0,
-        OpRequest::AutoUb { .. } => 1,
-        OpRequest::Iterate { .. } => 2,
-        OpRequest::Sweep { .. } => 3,
-        OpRequest::ZeroRound { .. } => 4,
     }
 }
 
@@ -261,29 +300,16 @@ struct Shared {
     /// response write never races process exit.
     active_connections: AtomicU64,
     requests_total: AtomicU64,
-    n_autolb: AtomicU64,
-    n_autoub: AtomicU64,
-    n_iterate: AtomicU64,
-    n_sweep: AtomicU64,
-    n_zeroround: AtomicU64,
-    n_status: AtomicU64,
-    n_metrics: AtomicU64,
-    n_timeline: AtomicU64,
-    n_lookup: AtomicU64,
-    n_fetch: AtomicU64,
-    n_ping: AtomicU64,
-    n_trace: AtomicU64,
-    n_errors: AtomicU64,
+    /// Requests by kind, indexed like [`OP_NAMES`].
+    ops: [AtomicU64; OP_NAMES.len()],
+    errors: AtomicU64,
     /// Connections dropped mid-line (a torn peer write): the partial
     /// frame is discarded, counted, never parsed.
     torn_lines: AtomicU64,
-    /// Inline store hits by op kind — distinguishes queue-served results
-    /// from cached ones, which the aggregate `ops` counters cannot.
-    h_autolb: AtomicU64,
-    h_autoub: AtomicU64,
-    h_iterate: AtomicU64,
-    h_sweep: AtomicU64,
-    h_zeroround: AtomicU64,
+    /// Inline store hits by job op (the first [`JOB_OPS`] slots) —
+    /// distinguishes queue-served results from cached ones, which the
+    /// aggregate `ops` counters cannot.
+    store_hits: [AtomicU64; JOB_OPS],
     /// Per-op × per-outcome latency histograms (see [`LatencyGrid`]).
     latency: LatencyGrid,
     /// The bounded scheduler event log behind `{"op": "timeline"}`.
@@ -291,35 +317,6 @@ struct Shared {
 }
 
 impl Shared {
-    fn count_op(&self, op: &OpRequest) {
-        let counter = match op {
-            OpRequest::AutoLb { .. } => &self.n_autolb,
-            OpRequest::AutoUb { .. } => &self.n_autoub,
-            OpRequest::Iterate { .. } => &self.n_iterate,
-            OpRequest::Sweep { .. } => &self.n_sweep,
-            OpRequest::ZeroRound { .. } => &self.n_zeroround,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn count_store_hit(&self, op: &OpRequest) {
-        let counter = match op {
-            OpRequest::AutoLb { .. } => &self.h_autolb,
-            OpRequest::AutoUb { .. } => &self.h_autoub,
-            OpRequest::Iterate { .. } => &self.h_iterate,
-            OpRequest::Sweep { .. } => &self.h_sweep,
-            OpRequest::ZeroRound { .. } => &self.h_zeroround,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one job request's wall time into its op × outcome
-    /// histogram cell. Called on **every** exit of the job path —
-    /// error exits included, so the cells partition the traffic.
-    fn record_latency(&self, op: usize, outcome: Outcome, ns: u64) {
-        self.latency.record(op, outcome, ns);
-    }
-
     /// The `counters` object of a status response.
     fn counters_json(&self) -> Json {
         let store = self.store.stats();
@@ -339,53 +336,10 @@ impl Shared {
                     "requests_total".into(),
                     Json::Int(self.requests_total.load(Ordering::Relaxed) as i64),
                 ),
-                (
-                    "ops".into(),
-                    Json::Obj(vec![
-                        ("autolb".into(), Json::Int(self.n_autolb.load(Ordering::Relaxed) as i64)),
-                        ("autoub".into(), Json::Int(self.n_autoub.load(Ordering::Relaxed) as i64)),
-                        (
-                            "iterate".into(),
-                            Json::Int(self.n_iterate.load(Ordering::Relaxed) as i64),
-                        ),
-                        ("sweep".into(), Json::Int(self.n_sweep.load(Ordering::Relaxed) as i64)),
-                        (
-                            "zero_round".into(),
-                            Json::Int(self.n_zeroround.load(Ordering::Relaxed) as i64),
-                        ),
-                        ("status".into(), Json::Int(self.n_status.load(Ordering::Relaxed) as i64)),
-                        (
-                            "metrics".into(),
-                            Json::Int(self.n_metrics.load(Ordering::Relaxed) as i64),
-                        ),
-                        (
-                            "timeline".into(),
-                            Json::Int(self.n_timeline.load(Ordering::Relaxed) as i64),
-                        ),
-                        ("lookup".into(), Json::Int(self.n_lookup.load(Ordering::Relaxed) as i64)),
-                        ("fetch".into(), Json::Int(self.n_fetch.load(Ordering::Relaxed) as i64)),
-                        ("ping".into(), Json::Int(self.n_ping.load(Ordering::Relaxed) as i64)),
-                        ("trace".into(), Json::Int(self.n_trace.load(Ordering::Relaxed) as i64)),
-                    ]),
-                ),
-                ("errors".into(), Json::Int(self.n_errors.load(Ordering::Relaxed) as i64)),
+                ("ops".into(), counts_json(&OP_NAMES, &self.ops)),
+                ("errors".into(), Json::Int(self.errors.load(Ordering::Relaxed) as i64)),
                 ("torn_lines".into(), Json::Int(self.torn_lines.load(Ordering::Relaxed) as i64)),
-                (
-                    "store_hits".into(),
-                    Json::Obj(vec![
-                        ("autolb".into(), Json::Int(self.h_autolb.load(Ordering::Relaxed) as i64)),
-                        ("autoub".into(), Json::Int(self.h_autoub.load(Ordering::Relaxed) as i64)),
-                        (
-                            "iterate".into(),
-                            Json::Int(self.h_iterate.load(Ordering::Relaxed) as i64),
-                        ),
-                        ("sweep".into(), Json::Int(self.h_sweep.load(Ordering::Relaxed) as i64)),
-                        (
-                            "zero_round".into(),
-                            Json::Int(self.h_zeroround.load(Ordering::Relaxed) as i64),
-                        ),
-                    ]),
-                ),
+                ("store_hits".into(), counts_json(&OP_NAMES[..JOB_OPS], &self.store_hits)),
                 (
                     "store".into(),
                     Json::Obj(vec![
@@ -415,14 +369,7 @@ impl Shared {
                 ("latency".into(), self.latency.json()),
                 {
                     let (recorded, dropped) = self.events.stats();
-                    (
-                        "timeline".into(),
-                        Json::Obj(vec![
-                            ("recorded".into(), Json::Int(recorded as i64)),
-                            ("dropped".into(), Json::Int(dropped as i64)),
-                            ("window".into(), Json::Int(self.events.capacity() as i64)),
-                        ]),
-                    )
+                    ("timeline".into(), window_json(recorded, dropped, self.events.capacity()))
                 },
                 {
                     // Always present, zeros with tracing off: the
@@ -430,18 +377,11 @@ impl Shared {
                     let (recorded, dropped, window) = match &self.spans {
                         Some(log) => {
                             let (recorded, dropped) = log.stats();
-                            (recorded, dropped, log.capacity() as u64)
+                            (recorded, dropped, log.capacity())
                         }
                         None => (0, 0, 0),
                     };
-                    (
-                        "trace".into(),
-                        Json::Obj(vec![
-                            ("recorded".into(), Json::Int(recorded as i64)),
-                            ("dropped".into(), Json::Int(dropped as i64)),
-                            ("window".into(), Json::Int(window as i64)),
-                        ]),
-                    )
+                    ("trace".into(), window_json(recorded, dropped, window))
                 },
                 (
                     // Always present, zeros without a fleet: the scrape
@@ -524,26 +464,11 @@ impl Server {
             executors,
             active_connections: AtomicU64::new(0),
             requests_total: AtomicU64::new(0),
-            n_autolb: AtomicU64::new(0),
-            n_autoub: AtomicU64::new(0),
-            n_iterate: AtomicU64::new(0),
-            n_sweep: AtomicU64::new(0),
-            n_zeroround: AtomicU64::new(0),
-            n_status: AtomicU64::new(0),
-            n_metrics: AtomicU64::new(0),
-            n_timeline: AtomicU64::new(0),
-            n_lookup: AtomicU64::new(0),
-            n_fetch: AtomicU64::new(0),
-            n_ping: AtomicU64::new(0),
-            n_trace: AtomicU64::new(0),
-            n_errors: AtomicU64::new(0),
+            ops: Default::default(),
+            errors: AtomicU64::new(0),
             torn_lines: AtomicU64::new(0),
-            h_autolb: AtomicU64::new(0),
-            h_autoub: AtomicU64::new(0),
-            h_iterate: AtomicU64::new(0),
-            h_sweep: AtomicU64::new(0),
-            h_zeroround: AtomicU64::new(0),
-            latency: LatencyGrid::new(),
+            store_hits: Default::default(),
+            latency: LatencyGrid::default(),
             events: EventLog::new(DEFAULT_EVENT_CAPACITY),
         });
 
@@ -668,16 +593,8 @@ fn executor_loop(shared: &Arc<Shared>) {
                 _ => None,
             };
             if let Some((jt, log)) = traced {
-                let now = log.now_ns();
-                log.record(Span {
-                    trace_id: jt.trace_id,
-                    span_id: log.next_span_id(),
-                    parent: Some(jt.parent),
-                    name: "queue-wait".to_owned(),
-                    start_ns: jt.enqueued_ns,
-                    dur_ns: now.saturating_sub(jt.enqueued_ns),
-                    attrs: vec![("class".to_owned(), class.as_str().to_owned())],
-                });
+                let attrs = vec![("class".to_owned(), class.as_str().to_owned())];
+                log.record_since(jt.ctx, log.next_span_id(), "queue-wait", jt.enqueued_ns, attrs);
             }
             let report_before = traced.map(|_| shared.engine.report());
             let compute_start = traced.map(|(_, log)| log.now_ns());
@@ -710,16 +627,7 @@ fn executor_loop(shared: &Arc<Shared>) {
                     }
                 }
                 let start = compute_start.unwrap_or(0);
-                let now = log.now_ns();
-                log.record(Span {
-                    trace_id: jt.trace_id,
-                    span_id: log.next_span_id(),
-                    parent: Some(jt.parent),
-                    name: "compute".to_owned(),
-                    start_ns: start,
-                    dur_ns: now.saturating_sub(start),
-                    attrs,
-                });
+                log.record_since(jt.ctx, log.next_span_id(), "compute", start, attrs);
             }
             if let Ok(result_text) = &result {
                 let write_start = traced.map(|(_, log)| log.now_ns());
@@ -728,16 +636,8 @@ fn executor_loop(shared: &Arc<Shared>) {
                 }
                 if let Some((jt, log)) = traced {
                     let start = write_start.unwrap_or(0);
-                    let now = log.now_ns();
-                    log.record(Span {
-                        trace_id: jt.trace_id,
-                        span_id: log.next_span_id(),
-                        parent: Some(jt.parent),
-                        name: "store-write".to_owned(),
-                        start_ns: start,
-                        dur_ns: now.saturating_sub(start),
-                        attrs: vec![("bytes".to_owned(), result_text.len().to_string())],
-                    });
+                    let attrs = vec![("bytes".to_owned(), result_text.len().to_string())];
+                    log.record_since(jt.ctx, log.next_span_id(), "store-write", start, attrs);
                 }
             }
             // Store first, complete second: a request that misses the
@@ -824,9 +724,7 @@ fn serve_connection_inner(stream: TcpStream, shared: &Arc<Shared>, addr: SocketA
         }
         shared.requests_total.fetch_add(1, Ordering::Relaxed);
         let (response, shutdown_after_send) = handle_line(&line, shared);
-        let sent = writer.write_all(response.as_bytes()).is_ok()
-            && writer.write_all(b"\n").is_ok()
-            && writer.flush().is_ok();
+        let sent = wire::write_frame(&mut writer, &response).is_ok();
         if shutdown_after_send {
             // The acknowledgement is on the wire (or the peer is gone)
             // before the teardown starts, so the requester always hears
@@ -848,10 +746,9 @@ fn serve_connection_inner(stream: TcpStream, shared: &Arc<Shared>, addr: SocketA
 /// id, so the tree is well-formed regardless of recording order.
 struct RequestTracer<'a> {
     log: &'a SpanLog,
-    trace_id: u64,
-    /// The parent from the wire — the requester's span, on traced
-    /// cross-daemon hops. `None` at a fresh ingress.
-    wire_parent: Option<u64>,
+    /// The context from the wire: the trace id, and the requester's span
+    /// on traced cross-daemon hops (no parent at a fresh ingress).
+    wire: TraceContext,
     root_id: u64,
     root_start_ns: u64,
     op: &'static str,
@@ -863,80 +760,44 @@ impl<'a> RequestTracer<'a> {
     /// this tracer could exist).
     fn begin(
         log: &'a SpanLog,
-        ctx: &TraceContext,
+        wire: TraceContext,
         op: &'static str,
         parse_start_ns: u64,
     ) -> RequestTracer<'a> {
         let root_id = log.next_span_id();
-        let parse_id = log.next_span_id();
-        let now = log.now_ns();
-        log.record(Span {
-            trace_id: ctx.trace_id,
-            span_id: parse_id,
-            parent: Some(root_id),
-            name: "parse".to_owned(),
-            start_ns: parse_start_ns,
-            dur_ns: now.saturating_sub(parse_start_ns),
-            attrs: Vec::new(),
-        });
-        RequestTracer {
-            log,
-            trace_id: ctx.trace_id,
-            wire_parent: ctx.parent,
-            root_id,
-            root_start_ns: parse_start_ns,
-            op,
-        }
+        let tracer = RequestTracer { log, wire, root_id, root_start_ns: parse_start_ns, op };
+        tracer.child("parse", parse_start_ns, Vec::new());
+        tracer
     }
 
     fn now_ns(&self) -> u64 {
         self.log.now_ns()
     }
 
+    /// The context of this request's child spans: its trace, under its
+    /// root span.
+    fn under_root(&self) -> TraceContext {
+        TraceContext { trace_id: self.wire.trace_id, parent: Some(self.root_id) }
+    }
+
     /// Records a child of the root span, `start_ns`..now.
     fn child(&self, name: &str, start_ns: u64, attrs: Vec<(String, String)>) {
-        let span_id = self.log.next_span_id();
-        let now = self.log.now_ns();
-        self.log.record(Span {
-            trace_id: self.trace_id,
-            span_id,
-            parent: Some(self.root_id),
-            name: name.to_owned(),
-            start_ns,
-            dur_ns: now.saturating_sub(start_ns),
-            attrs,
-        });
+        self.log.record_since(self.under_root(), self.log.next_span_id(), name, start_ns, attrs);
     }
 
     /// The context peer fetches run under: their spans parent onto this
     /// request's root (see [`crate::fleet`]).
     fn fetch_trace(&self) -> FetchTrace<'a> {
-        FetchTrace { log: self.log, trace_id: self.trace_id, parent: self.root_id }
+        FetchTrace { log: self.log, ctx: self.under_root() }
     }
 
     /// Records the root `request` span with the outcome attached.
     fn finish(self, outcome: Outcome) {
-        let now = self.log.now_ns();
-        self.log.record(Span {
-            trace_id: self.trace_id,
-            span_id: self.root_id,
-            parent: self.wire_parent,
-            name: "request".to_owned(),
-            start_ns: self.root_start_ns,
-            dur_ns: now.saturating_sub(self.root_start_ns),
-            attrs: vec![
-                ("op".to_owned(), self.op.to_owned()),
-                ("outcome".to_owned(), outcome.as_str().to_owned()),
-            ],
-        });
-    }
-}
-
-/// [`RequestTracer::finish`] through an `Option` — the exit sites of
-/// the job path call this on every return.
-fn finish_trace(tracer: Option<RequestTracer<'_>>, outcome: Outcome) {
-    if let Some(tracer) = tracer {
-        tracer.finish(outcome);
+        let attrs = vec![
+            ("op".to_owned(), self.op.to_owned()),
+            ("outcome".to_owned(), outcome.as_str().to_owned()),
+        ];
+        self.log.record_since(self.wire, self.root_id, "request", self.root_start_ns, attrs);
     }
 }
 
@@ -946,45 +807,36 @@ fn handle_line(line: &str, shared: &Arc<Shared>) -> (String, bool) {
     // Span-log timestamp of the parse start; `None` with tracing off
     // (whether the *request* is traced is only known after parsing).
     let parse_start = shared.spans.as_ref().map(SpanLog::now_ns);
-    let request = match protocol::parse_request(line) {
+    let Request { id, body } = match protocol::parse_request(line) {
         Ok(r) => r,
         Err(e) => {
-            shared.n_errors.fetch_add(1, Ordering::Relaxed);
+            shared.errors.fetch_add(1, Ordering::Relaxed);
             return (protocol::render_error_response(None, &e), false);
         }
     };
-    let Request { id, body } = request;
-    match body {
-        RequestBody::Status => {
-            shared.n_status.fetch_add(1, Ordering::Relaxed);
-            (protocol::render_status_response(id, shared.counters_json()), false)
-        }
+    if let Some(slot) = op_slot(&body) {
+        shared.ops[slot].fetch_add(1, Ordering::Relaxed);
+    }
+    let response = match body {
+        RequestBody::Status => protocol::render_status_response(id, shared.counters_json()),
         RequestBody::Metrics => {
-            shared.n_metrics.fetch_add(1, Ordering::Relaxed);
             let text = crate::metrics::render_prometheus(&shared.counters_json());
-            (protocol::render_metrics_response(id, &text), false)
+            protocol::render_metrics_response(id, &text)
         }
         RequestBody::Timeline => {
-            shared.n_timeline.fetch_add(1, Ordering::Relaxed);
             let snapshot = shared.events.snapshot();
             let gantt = snapshot.render_gantt();
-            (protocol::render_timeline_response(id, snapshot.to_json(), &gantt), false)
+            protocol::render_timeline_response(id, snapshot.to_json(), &gantt)
         }
-        RequestBody::Lookup { digest } => {
-            shared.n_lookup.fetch_add(1, Ordering::Relaxed);
-            match shared.store.lookup_digest(&digest) {
-                Some((key, result)) => {
-                    (protocol::render_lookup_response(id, &digest, &key, &result), false)
-                }
-                None => {
-                    shared.n_errors.fetch_add(1, Ordering::Relaxed);
-                    let error = format!("no stored entry for digest {digest}");
-                    (protocol::render_error_response(id, &error), false)
-                }
+        RequestBody::Lookup { digest } => match shared.store.lookup_digest(&digest) {
+            Some((key, result)) => protocol::render_lookup_response(id, &digest, &key, &result),
+            None => {
+                shared.errors.fetch_add(1, Ordering::Relaxed);
+                let error = format!("no stored entry for digest {digest}");
+                protocol::render_error_response(id, &error)
             }
-        }
+        },
         RequestBody::Fetch { digest, trace } => {
-            shared.n_fetch.fetch_add(1, Ordering::Relaxed);
             // A read-only peer read: never counted as store traffic
             // (the hits+misses↔submits reconciliation stays intact on
             // both sides of the wire). The stored key is re-digested so
@@ -993,27 +845,18 @@ fn handle_line(line: &str, shared: &Arc<Shared>) -> (String, bool) {
                 .store
                 .lookup_digest(&digest)
                 .filter(|(key, _)| crate::store::digest_of(key) == digest);
-            if let (Some(log), Some(ctx)) = (&shared.spans, &trace) {
+            if let (Some(log), Some(ctx)) = (&shared.spans, trace) {
                 // The serving half of a traced cross-daemon fetch: its
                 // parent is the requester's peer-fetch attempt span, so
                 // the merged tree hangs this daemon's work under it.
-                let now = log.now_ns();
-                let start = parse_start.unwrap_or(now);
-                log.record(Span {
-                    trace_id: ctx.trace_id,
-                    span_id: log.next_span_id(),
-                    parent: ctx.parent,
-                    name: "fetch-serve".to_owned(),
-                    start_ns: start,
-                    dur_ns: now.saturating_sub(start),
-                    attrs: vec![("found".to_owned(), entry.is_some().to_string())],
-                });
+                let start = parse_start.unwrap_or_else(|| log.now_ns());
+                let attrs = vec![("found".to_owned(), entry.is_some().to_string())];
+                log.record_since(ctx, log.next_span_id(), "fetch-serve", start, attrs);
             }
             let entry = entry.as_ref().map(|(key, result)| (key.as_str(), result.as_str()));
-            (protocol::render_fetch_response(id, &digest, entry), false)
+            protocol::render_fetch_response(id, &digest, entry)
         }
         RequestBody::Ping => {
-            shared.n_ping.fetch_add(1, Ordering::Relaxed);
             let timeline_dropped = shared.events.stats().1;
             let (span_window, span_dropped) = match &shared.spans {
                 Some(log) => (log.capacity() as u64, log.stats().1),
@@ -1027,137 +870,120 @@ fn handle_line(line: &str, shared: &Arc<Shared>) -> (String, bool) {
                 span_window,
                 span_dropped,
             };
-            (protocol::render_ping_response(id, &info), false)
+            protocol::render_ping_response(id, &info)
         }
         RequestBody::Trace { trace_id } => {
-            shared.n_trace.fetch_add(1, Ordering::Relaxed);
             let snapshot = match &shared.spans {
                 Some(log) => log.snapshot(trace_id),
                 None => TraceSnapshot::disabled(),
             };
-            (protocol::render_trace_response(id, snapshot.to_json(&shared.self_addr)), false)
+            protocol::render_trace_response(id, snapshot.to_json(&shared.self_addr))
         }
-        RequestBody::Shutdown => (protocol::render_shutdown_response(id), true),
+        RequestBody::Shutdown => return (protocol::render_shutdown_response(id), true),
         RequestBody::Job { op, class, trace } => {
             let start = Instant::now();
-            let elapsed = move || start.elapsed().as_nanos() as u64;
-            shared.count_op(&op);
-            let lane = op_lane_index(&op);
+            let slot = job_slot(&op);
             // Traced only when the daemon records spans *and* the
             // request carried a context — `None` (one branch per site)
             // otherwise.
-            let tracer = match (&shared.spans, &trace) {
+            let tracer = match (&shared.spans, trace) {
                 (Some(log), Some(ctx)) => {
                     Some(RequestTracer::begin(log, ctx, op.name(), parse_start.unwrap_or(0)))
                 }
                 _ => None,
             };
-            let key = match op.canonical_key() {
-                Ok(key) => key,
-                Err(e) => {
-                    shared.n_errors.fetch_add(1, Ordering::Relaxed);
-                    shared.record_latency(lane, Outcome::Error, elapsed());
-                    finish_trace(tracer, Outcome::Error);
-                    return (protocol::render_error_response(id, &e.to_string()), false);
-                }
+            let (response, outcome) = serve_job(shared, id, op, class, tracer.as_ref());
+            // The one place a job request's outcome is recorded: every
+            // exit of `serve_job` lands in exactly one latency cell.
+            let counter = match outcome {
+                Outcome::Hit => Some(&shared.store_hits[slot]),
+                Outcome::Computed => None,
+                Outcome::Error => Some(&shared.errors),
             };
-            let digest = crate::store::digest_of(&key);
-            let read_start = tracer.as_ref().map(RequestTracer::now_ns);
-            let cached = shared.store.get(&digest, &key);
-            if let (Some(t), Some(start_ns)) = (&tracer, read_start) {
-                t.child(
-                    "store-read",
-                    start_ns,
-                    vec![("hit".to_owned(), cached.is_some().to_string())],
-                );
+            if let Some(counter) = counter {
+                counter.fetch_add(1, Ordering::Relaxed);
             }
-            if let Some(result) = cached {
-                shared.count_store_hit(&op);
-                shared.record_latency(lane, Outcome::Hit, elapsed());
-                finish_trace(tracer, Outcome::Hit);
-                return (protocol::render_job_response(id, true, &digest, &result), false);
+            shared.latency.record(slot, outcome, start.elapsed().as_nanos() as u64);
+            if let Some(tracer) = tracer {
+                tracer.finish(outcome);
             }
-            // Cold: claim the in-flight slot. The first identical request
-            // owns the computation and queues a job; later ones coalesce
-            // onto the owner's result channel.
-            let rx = match shared.store.claim(&key) {
-                InflightClaim::Waiter(rx) => rx,
-                InflightClaim::Owner => {
-                    // Fleet read-through, *inside* the ownership claim:
-                    // concurrent identical requests coalesce onto one
-                    // peer fetch exactly as they coalesce onto one
-                    // computation. A verified remote hit is written
-                    // through locally and served as cached; a miss or
-                    // an unreachable owner falls through to the local
-                    // queue — same bytes either way, by the canonical
-                    // determinism of every op.
-                    if let Some(fleet) = &shared.fleet {
-                        let fetch_trace = tracer.as_ref().map(RequestTracer::fetch_trace);
-                        let outcome = fleet.read_through(&digest, &key, fetch_trace.as_ref());
-                        if let FetchOutcome::Hit(result) = outcome {
-                            if let Err(e) = shared.store.put(&digest, &key, &result) {
-                                eprintln!(
-                                    "relim-service: store write-through failed for {digest}: {e}"
-                                );
-                            }
-                            // Store before complete, like the executor:
-                            // a request missing the coalescing window
-                            // hits the store instead.
-                            shared.store.complete(&key, &Ok(result.clone()));
-                            shared.count_store_hit(&op);
-                            shared.record_latency(lane, Outcome::Hit, elapsed());
-                            finish_trace(tracer, Outcome::Hit);
-                            return (
-                                protocol::render_job_response(id, true, &digest, &result),
-                                false,
-                            );
-                        }
-                    }
-                    let (tx, rx) = mpsc::channel();
-                    let job = Job {
-                        op,
-                        digest: digest.clone(),
-                        key: key.clone(),
-                        reply: tx,
-                        trace: tracer.as_ref().map(|t| JobTrace {
-                            trace_id: t.trace_id,
-                            parent: t.root_id,
-                            enqueued_ns: t.now_ns(),
-                        }),
-                    };
-                    if let Err(e) = enqueue(shared, class, job) {
-                        // Unblock any waiter that already attached.
-                        shared.store.complete(&key, &Err(e.clone()));
-                        shared.n_errors.fetch_add(1, Ordering::Relaxed);
-                        shared.record_latency(lane, Outcome::Error, elapsed());
-                        finish_trace(tracer, Outcome::Error);
-                        return (protocol::render_error_response(id, &e), false);
-                    }
-                    rx
-                }
-            };
-            let (response, outcome) = match rx.recv() {
-                Ok(Ok(result)) => {
-                    shared.record_latency(lane, Outcome::Computed, elapsed());
-                    (protocol::render_job_response(id, false, &digest, &result), Outcome::Computed)
-                }
-                Ok(Err(e)) => {
-                    shared.n_errors.fetch_add(1, Ordering::Relaxed);
-                    shared.record_latency(lane, Outcome::Error, elapsed());
-                    (protocol::render_error_response(id, &e), Outcome::Error)
-                }
-                Err(_) => {
-                    shared.n_errors.fetch_add(1, Ordering::Relaxed);
-                    shared.record_latency(lane, Outcome::Error, elapsed());
-                    (
-                        protocol::render_error_response(id, "executor exited before the job ran"),
-                        Outcome::Error,
-                    )
-                }
-            };
-            finish_trace(tracer, outcome);
-            (response, false)
+            response
         }
+    };
+    (response, false)
+}
+
+/// The job path: canonical key, store read, fleet read-through, then
+/// enqueue (or coalesce onto an identical in-flight job) and wait for
+/// the result. Returns the response and its outcome; the caller records
+/// the outcome.
+fn serve_job(
+    shared: &Shared,
+    id: Option<i64>,
+    op: OpRequest,
+    class: Class,
+    tracer: Option<&RequestTracer<'_>>,
+) -> (String, Outcome) {
+    let error = |e: &str| (protocol::render_error_response(id, e), Outcome::Error);
+    let key = match op.canonical_key() {
+        Ok(key) => key,
+        Err(e) => return error(&e.to_string()),
+    };
+    let digest = crate::store::digest_of(&key);
+    let hit =
+        |result: &str| (protocol::render_job_response(id, true, &digest, result), Outcome::Hit);
+    let read_start = tracer.map(RequestTracer::now_ns);
+    let cached = shared.store.get(&digest, &key);
+    if let (Some(t), Some(start_ns)) = (tracer, read_start) {
+        t.child("store-read", start_ns, vec![("hit".to_owned(), cached.is_some().to_string())]);
+    }
+    if let Some(result) = cached {
+        return hit(&result);
+    }
+    // Cold: claim the in-flight slot. The first identical request owns
+    // the computation and queues a job; later ones coalesce onto the
+    // owner's result channel.
+    let rx = match shared.store.claim(&key) {
+        InflightClaim::Waiter(rx) => rx,
+        InflightClaim::Owner => {
+            // Fleet read-through, *inside* the ownership claim:
+            // concurrent identical requests coalesce onto one peer fetch
+            // exactly as they coalesce onto one computation. A verified
+            // remote hit is written through locally and served as
+            // cached; a miss or an unreachable owner falls through to
+            // the local queue — same bytes either way, by the canonical
+            // determinism of every op.
+            if let Some(fleet) = &shared.fleet {
+                let fetch_trace = tracer.map(RequestTracer::fetch_trace);
+                let outcome = fleet.read_through(&digest, &key, fetch_trace.as_ref());
+                if let FetchOutcome::Hit(result) = outcome {
+                    if let Err(e) = shared.store.put(&digest, &key, &result) {
+                        eprintln!("relim-service: store write-through failed for {digest}: {e}");
+                    }
+                    // Store before complete, like the executor: a
+                    // request missing the coalescing window hits the
+                    // store instead.
+                    shared.store.complete(&key, &Ok(result.clone()));
+                    return hit(&result);
+                }
+            }
+            let (tx, rx) = mpsc::channel();
+            let trace = tracer.map(|t| JobTrace { ctx: t.under_root(), enqueued_ns: t.now_ns() });
+            let job = Job { op, digest: digest.clone(), key: key.clone(), reply: tx, trace };
+            if let Err(e) = enqueue(shared, class, job) {
+                // Unblock any waiter that already attached.
+                shared.store.complete(&key, &Err(e.clone()));
+                return error(&e);
+            }
+            rx
+        }
+    };
+    match rx.recv() {
+        Ok(Ok(result)) => {
+            (protocol::render_job_response(id, false, &digest, &result), Outcome::Computed)
+        }
+        Ok(Err(e)) => error(&e),
+        Err(_) => error("executor exited before the job ran"),
     }
 }
 
@@ -1196,6 +1022,7 @@ pub(crate) mod test_hooks {
 mod tests {
     use super::*;
     use crate::client::Client;
+    use crate::trace::Span;
 
     #[test]
     fn spawn_serve_cache_shutdown_on_ephemeral_port() {

@@ -8,8 +8,9 @@
 //! nanosecond offset from server start, the job's content digest, its
 //! operation name and its scheduling class. The log is a **bounded
 //! window** (the oldest events are dropped, and counted, once
-//! [`EventLog::capacity`] is exceeded), so a long-lived daemon pays a
-//! fixed memory cost no matter how much traffic it serves.
+//! [`EventLog::capacity`] is exceeded) — the same window the span log
+//! of [`crate::trace`] keeps, as a separate instance so always-on job
+//! events never evict trace spans.
 //!
 //! A [`TimelineSnapshot`] renders two ways: deterministic JSON
 //! ([`TimelineSnapshot::to_json`], schema [`TIMELINE_SCHEMA`]) for
@@ -19,10 +20,8 @@
 //! executor overlap are visible at a glance.
 
 use crate::queue::Class;
+use crate::window::Window;
 use relim_json::Json;
-use std::collections::VecDeque;
-use std::sync::Mutex;
-use std::time::Instant;
 
 /// The schema tag of the timeline JSON rendering.
 pub const TIMELINE_SCHEMA: &str = "relim-timeline/1";
@@ -88,70 +87,41 @@ pub struct Event {
     pub class: Class,
 }
 
-struct LogInner {
-    events: VecDeque<Event>,
-    next_seq: u64,
-    dropped: u64,
-}
-
 /// A bounded, thread-safe scheduler event log (see the module docs).
+#[derive(Debug)]
 pub struct EventLog {
-    epoch: Instant,
-    capacity: usize,
-    inner: Mutex<LogInner>,
+    window: Window<Event>,
 }
 
 impl EventLog {
     /// An empty log retaining up to `capacity` events (at least 1).
     pub fn new(capacity: usize) -> EventLog {
-        EventLog {
-            epoch: Instant::now(),
-            capacity: capacity.max(1),
-            inner: Mutex::new(LogInner { events: VecDeque::new(), next_seq: 0, dropped: 0 }),
-        }
+        EventLog { window: Window::new(capacity) }
     }
 
     /// The window size.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.window.capacity()
     }
 
     /// `(recorded, dropped)` totals without copying the window — cheap
     /// enough for a ping response (see [`crate::protocol::PingInfo`]).
     pub fn stats(&self) -> (u64, u64) {
-        let inner = self.inner.lock().expect("event log lock poisoned");
-        (inner.next_seq, inner.dropped)
+        self.window.stats()
     }
 
     /// Appends one event, dropping (and counting) the oldest beyond the
     /// window.
     pub fn record(&self, kind: EventKind, digest: &str, op: &'static str, class: Class) {
-        let at_ns = self.epoch.elapsed().as_nanos() as u64;
-        let mut inner = self.inner.lock().expect("event log lock poisoned");
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        if inner.events.len() >= self.capacity {
-            inner.events.pop_front();
-            inner.dropped += 1;
-        }
-        inner.events.push_back(Event { seq, at_ns, kind, digest: digest.to_owned(), op, class });
+        let at_ns = self.window.now_ns();
+        let digest = digest.to_owned();
+        self.window.push(|seq| Event { seq, at_ns, kind, digest, op, class });
     }
 
     /// A consistent copy of the current window and its drop accounting.
     pub fn snapshot(&self) -> TimelineSnapshot {
-        let inner = self.inner.lock().expect("event log lock poisoned");
-        TimelineSnapshot {
-            window: self.capacity,
-            recorded: inner.next_seq,
-            dropped: inner.dropped,
-            events: inner.events.iter().cloned().collect(),
-        }
-    }
-}
-
-impl std::fmt::Debug for EventLog {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EventLog").field("capacity", &self.capacity).finish_non_exhaustive()
+        let (recorded, dropped, events) = self.window.snapshot(|_| true);
+        TimelineSnapshot { window: self.capacity(), recorded, dropped, events }
     }
 }
 

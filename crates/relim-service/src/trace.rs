@@ -11,12 +11,13 @@
 //! parent of the owner's `fetch-serve` span.
 //!
 //! Each daemon records its spans into a bounded, thread-safe
-//! [`SpanLog`] modeled on [`crate::timeline::EventLog`]: a fixed
-//! capacity window, the oldest spans dropped **and counted** beyond it,
-//! so a long-lived daemon pays a fixed memory cost. Spans carry a name,
-//! a start offset and duration in nanoseconds **on the recording
-//! daemon's own monotonic clock**, and a flat list of string
-//! attributes (retry numbers, breaker state, engine counter deltas).
+//! [`SpanLog`] built on the same bounded window as
+//! [`crate::timeline::EventLog`]: a fixed capacity, the oldest spans
+//! dropped **and counted** beyond it, so a long-lived daemon pays a
+//! fixed memory cost. Spans carry a name, a start offset and duration
+//! in nanoseconds **on the recording daemon's own monotonic clock**,
+//! and a flat list of string attributes (retry numbers, breaker state,
+//! engine counter deltas).
 //!
 //! ## Clock model
 //!
@@ -38,11 +39,9 @@
 //! complete events, one process per daemon) loadable in Perfetto or
 //! `chrome://tracing`.
 
+use crate::window::Window;
 use relim_json::Json;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::time::Instant;
 
 /// The schema tag of the trace-dump JSON rendering.
 pub const TRACE_SCHEMA: &str = "relim-trace/1";
@@ -120,46 +119,37 @@ pub struct Span {
     pub attrs: Vec<(String, String)>,
 }
 
-struct LogInner {
-    spans: VecDeque<Span>,
-    recorded: u64,
-    dropped: u64,
-}
-
 /// A bounded, thread-safe span log (see the module docs). The daemon
 /// owns one of these only when tracing is enabled — every recording
 /// site is one branch on that `Option`, so the tracing-off path costs
 /// nothing.
+#[derive(Debug)]
 pub struct SpanLog {
-    epoch: Instant,
-    capacity: usize,
+    window: Window<Span>,
     next_id: AtomicU64,
-    inner: Mutex<LogInner>,
 }
 
 impl SpanLog {
     /// An empty log retaining up to `capacity` spans (at least 1).
     pub fn new(capacity: usize) -> SpanLog {
         SpanLog {
-            epoch: Instant::now(),
-            capacity: capacity.max(1),
+            window: Window::new(capacity),
             // Seed at a random base: parent links cross daemons as bare
             // span ids, so two daemons both counting from 1 would alias
             // unrelated spans (and can even weave a parent cycle).
             next_id: AtomicU64::new(mint_trace_id()),
-            inner: Mutex::new(LogInner { spans: VecDeque::new(), recorded: 0, dropped: 0 }),
         }
     }
 
     /// The window size.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.window.capacity()
     }
 
     /// Nanoseconds since the log's epoch — the clock every span of this
     /// daemon is stamped on.
     pub fn now_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
+        self.window.now_ns()
     }
 
     /// Allocates a fresh span id (never zero, monotone per daemon,
@@ -176,44 +166,42 @@ impl SpanLog {
     /// Appends one span, dropping (and counting) the oldest beyond the
     /// window.
     pub fn record(&self, span: Span) {
-        let mut inner = self.inner.lock().expect("span log lock poisoned");
-        inner.recorded += 1;
-        if inner.spans.len() >= self.capacity {
-            inner.spans.pop_front();
-            inner.dropped += 1;
-        }
-        inner.spans.push_back(span);
+        self.window.push(|_| span);
+    }
+
+    /// Records span `span_id`, named `name`, covering `start_ns`..now
+    /// under `ctx`: its trace id and its parent span.
+    pub fn record_since(
+        &self,
+        ctx: TraceContext,
+        span_id: u64,
+        name: &str,
+        start_ns: u64,
+        attrs: Vec<(String, String)>,
+    ) {
+        self.record(Span {
+            trace_id: ctx.trace_id,
+            span_id,
+            parent: ctx.parent,
+            name: name.to_owned(),
+            start_ns,
+            dur_ns: self.now_ns().saturating_sub(start_ns),
+            attrs,
+        });
     }
 
     /// `(recorded, dropped)` without copying the window — the cheap
     /// reading `status`, `ping` and the scrape surface use.
     pub fn stats(&self) -> (u64, u64) {
-        let inner = self.inner.lock().expect("span log lock poisoned");
-        (inner.recorded, inner.dropped)
+        self.window.stats()
     }
 
     /// A consistent copy of the current window, optionally filtered to
     /// one trace id.
     pub fn snapshot(&self, trace_id: Option<u64>) -> TraceSnapshot {
-        let inner = self.inner.lock().expect("span log lock poisoned");
-        let spans = inner
-            .spans
-            .iter()
-            .filter(|s| trace_id.is_none_or(|t| s.trace_id == t))
-            .cloned()
-            .collect();
-        TraceSnapshot {
-            window: self.capacity,
-            recorded: inner.recorded,
-            dropped: inner.dropped,
-            spans,
-        }
-    }
-}
-
-impl std::fmt::Debug for SpanLog {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SpanLog").field("capacity", &self.capacity).finish_non_exhaustive()
+        let (recorded, dropped, spans) =
+            self.window.snapshot(|s| trace_id.is_none_or(|t| s.trace_id == t));
+        TraceSnapshot { window: self.capacity(), recorded, dropped, spans }
     }
 }
 
@@ -223,10 +211,9 @@ impl std::fmt::Debug for SpanLog {
 pub struct FetchTrace<'log> {
     /// The requester daemon's span log.
     pub log: &'log SpanLog,
-    /// The trace the triggering request belongs to.
-    pub trace_id: u64,
-    /// The requester-side parent (the request's root span).
-    pub parent: u64,
+    /// The trace the triggering request belongs to, with the
+    /// requester-side parent (the request's root span).
+    pub ctx: TraceContext,
 }
 
 /// A point-in-time copy of a span window (the server side of a trace

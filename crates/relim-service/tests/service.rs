@@ -8,7 +8,10 @@ use relim_service::client::Client;
 use relim_service::ops::OpRequest;
 use relim_service::queue::Class;
 use relim_service::server::{Server, ServerConfig};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("relim-service-it-{tag}-{}", std::process::id()));
@@ -129,5 +132,33 @@ fn parameter_changes_never_serve_stale_results() {
     assert_ne!(a.digest, b.digest);
     assert_ne!(a.result, b.result);
     client.shutdown().unwrap();
+    handle.join();
+}
+
+/// Requests on one kept-alive connection answer without a per-request
+/// stall. A response frame written as two small writes (`line`, then
+/// `\n`) would let Nagle's algorithm hold the terminator until the
+/// client's delayed ACK fires, about 40 ms later on Linux: ten pings
+/// would take ~9 × 44 ms. With one write per frame each ping takes well
+/// under a millisecond.
+#[test]
+fn kept_alive_requests_do_not_stall_on_split_frames() {
+    let handle = Server::spawn("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let stream = TcpStream::connect(handle.local_addr()).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let started = Instant::now();
+    for _ in 0..10 {
+        writer.write_all(b"{\"op\":\"ping\"}\n").unwrap();
+        let mut response = String::new();
+        reader.read_line(&mut response).unwrap();
+        let doc = Json::parse(response.trim_end()).unwrap();
+        assert_eq!(doc.get("pong").and_then(Json::as_bool), Some(true), "{response}");
+    }
+    let elapsed = started.elapsed();
+    assert!(elapsed < Duration::from_millis(150), "10 kept-alive pings took {elapsed:?}");
+    drop((writer, reader));
+    handle.shutdown();
     handle.join();
 }
