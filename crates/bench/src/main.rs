@@ -36,10 +36,10 @@
 //!   non-timing fields must match exactly (timing fields may drift).
 //!   Exits non-zero on any problem — the CI perf-schema regression gate.
 //! * `--alloc-gate` — re-measure the pinned hot-loop kernels
-//!   (`rbar_step_pi_d5_a4_x1`, `iterate_rr_mis_d3`) under the counting
-//!   allocator and fail if any exceeds the per-call allocation budget
-//!   committed in the baseline's `engine_report.alloc_count` — the CI
-//!   allocation-regression gate.
+//!   (`rbar_step_pi_d5_a4_x1`, `iterate_rr_mis_d3`, `lemma8_sweep_d4`)
+//!   under the counting allocator and fail if any exceeds the per-call
+//!   allocation budget committed in the baseline's
+//!   `engine_report.alloc_count` — the CI allocation-regression gate.
 
 mod alloc_count;
 
@@ -244,6 +244,13 @@ fn run_alloc_gate(committed: &std::path::Path) -> Result<(), String> {
             "iterate_rr_mis_d3",
             Box::new(move |e: &Engine| {
                 let _ = e.iterate_with_limits(&mis, 10, 20);
+            }),
+        ),
+        (
+            // The `--quick` sweep: a fresh sub-multiset index per point.
+            "lemma8_sweep_d4",
+            Box::new(|e: &Engine| {
+                let _ = lemma8::verify_sweep(4, e).expect("sweep");
             }),
         ),
     ];

@@ -133,13 +133,13 @@ impl Constraint {
     /// round elimination to prune partial choices, and by checkers to define
     /// the constraint on nodes of degree `< Δ`.
     pub fn sub_multiset_index(&self) -> SubMultisetIndex {
-        let mut set = std::collections::HashSet::new();
-        for cfg in &self.configs {
-            for sub in cfg.sub_multisets() {
-                set.insert(sub);
+        let repr = match PackedIndex::weights(self.degree, self.support()) {
+            Some(weights) => IndexRepr::Packed(PackedIndex::build(weights, &self.configs)),
+            None => {
+                IndexRepr::Configs(self.configs.iter().flat_map(Config::sub_multisets).collect())
             }
-        }
-        SubMultisetIndex { degree: self.degree, set }
+        };
+        SubMultisetIndex { degree: self.degree, repr }
     }
 
     /// Renders each configuration on its own line using alphabet names.
@@ -159,16 +159,38 @@ impl fmt::Display for Constraint {
 /// `contains(c)` answers "can `c` be extended to a full configuration?",
 /// which is both the pruning test inside the `R̄`/`R` universal steps and the
 /// node-constraint semantics for non-full-degree nodes (e.g. tree leaves).
+///
+/// A sub-multiset is stored as one `u64` key, `Σ count(l)·(Δ+1)^l` over the
+/// labels up to the highest one in the constraint's support; no count
+/// exceeds `Δ`, so the mixed-radix encoding is exact (see DESIGN.md, "The
+/// sub-multiset index"). Constraints whose `(Δ+1)^n` overflows `u64` keep
+/// the configurations themselves in a hash set instead.
 #[derive(Debug, Clone)]
 pub struct SubMultisetIndex {
     degree: u32,
-    set: std::collections::HashSet<Config>,
+    repr: IndexRepr,
+}
+
+#[derive(Debug, Clone)]
+enum IndexRepr {
+    Packed(PackedIndex),
+    Configs(std::collections::HashSet<Config>),
 }
 
 impl SubMultisetIndex {
     /// Whether `config` is a sub-multiset of some full configuration.
     pub fn contains(&self, config: &Config) -> bool {
-        self.set.contains(config)
+        // Length guard: a probe longer than Δ is never a sub-multiset, and
+        // rejecting it keeps every count ≤ Δ, so no digit of the packed
+        // key can carry into the next label's (`A A A` must not read as
+        // one `B` at Δ = 2).
+        if config.degree() > self.degree {
+            return false;
+        }
+        match &self.repr {
+            IndexRepr::Packed(packed) => packed.contains(config),
+            IndexRepr::Configs(set) => set.contains(config),
+        }
     }
 
     /// Degree of the underlying constraint.
@@ -178,12 +200,116 @@ impl SubMultisetIndex {
 
     /// Number of distinct sub-multisets indexed.
     pub fn len(&self) -> usize {
-        self.set.len()
+        match &self.repr {
+            IndexRepr::Packed(packed) => packed.len,
+            IndexRepr::Configs(set) => set.len(),
+        }
     }
 
     /// Whether the index is empty.
     pub fn is_empty(&self) -> bool {
-        self.set.is_empty()
+        self.len() == 0
+    }
+}
+
+/// Open-addressed (linear probing, load ≤ 1/2) set of packed sub-multiset
+/// keys. `u64::MAX` marks a free slot: every key is below `(Δ+1)^n`, which
+/// [`PackedIndex::weights`] only accepts when it fits in a `u64`.
+#[derive(Debug, Clone)]
+struct PackedIndex {
+    /// `weights[l] = (Δ+1)^l` for every label up to the highest in the
+    /// support; a probe using a later label is outside the index.
+    weights: Vec<u64>,
+    slots: Vec<u64>,
+    len: usize,
+}
+
+impl PackedIndex {
+    const FREE: u64 = u64::MAX;
+    const MIN_SLOTS: usize = 16;
+
+    /// The digit weights for a constraint of degree `degree` over `support`,
+    /// or `None` when `(Δ+1)^n` (`n` = highest support label + 1)
+    /// overflows `u64`.
+    fn weights(degree: u32, support: LabelSet) -> Option<Vec<u64>> {
+        let n = 32 - support.bits().leading_zeros();
+        let base = u64::from(degree) + 1;
+        base.checked_pow(n)?;
+        Some((0..n).map(|l| base.pow(l)).collect())
+    }
+
+    /// Inserts the key of every sub-multiset of every configuration,
+    /// walking each configuration's label runs as a mixed-radix odometer
+    /// (digit `i` runs over `0..=count_i`), so no sub-multiset is ever
+    /// materialized as a [`Config`].
+    fn build(weights: Vec<u64>, configs: &BTreeSet<Config>) -> Self {
+        let mut index = PackedIndex { weights, slots: vec![Self::FREE; Self::MIN_SLOTS], len: 0 };
+        // (weight, count, digit) per label run, reused across configurations.
+        let mut runs: Vec<(u64, u32, u32)> = Vec::new();
+        for cfg in configs {
+            runs.clear();
+            let labels = cfg.as_slice();
+            for (i, l) in labels.iter().enumerate() {
+                match runs.last_mut() {
+                    Some((_, count, _)) if i > 0 && labels[i - 1] == *l => *count += 1,
+                    _ => runs.push((index.weights[l.index()], 1, 0)),
+                }
+            }
+            let mut key = 0u64;
+            'odometer: loop {
+                index.insert(key);
+                for (w, count, digit) in runs.iter_mut() {
+                    if *digit < *count {
+                        *digit += 1;
+                        key += *w;
+                        continue 'odometer;
+                    }
+                    key -= u64::from(*digit) * *w;
+                    *digit = 0;
+                }
+                break;
+            }
+        }
+        index
+    }
+
+    /// The packed key of `config`, or `None` when it uses a label past the
+    /// support (the caller has already bounded its length by Δ).
+    fn key(&self, config: &Config) -> Option<u64> {
+        config.iter().try_fold(0u64, |key, l| Some(key + *self.weights.get(l.index())?))
+    }
+
+    fn contains(&self, config: &Config) -> bool {
+        self.key(config).is_some_and(|key| self.slots[self.find(key)] == key)
+    }
+
+    /// The slot holding `key`, or the free slot where it would go.
+    fn find(&self, key: u64) -> usize {
+        let mask = self.slots.len() - 1;
+        // Fibonacci hashing: the top bits of `key · 2^64/φ`.
+        let shift = 64 - self.slots.len().trailing_zeros();
+        let mut i = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize;
+        while self.slots[i] != key && self.slots[i] != Self::FREE {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    fn insert(&mut self, key: u64) {
+        let i = self.find(key);
+        if self.slots[i] == key {
+            return;
+        }
+        self.slots[i] = key;
+        self.len += 1;
+        if self.len * 2 > self.slots.len() {
+            let grown = vec![Self::FREE; self.slots.len() * 2];
+            let old = std::mem::replace(&mut self.slots, grown);
+            for key in old.into_iter().filter(|&k| k != Self::FREE) {
+                let j = self.find(key);
+                self.slots[j] = key;
+            }
+        }
     }
 }
 

@@ -96,12 +96,8 @@ impl Step {
 ///
 /// Returns [`RelimError::DegenerateProblem`] when the derived problem would
 /// have an empty constraint (the input admits no universal pairs or no
-/// existential choices).
-///
-/// # Panics
-///
-/// Panics if the alphabet exceeds the right-closed enumeration limit
-/// (22 labels); see [`crate::rightclosed::right_closed_sets`].
+/// existential choices), and [`RelimError::TooManyLabels`] if the alphabet
+/// exceeds the right-closed enumeration limit ([`MAX_LABELS`]).
 ///
 /// # Example
 ///
@@ -116,6 +112,9 @@ impl Step {
 /// ```
 pub fn r_step(p: &Problem) -> Result<Step> {
     let n = p.alphabet().len();
+    if n > MAX_LABELS {
+        return Err(RelimError::TooManyLabels { requested: n });
+    }
     let order = StrengthOrder::of_constraint(p.edge(), n);
     let compat = p.edge_compat();
 
@@ -782,6 +781,32 @@ mod tests {
             let engine = crate::engine::Engine::builder().threads(threads).build();
             assert_eq!(engine.dominance_filter(configs.clone()), expected, "threads = {threads}");
         }
+    }
+
+    /// A problem over exactly `n` labels, each used: `X X` on both sides.
+    fn diagonal(n: usize) -> Problem {
+        let text: Vec<String> = (0..n).map(|i| format!("L{i} L{i}")).collect();
+        Problem::from_text(&text.join("\n"), &text.join("\n")).unwrap()
+    }
+
+    #[test]
+    fn r_step_rejects_alphabets_past_the_enumeration_limit() {
+        assert!(r_step(&diagonal(MAX_LABELS)).is_ok());
+        let err = r_step(&diagonal(MAX_LABELS + 1)).unwrap_err();
+        assert!(
+            matches!(err, RelimError::TooManyLabels { requested } if requested == MAX_LABELS + 1)
+        );
+        // The session driver turns the error into a label-limit stop even
+        // when its own limit is larger, instead of panicking.
+        let outcome = crate::engine::Engine::builder().threads(1).build().iterate_with_limits(
+            &diagonal(MAX_LABELS + 1),
+            3,
+            64,
+        );
+        assert!(matches!(
+            outcome.stopped,
+            crate::iterate::StopReason::LabelLimit { labels } if labels == MAX_LABELS + 1
+        ));
     }
 
     #[test]

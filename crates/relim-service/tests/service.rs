@@ -135,6 +135,27 @@ fn parameter_changes_never_serve_stale_results() {
     handle.join();
 }
 
+/// An `iterate` whose alphabet is past the engine's enumeration limit
+/// (23 labels) but inside the request's `label_limit` answers with a
+/// label-limit stop, not a failed job.
+#[test]
+fn iterate_past_the_enumeration_limit_returns_a_result() {
+    let text: Vec<String> = (0..23).map(|i| format!("L{i} L{i}")).collect();
+    let op = OpRequest::Iterate {
+        node: text.join("\n"),
+        edge: text.join("\n"),
+        max_steps: 3,
+        label_limit: 64,
+    };
+    let handle = Server::spawn("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let client = Client::new(handle.local_addr().to_string());
+    let served = client.submit(&op, None).unwrap();
+    assert!(served.result.ends_with("stopped: LabelLimit { labels: 23 }"), "{}", served.result);
+    assert_eq!(served.result, op.execute(&Engine::sequential()).unwrap());
+    client.shutdown().unwrap();
+    handle.join();
+}
+
 /// Requests on one kept-alive connection answer without a per-request
 /// stall. A response frame written as two small writes (`line`, then
 /// `\n`) would let Nagle's algorithm hold the terminator until the
