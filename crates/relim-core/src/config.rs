@@ -4,6 +4,7 @@ use crate::inline_vec::InlineVec;
 use crate::label::{Alphabet, Label};
 use crate::labelset::LabelSet;
 use std::fmt;
+use std::fmt::Write as _;
 
 /// Inline capacity of a configuration: multisets of up to this many
 /// elements (degree ≤ 8 — every paper instance has Δ ≤ 5) live entirely in
@@ -184,15 +185,27 @@ impl Config {
     /// Renders the configuration with alphabet names, compressing runs with
     /// exponents: `M^2 X`.
     pub fn display(&self, alphabet: &Alphabet) -> String {
-        let mut parts = Vec::new();
-        for (label, c) in self.counts() {
-            if c == 1 {
-                parts.push(alphabet.name(label).to_owned());
-            } else {
-                parts.push(format!("{}^{}", alphabet.name(label), c));
+        let mut out = String::new();
+        self.write_display(alphabet, &mut out);
+        out
+    }
+
+    /// Appends [`Config::display`]'s rendering to `out`.
+    pub(crate) fn write_display(&self, alphabet: &Alphabet, out: &mut String) {
+        let labels = self.labels.as_slice();
+        let mut start = 0;
+        while start < labels.len() {
+            let label = labels[start];
+            let end = start + labels[start..].partition_point(|&l| l == label);
+            if start > 0 {
+                out.push(' ');
             }
+            out.push_str(alphabet.name(label));
+            if end - start > 1 {
+                let _ = write!(out, "^{}", end - start);
+            }
+            start = end;
         }
-        parts.join(" ")
     }
 }
 

@@ -144,7 +144,19 @@ impl Constraint {
 
     /// Renders each configuration on its own line using alphabet names.
     pub fn display(&self, alphabet: &Alphabet) -> String {
-        self.configs.iter().map(|c| c.display(alphabet)).collect::<Vec<_>>().join("\n")
+        let mut out = String::new();
+        self.write_display(alphabet, &mut out);
+        out
+    }
+
+    /// Appends [`Constraint::display`]'s rendering to `out`.
+    pub(crate) fn write_display(&self, alphabet: &Alphabet, out: &mut String) {
+        for (i, config) in self.configs.iter().enumerate() {
+            if i > 0 {
+                out.push('\n');
+            }
+            config.write_display(alphabet, out);
+        }
     }
 }
 

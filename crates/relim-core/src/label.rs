@@ -96,14 +96,15 @@ impl Alphabet {
         if names.len() > MAX_LABELS {
             return Err(RelimError::TooManyLabels { requested: names.len() });
         }
-        let mut seen = std::collections::HashSet::new();
-        let mut owned = Vec::with_capacity(names.len());
+        // At most 31 names: a linear duplicate scan beats hashing a copy
+        // of every name.
+        let mut owned: Vec<String> = Vec::with_capacity(names.len());
         for n in names {
-            let n = n.as_ref().to_owned();
-            if !seen.insert(n.clone()) {
-                return Err(RelimError::DuplicateLabel { name: n });
+            let n = n.as_ref();
+            if owned.iter().any(|o| o == n) {
+                return Err(RelimError::DuplicateLabel { name: n.to_owned() });
             }
-            owned.push(n);
+            owned.push(n.to_owned());
         }
         Ok(Alphabet { names: owned })
     }

@@ -9,7 +9,7 @@
 
 use crate::config::Config;
 use crate::error::{RelimError, Result};
-use crate::label::Alphabet;
+use crate::label::{Alphabet, Label};
 use crate::labelset::LabelSet;
 use crate::matching::transport_feasible;
 use std::fmt;
@@ -121,17 +121,23 @@ impl Line {
     /// Expands the line into every concrete configuration it contains.
     ///
     /// The result is deduplicated and sorted. Beware: the expansion of a line
-    /// of degree Δ over large disjunctions can be combinatorially large.
+    /// of degree Δ over large disjunctions can be combinatorially large;
+    /// [`crate::parse::CondensedProblem::expansion_size`] bounds it
+    /// without expanding.
     pub fn expand(&self) -> Vec<Config> {
         let mut acc: Vec<Config> = vec![Config::empty()];
+        // One label buffer for the whole expansion: at degrees up to
+        // `INLINE_DEGREE` no configuration allocates.
+        let mut labels: Vec<Label> = Vec::new();
         for &(set, mult) in &self.groups {
             let choices = multisets_from_set(set, mult);
             let mut next = Vec::with_capacity(acc.len() * choices.len());
             for base in &acc {
                 for choice in &choices {
-                    let mut labels: Vec<_> = base.iter().collect();
+                    labels.clear();
+                    labels.extend(base.iter());
                     labels.extend(choice.iter());
-                    next.push(Config::new(labels));
+                    next.push(Config::from_labels(&labels));
                 }
             }
             next.sort_unstable();
@@ -147,7 +153,7 @@ impl Line {
     ///
     /// Panics if some label in the line has no entry in `mapping`.
     #[must_use]
-    pub fn map_labels(&self, mapping: &[crate::label::Label]) -> Line {
+    pub fn map_labels(&self, mapping: &[Label]) -> Line {
         let groups = self
             .groups
             .iter()
@@ -190,46 +196,83 @@ impl fmt::Display for Line {
     }
 }
 
+/// How many configurations [`Line::expand`] enumerates before
+/// deduplication: `Π C(|S|+m−1, m)` over the groups `S^m` of a condensed
+/// line, computed without expanding and saturating at `u128::MAX`.
+/// Groups with equal label sets are merged first (as [`Line::new`]
+/// does), so the parser's unmerged token list gets its line's answer.
+pub(crate) fn expansion_size(groups: &[(LabelSet, u32)]) -> u128 {
+    let mut size: u128 = 1;
+    for (i, &(set, _)) in groups.iter().enumerate() {
+        if groups[..i].iter().any(|&(s, _)| s == set) {
+            continue;
+        }
+        let mult: u64 =
+            groups[i..].iter().filter(|&&(s, _)| s == set).map(|&(_, m)| u64::from(m)).sum();
+        size = size.saturating_mul(multiset_count(set.len() as u64, mult));
+    }
+    size
+}
+
+/// `C(n+k−1, k)`, the number of multisets of size `k` over `n` labels,
+/// saturating at `u128::MAX`. Each step's running value is the exact
+/// binomial `C(k+i, i)`, and the values never decrease, so an overflowing
+/// step means the answer itself is past `u128::MAX`.
+fn multiset_count(n: u64, k: u64) -> u128 {
+    if n == 0 {
+        return u128::from(k == 0);
+    }
+    let mut count: u128 = 1;
+    for i in 1..n {
+        match count.checked_mul(u128::from(k + i)) {
+            Some(product) => count = product / u128::from(i),
+            None => return u128::MAX,
+        }
+    }
+    count
+}
+
 /// All multisets of size `k` drawn from the labels of `set`.
 ///
 /// Recursion depth is the number of *distinct* labels (≤ 31), never the
 /// multiplicity, so lines of astronomically high degree expand safely.
 pub(crate) fn multisets_from_set(set: LabelSet, k: u32) -> Vec<Config> {
-    let labels: Vec<crate::label::Label> = set.iter().collect();
+    let labels: Vec<Label> = set.iter().collect();
     if labels.is_empty() {
         return if k == 0 { vec![Config::empty()] } else { Vec::new() };
     }
     let mut out = Vec::new();
     let mut counts = vec![0u32; labels.len()];
+    let mut buf: Vec<Label> = Vec::new();
     fn rec(
-        labels: &[crate::label::Label],
+        labels: &[Label],
         i: usize,
         remaining: u32,
         counts: &mut Vec<u32>,
+        buf: &mut Vec<Label>,
         out: &mut Vec<Config>,
     ) {
         if i + 1 == labels.len() {
             counts[i] = remaining;
-            let mut cfg = Vec::with_capacity(counts.iter().sum::<u32>() as usize);
+            buf.clear();
             for (j, &c) in counts.iter().enumerate() {
-                cfg.extend(std::iter::repeat_n(labels[j], c as usize));
+                buf.extend(std::iter::repeat_n(labels[j], c as usize));
             }
-            out.push(Config::new(cfg));
+            out.push(Config::from_labels(buf));
             return;
         }
         for c in 0..=remaining {
             counts[i] = c;
-            rec(labels, i + 1, remaining - c, counts, out);
+            rec(labels, i + 1, remaining - c, counts, buf, out);
         }
     }
-    rec(&labels, 0, k, &mut counts, &mut out);
+    rec(&labels, 0, k, &mut counts, &mut buf, &mut out);
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::label::Label;
 
     fn l(i: u8) -> Label {
         Label::new(i)
@@ -295,6 +338,25 @@ mod tests {
         assert_eq!(multisets_from_set(ls(0b111), 2).len(), 6);
         assert_eq!(multisets_from_set(ls(0b1), 4).len(), 1);
         assert_eq!(multisets_from_set(ls(0b111), 0).len(), 1);
+    }
+
+    #[test]
+    fn expansion_size_counts_before_dedup() {
+        // [AB]^2 C: C(3,2) · 1 = 3, all distinct.
+        let line = Line::new(vec![(ls(0b011), 2), (ls(0b100), 1)]).unwrap();
+        assert_eq!(expansion_size(line.groups()), 3);
+        assert_eq!(line.expand().len(), 3);
+        // [AB] [ABC]: 2 · 3 = 6 choices; AB arises twice, so 5 remain.
+        let overlap = Line::new(vec![(ls(0b011), 1), (ls(0b111), 1)]).unwrap();
+        assert_eq!(expansion_size(overlap.groups()), 6);
+        assert_eq!(overlap.expand().len(), 5);
+        // Unmerged parser tokens count as their merged line.
+        assert_eq!(expansion_size(&[(ls(0b011), 1), (ls(0b011), 1)]), 3);
+        // 16 labels, exponent 12: C(27, 12) = 17,383,860.
+        assert_eq!(expansion_size(&[(ls(0xffff), 12)]), 17_383_860);
+        // Astronomical exponents saturate instead of overflowing.
+        assert_eq!(expansion_size(&[(ls(0x7fff_ffff), u32::MAX)]), u128::MAX);
+        assert_eq!(expansion_size(&[(ls(1), u32::MAX)]), 1);
     }
 
     #[test]

@@ -162,12 +162,11 @@ impl Problem {
 
     /// Multi-line human-readable rendering of both constraints.
     pub fn render(&self) -> String {
-        format!(
-            "N (degree {}):\n{}\n\nE:\n{}",
-            self.delta(),
-            self.node.display(&self.alphabet),
-            self.edge.display(&self.alphabet),
-        )
+        let mut out = format!("N (degree {}):\n", self.delta());
+        self.node.write_display(&self.alphabet, &mut out);
+        out.push_str("\n\nE:\n");
+        self.edge.write_display(&self.alphabet, &mut out);
+        out
     }
 }
 

@@ -38,11 +38,6 @@ pub fn right_closed_sets(order: &StrengthOrder) -> Vec<LabelSet> {
     out
 }
 
-/// Number of right-closed sets without materializing them.
-pub fn count_right_closed(order: &StrengthOrder) -> usize {
-    right_closed_sets(order).len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

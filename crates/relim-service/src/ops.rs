@@ -17,23 +17,57 @@
 //!   functions, which is what makes a served result **byte-identical**
 //!   to the same query run in-process at any thread count.
 //!
+//! The daemon computes the first two faces with [`OpRequest::prepare`]:
+//! one parse of the constraint text yields the problem, the key and the
+//! digest ([`Prepared`]), and the executor renders from that problem.
+//!
 //! The key deliberately excludes the engine's thread count and
 //! memoization toggle: both are performance knobs with no effect on
 //! output bytes (the differential suites pin this), so they must not
 //! split the cache.
 
 use relim_core::digest::fnv1a128_hex;
+use relim_core::parse::CondensedProblem;
 use relim_core::{autolb, autoub, zeroround, Engine, Problem};
 use relim_json::Json;
 
-/// A human-readable operation error (parse failures, invalid parameters,
-/// engine errors), carried over the wire as the `error` field.
+/// An operation error, carried over the wire as the `error` field (its
+/// [`std::fmt::Display`] rendering).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OpError(pub String);
+pub enum OpError {
+    /// A parse failure, an invalid parameter or an engine error, as its
+    /// human-readable message.
+    Invalid(String),
+    /// Constraint text with a line of degree above
+    /// [`MAX_CONSTRAINT_DEGREE`], refused before anything is expanded.
+    DegreeTooLarge {
+        /// The largest line degree in the text.
+        degree: u32,
+    },
+    /// Constraint text whose lines would enumerate more than
+    /// [`MAX_EXPANDED_CONFIGS`] configurations, refused before anything
+    /// is expanded.
+    ExpansionTooLarge {
+        /// The configurations the lines would enumerate (saturating).
+        configs: u128,
+    },
+}
 
 impl std::fmt::Display for OpError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.0)
+        match self {
+            OpError::Invalid(message) => write!(f, "{message}"),
+            OpError::DegreeTooLarge { degree } => write!(
+                f,
+                "constraint line of degree {degree} exceeds the servable degree \
+                 {MAX_CONSTRAINT_DEGREE}"
+            ),
+            OpError::ExpansionTooLarge { configs } => write!(
+                f,
+                "constraint text expands to {configs} configurations, over the servable \
+                 {MAX_EXPANDED_CONFIGS}"
+            ),
+        }
     }
 }
 
@@ -41,7 +75,7 @@ impl std::error::Error for OpError {}
 
 impl From<relim_core::RelimError> for OpError {
     fn from(e: relim_core::RelimError) -> OpError {
-        OpError(e.to_string())
+        OpError::Invalid(e.to_string())
     }
 }
 
@@ -74,7 +108,9 @@ impl Criterion {
         match s {
             "gadget" => Ok(Criterion::Gadget),
             "universal" => Ok(Criterion::Universal),
-            other => Err(OpError(format!("criterion must be gadget|universal, got `{other}`"))),
+            other => {
+                Err(OpError::Invalid(format!("criterion must be gadget|universal, got `{other}`")))
+            }
         }
     }
 
@@ -95,6 +131,57 @@ pub const MAX_LABEL_LIMIT: usize = 64;
 /// The `Δ` range a served sweep may ask for (Δ=9 is already hours of
 /// work; beyond that the request is a denial of service, not a query).
 pub const SWEEP_DELTA_RANGE: std::ops::RangeInclusive<u32> = 3..=9;
+/// Upper bound on the degree of any line of client constraint text (the
+/// paper's problems have Δ ≤ 9 here; a larger degree is a typo or an
+/// attempt to make the parser allocate, not a query).
+pub const MAX_CONSTRAINT_DEGREE: u32 = 64;
+/// Upper bound on the configurations client constraint text may expand
+/// to, summed over its node and edge lines. `Π_Δ(a,x)` spells 13 at any
+/// Δ, and `R(Π_9(4,1))` written out in full 8,161. Read off the
+/// condensed lines before any expansion: `[A B … P]^12` is about 40
+/// bytes and would enumerate 17.4M.
+pub const MAX_EXPANDED_CONFIGS: u128 = 1 << 16;
+
+/// Parses client constraint text: tokenized once, refused past
+/// [`MAX_CONSTRAINT_DEGREE`] / [`MAX_EXPANDED_CONFIGS`] before anything
+/// is expanded, then expanded into the problem. Engine-internal
+/// constructions never come through here and are not bounded.
+fn parse_client_problem(node: &str, edge: &str) -> Result<Problem, OpError> {
+    let text = CondensedProblem::parse(node, edge)?;
+    let degree = text.max_degree();
+    if degree > MAX_CONSTRAINT_DEGREE {
+        return Err(OpError::DegreeTooLarge { degree });
+    }
+    let configs = text.expansion_size();
+    if configs > MAX_EXPANDED_CONFIGS {
+        return Err(OpError::ExpansionTooLarge { configs });
+    }
+    Ok(text.into_problem()?)
+}
+
+/// What preparing a job request computes once, at the wire boundary:
+/// its parsed problem (single-problem ops), canonical key and digest.
+/// The daemon's store read, coalescing claim, fleet read-through and
+/// executor all reuse it, so a request's problem text is parsed exactly
+/// once (see [`OpRequest::prepare`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Prepared {
+    problem: Option<Problem>,
+    key: String,
+    digest: String,
+}
+
+impl Prepared {
+    /// The canonical key — equal to [`OpRequest::canonical_key`].
+    pub fn key(&self) -> &str {
+        &self.key
+    }
+
+    /// The content address — equal to [`OpRequest::digest`].
+    pub fn digest(&self) -> &str {
+        &self.digest
+    }
+}
 
 /// A servable round-elimination job.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -253,22 +340,34 @@ impl OpRequest {
         matches!(self, OpRequest::Sweep { .. })
     }
 
-    /// Validates parameters against the serving limits.
+    /// Validates parameters against the serving limits, then the
+    /// constraint text (parsed once, bounded before expansion).
     ///
     /// # Errors
     ///
     /// Describes the first offending parameter or the constraint parse
     /// failure.
     pub fn validate(&self) -> Result<(), OpError> {
+        self.check_params()?;
+        self.problem().map(|_| ())
+    }
+
+    /// The parameter half of [`OpRequest::validate`]: everything but the
+    /// constraint text.
+    fn check_params(&self) -> Result<(), OpError> {
         let check_steps = |steps: usize| {
             if steps > MAX_STEPS_LIMIT {
-                return Err(OpError(format!("max_steps {steps} exceeds limit {MAX_STEPS_LIMIT}")));
+                return Err(OpError::Invalid(format!(
+                    "max_steps {steps} exceeds limit {MAX_STEPS_LIMIT}"
+                )));
             }
             Ok(())
         };
         let check_labels = |labels: usize| {
             if labels > MAX_LABEL_LIMIT {
-                return Err(OpError(format!("label bound {labels} exceeds {MAX_LABEL_LIMIT}")));
+                return Err(OpError::Invalid(format!(
+                    "label bound {labels} exceeds {MAX_LABEL_LIMIT}"
+                )));
             }
             Ok(())
         };
@@ -276,27 +375,27 @@ impl OpRequest {
             OpRequest::AutoLb { max_steps, labels, .. }
             | OpRequest::AutoUb { max_steps, labels, .. } => {
                 check_steps(*max_steps)?;
-                check_labels(*labels)?;
+                check_labels(*labels)
             }
             OpRequest::Iterate { max_steps, label_limit, .. } => {
                 check_steps(*max_steps)?;
-                check_labels(*label_limit)?;
+                check_labels(*label_limit)
             }
             OpRequest::Sweep { delta, lemma } => {
                 if !matches!(lemma, 6 | 8) {
-                    return Err(OpError(format!("lemma must be 6|8, got {lemma}")));
+                    return Err(OpError::Invalid(format!("lemma must be 6|8, got {lemma}")));
                 }
                 if !SWEEP_DELTA_RANGE.contains(delta) {
-                    return Err(OpError(format!(
+                    return Err(OpError::Invalid(format!(
                         "sweep delta {delta} outside the servable range {}..={}",
                         SWEEP_DELTA_RANGE.start(),
                         SWEEP_DELTA_RANGE.end()
                     )));
                 }
+                Ok(())
             }
-            OpRequest::ZeroRound { .. } => {}
+            OpRequest::ZeroRound { .. } => Ok(()),
         }
-        self.problem().map(|_| ())
     }
 
     /// The parsed problem for single-problem operations (`None` for
@@ -304,17 +403,31 @@ impl OpRequest {
     ///
     /// # Errors
     ///
-    /// Propagates the constraint parse failure.
+    /// Propagates the constraint parse failure, including text past
+    /// [`MAX_CONSTRAINT_DEGREE`] or [`MAX_EXPANDED_CONFIGS`].
     pub fn problem(&self) -> Result<Option<Problem>, OpError> {
         match self {
             OpRequest::AutoLb { node, edge, .. }
             | OpRequest::AutoUb { node, edge, .. }
             | OpRequest::Iterate { node, edge, .. }
-            | OpRequest::ZeroRound { node, edge } => {
-                Ok(Some(Problem::from_text(node, edge).map_err(OpError::from)?))
-            }
+            | OpRequest::ZeroRound { node, edge } => Ok(Some(parse_client_problem(node, edge)?)),
             OpRequest::Sweep { .. } => Ok(None),
         }
+    }
+
+    /// Validates the request and computes its [`Prepared`] form with one
+    /// parse of the constraint text: the same checks, in the same order,
+    /// as [`OpRequest::validate`], then the key and digest of that parse.
+    ///
+    /// # Errors
+    ///
+    /// Exactly those of [`OpRequest::validate`].
+    pub fn prepare(&self) -> Result<Prepared, OpError> {
+        self.check_params()?;
+        let problem = self.problem()?;
+        let key = self.key_with(problem.as_ref());
+        let digest = fnv1a128_hex(key.as_bytes());
+        Ok(Prepared { problem, key, digest })
     }
 
     /// The canonical key of this request — the full text the store
@@ -328,6 +441,11 @@ impl OpRequest {
     /// Propagates the constraint parse failure (an unparsable problem
     /// has no canonical form).
     pub fn canonical_key(&self) -> Result<String, OpError> {
+        Ok(self.key_with(self.problem()?.as_ref()))
+    }
+
+    /// [`OpRequest::canonical_key`] over an already-parsed problem.
+    fn key_with(&self, problem: Option<&Problem>) -> String {
         let mut key = format!("relim-store/1\nengine=v1\nop={}\n", self.name());
         match self {
             OpRequest::AutoLb { max_steps, labels, criterion, .. } => {
@@ -350,12 +468,12 @@ impl OpRequest {
             }
             OpRequest::ZeroRound { .. } => {}
         }
-        if let Some(problem) = self.problem()? {
+        if let Some(problem) = problem {
             key.push_str("problem:\n");
             key.push_str(&problem.render());
             key.push('\n');
         }
-        Ok(key)
+        key
     }
 
     /// The content address of this request: the 128-bit FNV-1a digest of
@@ -382,9 +500,10 @@ impl OpRequest {
     pub fn from_canonical_key(key: &str) -> Result<OpRequest, OpError> {
         let rest = key
             .strip_prefix("relim-store/1\nengine=v1\nop=")
-            .ok_or_else(|| OpError("not a relim-store/1 canonical key".to_owned()))?;
-        let (name, rest) =
-            rest.split_once('\n').ok_or_else(|| OpError("truncated canonical key".to_owned()))?;
+            .ok_or_else(|| OpError::Invalid("not a relim-store/1 canonical key".to_owned()))?;
+        let (name, rest) = rest
+            .split_once('\n')
+            .ok_or_else(|| OpError::Invalid("truncated canonical key".to_owned()))?;
         let (params_text, problem_text) = match rest.split_once("problem:\n") {
             Some((params, problem)) => (params, Some(problem)),
             None => (rest, None),
@@ -393,25 +512,25 @@ impl OpRequest {
             params_text
                 .lines()
                 .find_map(|l| l.strip_prefix(key).and_then(|l| l.strip_prefix('=')))
-                .ok_or_else(|| OpError(format!("canonical key missing parameter `{key}`")))
+                .ok_or_else(|| OpError::Invalid(format!("canonical key missing parameter `{key}`")))
         };
         let number = |key: &str| -> Result<usize, OpError> {
             param(key)?
                 .parse()
-                .map_err(|_| OpError(format!("non-numeric `{key}` in canonical key")))
+                .map_err(|_| OpError::Invalid(format!("non-numeric `{key}` in canonical key")))
         };
         let constraints = || -> Result<(String, String), OpError> {
             let text = problem_text
-                .ok_or_else(|| OpError(format!("op `{name}` requires a problem block")))?;
+                .ok_or_else(|| OpError::Invalid(format!("op `{name}` requires a problem block")))?;
             // `Problem::render` shape: `N (degree d):\n…\n\nE:\n…`,
             // plus the key's own trailing newline.
             let text = text.strip_suffix('\n').unwrap_or(text);
-            let (node_part, edge) = text
-                .split_once("\n\nE:\n")
-                .ok_or_else(|| OpError("problem block missing the edge constraint".to_owned()))?;
-            let (_, node) = node_part
-                .split_once('\n')
-                .ok_or_else(|| OpError("problem block missing the node constraint".to_owned()))?;
+            let (node_part, edge) = text.split_once("\n\nE:\n").ok_or_else(|| {
+                OpError::Invalid("problem block missing the edge constraint".to_owned())
+            })?;
+            let (_, node) = node_part.split_once('\n').ok_or_else(|| {
+                OpError::Invalid("problem block missing the node constraint".to_owned())
+            })?;
             Ok((node.to_owned(), edge.to_owned()))
         };
         let op = match name {
@@ -430,7 +549,7 @@ impl OpRequest {
                 let coloring = match param("coloring")? {
                     "none" => None,
                     c => Some(c.parse().map_err(|_| {
-                        OpError("non-numeric `coloring` in canonical key".to_owned())
+                        OpError::Invalid("non-numeric `coloring` in canonical key".to_owned())
                     })?),
                 };
                 OpRequest::AutoUb {
@@ -457,11 +576,12 @@ impl OpRequest {
                 let (node, edge) = constraints()?;
                 OpRequest::ZeroRound { node, edge }
             }
-            other => return Err(OpError(format!("unknown op `{other}` in canonical key"))),
+            other => {
+                return Err(OpError::Invalid(format!("unknown op `{other}` in canonical key")))
+            }
         };
-        op.validate()?;
-        if op.canonical_key()? != key {
-            return Err(OpError(
+        if op.prepare()?.key() != key {
+            return Err(OpError::Invalid(
                 "canonical key does not round-trip (corrupted or foreign store entry)".to_owned(),
             ));
         }
@@ -476,25 +596,42 @@ impl OpRequest {
     ///
     /// Propagates parse, validation and engine errors.
     pub fn execute(&self, engine: &Engine) -> Result<String, OpError> {
-        self.validate()?;
+        self.check_params()?;
+        self.run(self.problem()?.as_ref(), engine)
+    }
+
+    /// [`OpRequest::execute`] over the problem `prepared` already parsed:
+    /// no validation, no second parse.
+    ///
+    /// `prepared` must come from this request's [`OpRequest::prepare`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates engine errors.
+    pub fn execute_prepared(
+        &self,
+        prepared: &Prepared,
+        engine: &Engine,
+    ) -> Result<String, OpError> {
+        self.run(prepared.problem.as_ref(), engine)
+    }
+
+    /// Runs a validated request on its parsed problem (`Some` exactly for
+    /// the single-problem ops).
+    fn run(&self, problem: Option<&Problem>, engine: &Engine) -> Result<String, OpError> {
+        let problem = || problem.expect("single-problem op carries its problem");
         match self {
             OpRequest::AutoLb { max_steps, labels, criterion, .. } => {
-                let p = self.problem()?.expect("single-problem op");
-                render_autolb(&p, *max_steps, *labels, *criterion, engine)
+                render_autolb(problem(), *max_steps, *labels, *criterion, engine)
             }
             OpRequest::AutoUb { max_steps, labels, coloring, .. } => {
-                let p = self.problem()?.expect("single-problem op");
-                render_autoub(&p, *max_steps, *labels, *coloring, engine)
+                render_autoub(problem(), *max_steps, *labels, *coloring, engine)
             }
             OpRequest::Iterate { max_steps, label_limit, .. } => {
-                let p = self.problem()?.expect("single-problem op");
-                Ok(render_iterate(&p, *max_steps, *label_limit, engine))
+                Ok(render_iterate(problem(), *max_steps, *label_limit, engine))
             }
             OpRequest::Sweep { delta, lemma } => render_sweep(*delta, *lemma, engine),
-            OpRequest::ZeroRound { .. } => {
-                let p = self.problem()?.expect("single-problem op");
-                Ok(render_zeroround(&p))
-            }
+            OpRequest::ZeroRound { .. } => Ok(render_zeroround(problem())),
         }
     }
 
@@ -544,23 +681,31 @@ impl OpRequest {
     ///
     /// Describes the missing/ill-typed field or the parameter violation.
     pub fn from_json(obj: &Json) -> Result<OpRequest, OpError> {
+        let op = OpRequest::fields_from_json(obj)?;
+        op.validate()?;
+        Ok(op)
+    }
+
+    /// The field-decoding half of [`OpRequest::from_json`] (no
+    /// validation). The wire parser follows it with
+    /// [`OpRequest::prepare`]: the same errors as `from_json`, one parse.
+    pub(crate) fn fields_from_json(obj: &Json) -> Result<OpRequest, OpError> {
         let str_field = |key: &str| -> Result<String, OpError> {
             obj.get(key)
                 .and_then(Json::as_str)
                 .map(constraint_text)
-                .ok_or_else(|| OpError(format!("missing or non-string field `{key}`")))
+                .ok_or_else(|| OpError::Invalid(format!("missing or non-string field `{key}`")))
         };
         let num_field = |key: &str, default: usize| -> Result<usize, OpError> {
             match obj.get(key) {
                 None => Ok(default),
-                Some(v) => v
-                    .as_i64()
-                    .and_then(|i| usize::try_from(i).ok())
-                    .ok_or_else(|| OpError(format!("field `{key}` must be a non-negative int"))),
+                Some(v) => v.as_i64().and_then(|i| usize::try_from(i).ok()).ok_or_else(|| {
+                    OpError::Invalid(format!("field `{key}` must be a non-negative int"))
+                }),
             }
         };
         let op = match obj.get("op").and_then(Json::as_str) {
-            None => return Err(OpError("missing or non-string field `op`".into())),
+            None => return Err(OpError::Invalid("missing or non-string field `op`".into())),
             Some(name) => name,
         };
         let parsed = match op {
@@ -583,7 +728,7 @@ impl OpRequest {
                     None => None,
                     Some(v) => {
                         Some(v.as_i64().and_then(|i| usize::try_from(i).ok()).ok_or_else(|| {
-                            OpError("field `coloring` must be a non-negative int".into())
+                            OpError::Invalid("field `coloring` must be a non-negative int".into())
                         })?)
                     }
                 },
@@ -600,16 +745,15 @@ impl OpRequest {
                 // some accidentally-in-range truncated Δ.
                 let u32_field = |key: &str, default: usize| -> Result<u32, OpError> {
                     u32::try_from(num_field(key, default)?)
-                        .map_err(|_| OpError(format!("field `{key}` is out of range")))
+                        .map_err(|_| OpError::Invalid(format!("field `{key}` is out of range")))
                 };
                 OpRequest::Sweep { delta: u32_field("delta", 0)?, lemma: u32_field("lemma", 8)? }
             }
             "zero-round" | "zeroround" => {
                 OpRequest::ZeroRound { node: str_field("node")?, edge: str_field("edge")? }
             }
-            other => return Err(OpError(format!("unknown op `{other}`"))),
+            other => return Err(OpError::Invalid(format!("unknown op `{other}`"))),
         };
-        parsed.validate()?;
         Ok(parsed)
     }
 }
@@ -782,7 +926,7 @@ fn render_sweep(delta: u32, lemma: u32, engine: &Engine) -> Result<String, OpErr
                 ));
             }
         }
-        other => return Err(OpError(format!("lemma must be 6|8, got {other}"))),
+        other => return Err(OpError::Invalid(format!("lemma must be 6|8, got {other}"))),
     }
     Ok(out.trim_end().to_owned())
 }
@@ -852,6 +996,35 @@ mod tests {
         let dropped = key.replace("criterion=gadget\n", "");
         let err = OpRequest::from_canonical_key(&dropped).unwrap_err();
         assert!(err.to_string().contains("criterion"), "{err}");
+    }
+
+    #[test]
+    fn prepared_key_and_digest_equal_the_unprepared_ones() {
+        let engine = Engine::sequential();
+        for op in [
+            mis_op(),
+            OpRequest::auto_ub("M M;P O", "M [P O];O O").unwrap(),
+            OpRequest::iterate("O I I", "[O I] I").unwrap(),
+            OpRequest::sweep(4, 8).unwrap(),
+            OpRequest::zero_round("M M M;P O O", "M [P O];O O").unwrap(),
+        ] {
+            let prepared = op.prepare().unwrap();
+            assert_eq!(prepared.key(), op.canonical_key().unwrap(), "{}", op.name());
+            assert_eq!(prepared.digest(), op.digest().unwrap(), "{}", op.name());
+            assert_eq!(prepared.digest(), crate::store::digest_of(prepared.key()));
+            if !op.is_bulk() {
+                let executed = op.execute(&engine).unwrap();
+                assert_eq!(op.execute_prepared(&prepared, &engine).unwrap(), executed);
+            }
+        }
+        // Preparing fails exactly where validating does.
+        let bad = OpRequest::Iterate {
+            node: "A A".into(),
+            edge: "A A".into(),
+            max_steps: 1000,
+            label_limit: 16,
+        };
+        assert_eq!(bad.prepare().unwrap_err(), bad.validate().unwrap_err());
     }
 
     #[test]

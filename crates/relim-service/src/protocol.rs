@@ -42,7 +42,7 @@
 //! responses `digest`/`key`/`result`; shutdown responses
 //! `{"shutting_down": true}`. Failures carry `error`.
 
-use crate::ops::OpRequest;
+use crate::ops::{OpRequest, Prepared};
 use crate::queue::Class;
 use crate::trace::TraceContext;
 use relim_json::Json;
@@ -63,6 +63,9 @@ pub enum RequestBody {
     Job {
         /// The operation.
         op: OpRequest,
+        /// Its problem, canonical key and digest, computed by the one
+        /// parse of the constraint text that validated it.
+        prepared: Prepared,
         /// Scheduling class: the `priority` field, or the operation's
         /// default ([`OpRequest::is_bulk`]).
         class: Class,
@@ -141,7 +144,10 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         }
         "shutdown" => RequestBody::Shutdown,
         _ => {
-            let op = OpRequest::from_json(&doc).map_err(|e| e.to_string())?;
+            // `OpRequest::from_json`, with its validation done by the
+            // one parse that also yields the key and digest.
+            let op = OpRequest::fields_from_json(&doc).map_err(|e| e.to_string())?;
+            let prepared = op.prepare().map_err(|e| e.to_string())?;
             let class = match doc.get("priority").and_then(Json::as_str) {
                 None => {
                     if op.is_bulk() {
@@ -152,7 +158,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 }
                 Some(s) => Class::parse(s)?,
             };
-            RequestBody::Job { op, class, trace: parse_trace_context(&doc)? }
+            RequestBody::Job { op, prepared, class, trace: parse_trace_context(&doc)? }
         }
     };
     Ok(Request { id, body })
@@ -404,8 +410,10 @@ mod tests {
         let req = parse_request(&line).unwrap();
         assert_eq!(req.id, Some(7));
         match req.body {
-            RequestBody::Job { op: parsed, class, trace } => {
+            RequestBody::Job { op: parsed, prepared, class, trace } => {
                 assert_eq!(parsed, op);
+                assert_eq!(prepared.key(), op.canonical_key().unwrap());
+                assert_eq!(prepared.digest(), op.digest().unwrap());
                 assert_eq!(class, Class::Interactive, "autolb defaults to interactive");
                 assert_eq!(trace, None, "no trace fields means a fresh trace");
             }

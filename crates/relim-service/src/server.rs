@@ -7,8 +7,12 @@
 //!   connection (the protocol is blocking line-at-a-time, so a thread
 //!   per connection is the simplest correct shape; the expensive work
 //!   never happens on these threads).
-//! * Connection threads parse requests. Store **hits are served
-//!   inline** — a cached certificate never waits behind the queue.
+//! * Connection threads parse requests. A job request is **prepared**
+//!   by that parse ([`crate::ops::Prepared`]): its problem text is
+//!   parsed once, and the resulting key and digest drive the store
+//!   read, the coalescing claim, the fleet read-through and the
+//!   executor. Store **hits are served inline** — a cached
+//!   certificate never waits behind the queue.
 //!   Misses claim the store's in-flight table: the first identical
 //!   request becomes the *owner* and is enqueued as a job; later
 //!   identical requests attach as **coalesced waiters** on the owner's
@@ -37,7 +41,8 @@
 //!
 //! ## Observability
 //!
-//! Every job request records its wall time into a per-op × per-outcome
+//! Every job request records its wall time, from the start of its
+//! request parse to its response, into a per-op × per-outcome
 //! **latency histogram** (power-of-two buckets, see
 //! [`crate::metrics::LatencyHistogram`]) exposed under
 //! `counters.latency.<op>.<outcome>` and derived into a Prometheus
@@ -53,7 +58,7 @@
 
 use crate::fleet::{self, FetchOutcome, Fleet, FleetConfig};
 use crate::metrics::LatencyHistogram;
-use crate::ops::OpRequest;
+use crate::ops::{OpRequest, Prepared};
 use crate::protocol::{self, PingInfo, Request, RequestBody};
 use crate::queue::{Class, JobQueue, DEFAULT_AGING_LIMIT};
 use crate::store::{InflightClaim, ResultStore};
@@ -138,8 +143,8 @@ pub fn resolve_executors(configured: usize) -> usize {
 /// One queued unit of work.
 struct Job {
     op: OpRequest,
-    digest: String,
-    key: String,
+    /// The request's parsed problem, key and digest, from the wire parse.
+    prepared: Prepared,
     reply: mpsc::Sender<Result<String, String>>,
     /// Trace context of the owning request, when it was traced: the
     /// executor records queue-wait / compute / store-write spans under
@@ -582,9 +587,14 @@ fn executor_loop(shared: &Arc<Shared>) {
             let promoted = queue.promotions() > promotions_before;
             drop(queue);
             if promoted {
-                shared.events.record(EventKind::Promote, &job.digest, job.op.name(), class);
+                shared.events.record(
+                    EventKind::Promote,
+                    job.prepared.digest(),
+                    job.op.name(),
+                    class,
+                );
             }
-            shared.events.record(EventKind::Start, &job.digest, job.op.name(), class);
+            shared.events.record(EventKind::Start, job.prepared.digest(), job.op.name(), class);
             // Traced only when the owning request carried a context
             // *and* this daemon records spans; `None` otherwise — the
             // untraced path pays these branches and nothing else.
@@ -607,8 +617,8 @@ fn executor_loop(shared: &Arc<Shared>) {
             // below always run and the executor survives.
             let execution = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 #[cfg(test)]
-                test_hooks::fire(&job.digest);
-                job.op.execute(&shared.engine)
+                test_hooks::fire(job.prepared.digest());
+                job.op.execute_prepared(&job.prepared, &shared.engine)
             }));
             let result = match execution {
                 Ok(r) => r.map_err(|e| e.to_string()),
@@ -631,8 +641,9 @@ fn executor_loop(shared: &Arc<Shared>) {
             }
             if let Ok(result_text) = &result {
                 let write_start = traced.map(|(_, log)| log.now_ns());
-                if let Err(e) = shared.store.put(&job.digest, &job.key, result_text) {
-                    eprintln!("relim-service: store write failed for {}: {e}", job.digest);
+                let (digest, key) = (job.prepared.digest(), job.prepared.key());
+                if let Err(e) = shared.store.put(digest, key, result_text) {
+                    eprintln!("relim-service: store write failed for {digest}: {e}");
                 }
                 if let Some((jt, log)) = traced {
                     let start = write_start.unwrap_or(0);
@@ -642,9 +653,9 @@ fn executor_loop(shared: &Arc<Shared>) {
             }
             // Store first, complete second: a request that misses the
             // coalescing window after this point hits the store instead.
-            shared.store.complete(&job.key, &result);
+            shared.store.complete(job.prepared.key(), &result);
             let finished = EventKind::Finish { ok: result.is_ok() };
-            shared.events.record(finished, &job.digest, job.op.name(), class);
+            shared.events.record(finished, job.prepared.digest(), job.op.name(), class);
             // A dropped receiver (client gone) is fine — work is stored.
             let _ = job.reply.send(result);
             queue = shared.queue.lock().expect("queue lock poisoned");
@@ -677,7 +688,7 @@ fn enqueue(shared: &Shared, class: Class, job: Job) -> Result<(), String> {
     }
     // Recorded under the queue lock: the job is not poppable until the
     // lock drops, so its `enqueue` event always precedes its `start`.
-    shared.events.record(EventKind::Enqueue, &job.digest, job.op.name(), class);
+    shared.events.record(EventKind::Enqueue, job.prepared.digest(), job.op.name(), class);
     queue.push(class, job);
     shared.cv.notify_one();
     Ok(())
@@ -804,6 +815,9 @@ impl<'a> RequestTracer<'a> {
 /// Handles one request line; returns the response line and whether a
 /// graceful shutdown must be triggered *after* the response is sent.
 fn handle_line(line: &str, shared: &Arc<Shared>) -> (String, bool) {
+    // A job's latency cell covers its parse: preparing the request (the
+    // one parse of its problem, its key and digest) happens there.
+    let received = Instant::now();
     // Span-log timestamp of the parse start; `None` with tracing off
     // (whether the *request* is traced is only known after parsing).
     let parse_start = shared.spans.as_ref().map(SpanLog::now_ns);
@@ -880,8 +894,7 @@ fn handle_line(line: &str, shared: &Arc<Shared>) -> (String, bool) {
             protocol::render_trace_response(id, snapshot.to_json(&shared.self_addr))
         }
         RequestBody::Shutdown => return (protocol::render_shutdown_response(id), true),
-        RequestBody::Job { op, class, trace } => {
-            let start = Instant::now();
+        RequestBody::Job { op, prepared, class, trace } => {
             let slot = job_slot(&op);
             // Traced only when the daemon records spans *and* the
             // request carried a context — `None` (one branch per site)
@@ -892,7 +905,7 @@ fn handle_line(line: &str, shared: &Arc<Shared>) -> (String, bool) {
                 }
                 _ => None,
             };
-            let (response, outcome) = serve_job(shared, id, op, class, tracer.as_ref());
+            let (response, outcome) = serve_job(shared, id, op, prepared, class, tracer.as_ref());
             // The one place a job request's outcome is recorded: every
             // exit of `serve_job` lands in exactly one latency cell.
             let counter = match outcome {
@@ -903,7 +916,7 @@ fn handle_line(line: &str, shared: &Arc<Shared>) -> (String, bool) {
             if let Some(counter) = counter {
                 counter.fetch_add(1, Ordering::Relaxed);
             }
-            shared.latency.record(slot, outcome, start.elapsed().as_nanos() as u64);
+            shared.latency.record(slot, outcome, received.elapsed().as_nanos() as u64);
             if let Some(tracer) = tracer {
                 tracer.finish(outcome);
             }
@@ -913,27 +926,24 @@ fn handle_line(line: &str, shared: &Arc<Shared>) -> (String, bool) {
     (response, false)
 }
 
-/// The job path: canonical key, store read, fleet read-through, then
-/// enqueue (or coalesce onto an identical in-flight job) and wait for
-/// the result. Returns the response and its outcome; the caller records
-/// the outcome.
+/// The job path: store read, fleet read-through, then enqueue (or
+/// coalesce onto an identical in-flight job) and wait for the result —
+/// all keyed by the canonical key and digest the wire parse prepared.
+/// Returns the response and its outcome; the caller records the outcome.
 fn serve_job(
     shared: &Shared,
     id: Option<i64>,
     op: OpRequest,
+    prepared: Prepared,
     class: Class,
     tracer: Option<&RequestTracer<'_>>,
 ) -> (String, Outcome) {
     let error = |e: &str| (protocol::render_error_response(id, e), Outcome::Error);
-    let key = match op.canonical_key() {
-        Ok(key) => key,
-        Err(e) => return error(&e.to_string()),
-    };
-    let digest = crate::store::digest_of(&key);
+    let (key, digest) = (prepared.key(), prepared.digest());
     let hit =
-        |result: &str| (protocol::render_job_response(id, true, &digest, result), Outcome::Hit);
+        |result: &str| (protocol::render_job_response(id, true, digest, result), Outcome::Hit);
     let read_start = tracer.map(RequestTracer::now_ns);
-    let cached = shared.store.get(&digest, &key);
+    let cached = shared.store.get(digest, key);
     if let (Some(t), Some(start_ns)) = (tracer, read_start) {
         t.child("store-read", start_ns, vec![("hit".to_owned(), cached.is_some().to_string())]);
     }
@@ -943,7 +953,7 @@ fn serve_job(
     // Cold: claim the in-flight slot. The first identical request owns
     // the computation and queues a job; later ones coalesce onto the
     // owner's result channel.
-    let rx = match shared.store.claim(&key) {
+    let rx = match shared.store.claim(key) {
         InflightClaim::Waiter(rx) => rx,
         InflightClaim::Owner => {
             // Fleet read-through, *inside* the ownership claim:
@@ -955,24 +965,24 @@ fn serve_job(
             // determinism of every op.
             if let Some(fleet) = &shared.fleet {
                 let fetch_trace = tracer.map(RequestTracer::fetch_trace);
-                let outcome = fleet.read_through(&digest, &key, fetch_trace.as_ref());
+                let outcome = fleet.read_through(digest, key, fetch_trace.as_ref());
                 if let FetchOutcome::Hit(result) = outcome {
-                    if let Err(e) = shared.store.put(&digest, &key, &result) {
+                    if let Err(e) = shared.store.put(digest, key, &result) {
                         eprintln!("relim-service: store write-through failed for {digest}: {e}");
                     }
                     // Store before complete, like the executor: a
                     // request missing the coalescing window hits the
                     // store instead.
-                    shared.store.complete(&key, &Ok(result.clone()));
+                    shared.store.complete(key, &Ok(result.clone()));
                     return hit(&result);
                 }
             }
             let (tx, rx) = mpsc::channel();
             let trace = tracer.map(|t| JobTrace { ctx: t.under_root(), enqueued_ns: t.now_ns() });
-            let job = Job { op, digest: digest.clone(), key: key.clone(), reply: tx, trace };
+            let job = Job { op, prepared: prepared.clone(), reply: tx, trace };
             if let Err(e) = enqueue(shared, class, job) {
                 // Unblock any waiter that already attached.
-                shared.store.complete(&key, &Err(e.clone()));
+                shared.store.complete(key, &Err(e.clone()));
                 return error(&e);
             }
             rx
@@ -980,7 +990,7 @@ fn serve_job(
     };
     match rx.recv() {
         Ok(Ok(result)) => {
-            (protocol::render_job_response(id, false, &digest, &result), Outcome::Computed)
+            (protocol::render_job_response(id, false, digest, &result), Outcome::Computed)
         }
         Ok(Err(e)) => error(&e),
         Err(_) => error("executor exited before the job ran"),

@@ -284,7 +284,7 @@ fn a_promoted_bulk_job_logs_ordered_timeline_events() {
 
         // Park a sweep on the only executor, and wait until it has
         // actually been popped (its `start` event is on the timeline).
-        let holder = submit_thread(OpRequest::sweep(3, 8).unwrap(), Class::Interactive);
+        let holder = submit_thread(OpRequest::sweep(4, 8).unwrap(), Class::Interactive);
         wait_until(&|| {
             let (timeline, _) = client.timeline().expect("timeline poll");
             timeline.get("events").and_then(Json::as_arr).is_some_and(|events| {

@@ -183,3 +183,85 @@ fn kept_alive_requests_do_not_stall_on_split_frames() {
     handle.shutdown();
     handle.join();
 }
+
+/// The exact response lines of malformed job requests. Preparing a
+/// request (one parse, key and digest at the wire boundary) must not
+/// move a byte: parse failures still answer without the `id`, exactly
+/// as before.
+#[test]
+fn malformed_job_requests_get_pinned_error_bytes() {
+    let handle = Server::spawn("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let stream = TcpStream::connect(handle.local_addr()).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    for (request, expected) in [
+        (
+            r#"{"id":1,"op":"zero-round","node":"M ((","edge":"M M"}"#,
+            r#"{"ok": false, "error": "parse error: unexpected character `(` in `M ((`"}"#,
+        ),
+        (
+            r#"{"id":2,"op":"zero-round","node":"M M M","edge":"M M M"}"#,
+            r#"{"ok": false, "error": "configuration of degree 3 where 2 was expected"}"#,
+        ),
+        (
+            r#"{"id":3,"op":"iterate","node":"M M M","edge":"M M","label_limit":65}"#,
+            r#"{"ok": false, "error": "label bound 65 exceeds 64"}"#,
+        ),
+        (r#"{"id":4,"op":"frobnicate"}"#, r#"{"ok": false, "error": "unknown op `frobnicate`"}"#),
+        (
+            r#"{"id":5,"op":"autolb","node":"M M;M M M","edge":"M M"}"#,
+            r#"{"ok": false, "error": "configuration of degree 3 where 2 was expected"}"#,
+        ),
+    ] {
+        writer.write_all(format!("{request}\n").as_bytes()).unwrap();
+        let mut response = String::new();
+        reader.read_line(&mut response).unwrap();
+        assert_eq!(response, format!("{expected}\n"), "request {request}");
+    }
+    drop((writer, reader));
+    handle.shutdown();
+    handle.join();
+}
+
+/// Constraint text is bounded before it is expanded. `[A … P]^12` is a
+/// 40-byte line that would enumerate 17.4M configurations, and a
+/// `u32::MAX` exponent a 4 GiB configuration; both are refused from the
+/// condensed line, in milliseconds, and the daemon keeps serving.
+#[test]
+fn oversized_constraint_text_is_refused_before_expansion() {
+    use relim_service::ops::OpError;
+
+    let wide = "[A B C D E F G H I J K L M N O P]^12";
+    let err = OpRequest::zero_round(wide, "A B").unwrap_err();
+    assert_eq!(err, OpError::ExpansionTooLarge { configs: 17_383_860 + 1 });
+    let err = OpRequest::zero_round("A^4294967295", "A A").unwrap_err();
+    assert_eq!(err, OpError::DegreeTooLarge { degree: u32::MAX });
+    // Within the bounds, text still parses.
+    assert!(OpRequest::zero_round("[A B C D E F G H]^4", "A B").is_ok());
+
+    let handle = Server::spawn("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let client = Client::new(handle.local_addr().to_string());
+    for (node, edge, error) in [
+        (wide, "A B", OpError::ExpansionTooLarge { configs: 17_383_861 }.to_string()),
+        ("A^4294967295", "A A", OpError::DegreeTooLarge { degree: u32::MAX }.to_string()),
+        (
+            "A^4294967295 A^4294967295",
+            "A A",
+            "parse error: line degree 8589934590 overflows in `A^4294967295 A^4294967295`"
+                .to_owned(),
+        ),
+    ] {
+        let line = format!(r#"{{"op":"zero-round","node":"{node}","edge":"{edge}"}}"#);
+        let started = Instant::now();
+        let reply = client.raw_roundtrip(&line).unwrap();
+        let elapsed = started.elapsed();
+        assert!(elapsed < Duration::from_millis(250), "{node}: refused after {elapsed:?}");
+        assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false), "{node}");
+        assert_eq!(reply.get("error").and_then(Json::as_str), Some(error.as_str()), "{node}");
+    }
+    let ok = client.submit(&OpRequest::zero_round("M M M;P O O", "M [P O];O O").unwrap(), None);
+    assert!(ok.unwrap().result.contains("0-round solvable"));
+    client.shutdown().unwrap();
+    handle.join();
+}
