@@ -939,6 +939,119 @@ mod tests {
         OpRequest::auto_lb("M M M;P O O", "M [P O];O O").unwrap()
     }
 
+    /// Pins the bytes every stored entry and client depends on: for one
+    /// request of each op, its canonical key, digest and request line;
+    /// and what a minimal JSON object of each op decodes to (the
+    /// defaults).
+    #[test]
+    fn golden_request_bytes() {
+        let (so_node, so_edge) = ("O I I", "[O I] I");
+        let (mis_node, mis_edge) = ("M M M\nP O O", "M [P O]\nO O");
+        let so_problem = "problem:\nN (degree 3):\nO I^2\n\nE:\nO I\nI^2\n";
+        let mis_problem = "problem:\nN (degree 3):\nM^3\nP O^2\n\nE:\nM P\nM O\nO^2\n";
+        let autoub = |coloring| OpRequest::AutoUb {
+            node: so_node.into(),
+            edge: so_edge.into(),
+            max_steps: 6,
+            labels: 10,
+            coloring,
+        };
+        let cases = [
+            (
+                OpRequest::AutoLb {
+                    node: so_node.into(),
+                    edge: so_edge.into(),
+                    max_steps: 6,
+                    labels: 6,
+                    criterion: Criterion::Gadget,
+                },
+                format!("op=autolb\ncriterion=gadget\nlabels=6\nmax_steps=6\n{so_problem}"),
+                "b35365e7fc098c21db243b783b00194a",
+                r#"{"op": "autolb", "node": "O I I", "edge": "[O I] I", "max_steps": 6, "labels": 6, "criterion": "gadget"}"#,
+            ),
+            (
+                OpRequest::AutoLb {
+                    node: mis_node.into(),
+                    edge: mis_edge.into(),
+                    max_steps: 2,
+                    labels: 5,
+                    criterion: Criterion::Universal,
+                },
+                format!("op=autolb\ncriterion=universal\nlabels=5\nmax_steps=2\n{mis_problem}"),
+                "441be6d9a6445e9f99ae3ae7717a1166",
+                r#"{"op": "autolb", "node": "M M M\nP O O", "edge": "M [P O]\nO O", "max_steps": 2, "labels": 5, "criterion": "universal"}"#,
+            ),
+            (
+                autoub(None),
+                format!("op=autoub\ncoloring=none\nlabels=10\nmax_steps=6\n{so_problem}"),
+                "1aabe7dc52d9f703aa1acb06057663ac",
+                r#"{"op": "autoub", "node": "O I I", "edge": "[O I] I", "max_steps": 6, "labels": 10}"#,
+            ),
+            (
+                autoub(Some(3)),
+                format!("op=autoub\ncoloring=3\nlabels=10\nmax_steps=6\n{so_problem}"),
+                "f41359cf6c8975d089121ce7c02b66f1",
+                r#"{"op": "autoub", "node": "O I I", "edge": "[O I] I", "max_steps": 6, "labels": 10, "coloring": 3}"#,
+            ),
+            (
+                OpRequest::Iterate {
+                    node: mis_node.into(),
+                    edge: mis_edge.into(),
+                    max_steps: 3,
+                    label_limit: 20,
+                },
+                format!("op=iterate\nlabel_limit=20\nmax_steps=3\n{mis_problem}"),
+                "d86e137528af54f88398c0c268c1bc1b",
+                r#"{"op": "iterate", "node": "M M M\nP O O", "edge": "M [P O]\nO O", "max_steps": 3, "label_limit": 20}"#,
+            ),
+            (
+                OpRequest::Sweep { delta: 4, lemma: 6 },
+                "op=sweep\ndelta=4\nlemma=6\n".to_owned(),
+                "3de61386beedb1028e0ae7abfb137bbd",
+                r#"{"op": "sweep", "delta": 4, "lemma": 6}"#,
+            ),
+            (
+                OpRequest::ZeroRound { node: so_node.into(), edge: so_edge.into() },
+                format!("op=zero-round\n{so_problem}"),
+                "dfc986362621d89227d9f0f15d5f8b05",
+                r#"{"op": "zero-round", "node": "O I I", "edge": "[O I] I"}"#,
+            ),
+        ];
+        for (op, key, digest, line) in cases {
+            let key = format!("relim-store/1\nengine=v1\n{key}");
+            assert_eq!(op.canonical_key().unwrap(), key);
+            assert_eq!(op.digest().unwrap(), digest, "{key}");
+            assert_eq!(crate::protocol::render_job_request(&op, None, None), line);
+        }
+
+        let minimal = |text: &str| OpRequest::from_json(&Json::parse(text).unwrap()).unwrap();
+        let so = |op: &str| minimal(&format!(r#"{{"op":"{op}","node":"O I I","edge":"[O I] I"}}"#));
+        assert_eq!(
+            so("autolb"),
+            OpRequest::AutoLb {
+                node: so_node.into(),
+                edge: so_edge.into(),
+                max_steps: 6,
+                labels: 6,
+                criterion: Criterion::Gadget,
+            }
+        );
+        assert_eq!(so("autoub"), autoub(None));
+        assert_eq!(
+            so("iterate"),
+            OpRequest::Iterate {
+                node: so_node.into(),
+                edge: so_edge.into(),
+                max_steps: 5,
+                label_limit: 16,
+            }
+        );
+        assert_eq!(minimal(r#"{"op":"sweep","delta":4}"#), OpRequest::Sweep { delta: 4, lemma: 8 });
+        let zero = OpRequest::ZeroRound { node: so_node.into(), edge: so_edge.into() };
+        assert_eq!(so("zero-round"), zero);
+        assert_eq!(so("zeroround"), zero);
+    }
+
     #[test]
     fn canonical_key_is_spelling_independent() {
         let a = mis_op();
