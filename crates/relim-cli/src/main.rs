@@ -49,7 +49,7 @@ use lb_family::{bounds, lemma6, lemma8, sequence};
 use relim_core::diagram::StrengthOrder;
 use relim_core::engine::parse_threads;
 use relim_core::{condense, zeroround, Engine, Problem};
-use relim_service::ops::{Criterion, OpRequest};
+use relim_service::ops::{self, Criterion, Kind, OpRequest, Value, OPS};
 use relim_service::queue::Class;
 use relim_service::server::{Server, ServerConfig};
 use relim_service::trace;
@@ -109,15 +109,15 @@ fn run(raw: Vec<String>) -> Result<String, Box<dyn std::error::Error>> {
         "step" => cmd_step(&args, &engine),
         "bistep" => cmd_bistep(&args),
         "diagram" => cmd_diagram(&args),
-        "zeroround" => cmd_zeroround(&args),
         "trivial" => cmd_trivial(&args),
-        "autolb" => cmd_autolb(&args, &engine),
-        "autoub" => cmd_autoub(&args, &engine),
-        "fixed-point" => cmd_fixed_point(&args, &engine),
+        // Rendered by the serving layer's canonical op, so a local run and
+        // a served query return the same bytes.
+        "autolb" | "autoub" | "fixed-point" | "sweep" | "zeroround" => {
+            Ok(op_from(&args, command)?.execute(&engine)?)
+        }
         "family" => cmd_family(&args),
         "lemma6" => cmd_lemma6(&args),
         "lemma8" => cmd_lemma8(&args, &engine),
-        "sweep" => cmd_sweep(&args, &engine),
         "chain" => cmd_chain(&args, &engine),
         "bounds" => cmd_bounds(&args),
         other => Err(Box::new(ArgError(format!("unknown command `{other}`")))),
@@ -385,16 +385,6 @@ fn cmd_diagram(args: &Args) -> Result<String, Box<dyn std::error::Error>> {
     Ok(out.trim_end().to_owned())
 }
 
-fn cmd_zeroround(args: &Args) -> Result<String, Box<dyn std::error::Error>> {
-    // Rendered by the serving layer's canonical op, so `relim zeroround`
-    // and a served `zero-round` query return the same bytes.
-    let op = OpRequest::ZeroRound {
-        node: constraint_text(args.require("node")?),
-        edge: constraint_text(args.require("edge")?),
-    };
-    Ok(op.execute(&Engine::sequential())?)
-}
-
 fn cmd_trivial(args: &Args) -> Result<String, Box<dyn std::error::Error>> {
     let p = load_problem(args)?;
     let mut out = String::new();
@@ -413,6 +403,7 @@ fn cmd_trivial(args: &Args) -> Result<String, Box<dyn std::error::Error>> {
         None => out.push_str("given a Δ-edge coloring (gadget criterion): not solvable\n"),
     }
     if let Some(c) = args.get_u64_opt("coloring")? {
+        Kind::Coloring.check(Value::Num(c)).map_err(|e| ArgError(format!("--{e}")))?;
         let c = c as usize;
         match zeroround::coloring_witness(&p, c) {
             Some(ws) => {
@@ -425,39 +416,6 @@ fn cmd_trivial(args: &Args) -> Result<String, Box<dyn std::error::Error>> {
         }
     }
     Ok(out.trim_end().to_owned())
-}
-
-fn cmd_autolb(args: &Args, engine: &Engine) -> Result<String, Box<dyn std::error::Error>> {
-    let op = OpRequest::AutoLb {
-        node: constraint_text(args.require("node")?),
-        edge: constraint_text(args.require("edge")?),
-        max_steps: args.get_u64("max-steps", 6)? as usize,
-        labels: args.get_u64("labels", 6)? as usize,
-        criterion: Criterion::parse(args.get("criterion").unwrap_or("gadget"))
-            .map_err(|e| ArgError(format!("--{e}")))?,
-    };
-    Ok(op.execute(engine)?)
-}
-
-fn cmd_autoub(args: &Args, engine: &Engine) -> Result<String, Box<dyn std::error::Error>> {
-    let op = OpRequest::AutoUb {
-        node: constraint_text(args.require("node")?),
-        edge: constraint_text(args.require("edge")?),
-        max_steps: args.get_u64("max-steps", 6)? as usize,
-        labels: args.get_u64("labels", 10)? as usize,
-        coloring: args.get_u64_opt("coloring")?.map(|c| c as usize),
-    };
-    Ok(op.execute(engine)?)
-}
-
-fn cmd_fixed_point(args: &Args, engine: &Engine) -> Result<String, Box<dyn std::error::Error>> {
-    let op = OpRequest::Iterate {
-        node: constraint_text(args.require("node")?),
-        edge: constraint_text(args.require("edge")?),
-        max_steps: args.get_u64("max-steps", 5)? as usize,
-        label_limit: args.get_u64("label-limit", 16)? as usize,
-    };
-    Ok(op.execute(engine)?)
 }
 
 fn params_from(args: &Args) -> Result<PiParams, Box<dyn std::error::Error>> {
@@ -505,27 +463,6 @@ fn cmd_lemma8(args: &Args, engine: &Engine) -> Result<String, Box<dyn std::error
         report.pi_rel_equals_pi_plus,
         if report.matches_paper() { "VERIFIED" } else { "MISMATCH" }
     ))
-}
-
-fn cmd_sweep(args: &Args, engine: &Engine) -> Result<String, Box<dyn std::error::Error>> {
-    // The canonical (service-shared) sweep rendering deliberately omits
-    // the thread count: served bytes must not depend on the daemon's
-    // pool width, and the local output matches the served output.
-    let op =
-        OpRequest::Sweep { delta: require_u32(args, "delta")?, lemma: get_u32(args, "lemma", 8)? };
-    Ok(op.execute(engine)?)
-}
-
-/// A required option that must fit in `u32` (oversized values error
-/// instead of wrapping into some accidentally-valid parameter).
-fn require_u32(args: &Args, key: &str) -> Result<u32, ArgError> {
-    u32::try_from(args.require_u64(key)?).map_err(|_| ArgError(format!("--{key} is out of range")))
-}
-
-/// A defaulted option that must fit in `u32`.
-fn get_u32(args: &Args, key: &str, default: u64) -> Result<u32, ArgError> {
-    u32::try_from(args.get_u64(key, default)?)
-        .map_err(|_| ArgError(format!("--{key} is out of range")))
 }
 
 fn cmd_chain(args: &Args, engine: &Engine) -> Result<String, Box<dyn std::error::Error>> {
@@ -611,11 +548,10 @@ fn cmd_serve(args: &Args) -> Result<String, Box<dyn std::error::Error>> {
         store_dir: args.get("store").map(std::path::PathBuf::from),
         store_capacity: args.get_u64("store-capacity", 1024)? as usize,
         store_budget_bytes: args.get_u64_opt("store-budget-bytes")?,
-        aging_limit: get_u32(
-            args,
-            "aging-limit",
-            u64::from(relim_service::queue::DEFAULT_AGING_LIMIT),
-        )?,
+        aging_limit: u32::try_from(
+            args.get_u64("aging-limit", relim_service::queue::DEFAULT_AGING_LIMIT.into())?,
+        )
+        .map_err(|_| ArgError("--aging-limit is out of range".to_owned()))?,
         peers: peers_from(args)?,
         peer_timeout_ms: args
             .get_u64("peer-timeout-ms", relim_service::server::DEFAULT_PEER_TIMEOUT_MS)?,
@@ -655,7 +591,7 @@ fn cmd_serve(args: &Args) -> Result<String, Box<dyn std::error::Error>> {
 
 fn cmd_submit(args: &Args) -> Result<String, Box<dyn std::error::Error>> {
     let client = Client::new(args.get("addr").unwrap_or(DEFAULT_ADDR));
-    let obj = op_from_args(args)?;
+    let obj = op_from(args, args.require("op")?)?;
     let class = match args.get("priority") {
         None => None,
         Some(p) => Some(Class::parse(p).map_err(ArgError)?),
@@ -682,47 +618,38 @@ fn cmd_submit(args: &Args) -> Result<String, Box<dyn std::error::Error>> {
     Ok(reply.result)
 }
 
-/// Builds the operation of a `submit` invocation from `--op` plus the
-/// same option names the local subcommands use.
-fn op_from_args(args: &Args) -> Result<OpRequest, Box<dyn std::error::Error>> {
-    let op = args.require("op")?;
-    let node = || args.require("node").map(constraint_text);
-    let edge = || args.require("edge").map(constraint_text);
-    let built = match op {
-        "autolb" => OpRequest::AutoLb {
-            node: node()?,
-            edge: edge()?,
-            max_steps: args.get_u64("max-steps", 6)? as usize,
-            labels: args.get_u64("labels", 6)? as usize,
-            criterion: Criterion::parse(args.get("criterion").unwrap_or("gadget"))
-                .map_err(|e| ArgError(format!("--{e}")))?,
-        },
-        "autoub" => OpRequest::AutoUb {
-            node: node()?,
-            edge: edge()?,
-            max_steps: args.get_u64("max-steps", 6)? as usize,
-            labels: args.get_u64("labels", 10)? as usize,
-            coloring: args.get_u64_opt("coloring")?.map(|c| c as usize),
-        },
-        "iterate" | "fixed-point" => OpRequest::Iterate {
-            node: node()?,
-            edge: edge()?,
-            max_steps: args.get_u64("max-steps", 5)? as usize,
-            label_limit: args.get_u64("label-limit", 16)? as usize,
-        },
-        "sweep" => OpRequest::Sweep {
-            delta: require_u32(args, "delta")?,
-            lemma: get_u32(args, "lemma", 8)?,
-        },
-        "zero-round" | "zeroround" => OpRequest::ZeroRound { node: node()?, edge: edge()? },
-        other => {
-            return Err(Box::new(ArgError(format!(
-                "--op must be autolb|autoub|iterate|sweep|zero-round, got `{other}`"
-            ))))
-        }
+/// Builds and validates the job op spelled `name` from the command line:
+/// each [`OPS`] parameter from its option (`max_steps` from
+/// `--max-steps`), defaulted as the table says.
+fn op_from(args: &Args, name: &str) -> Result<OpRequest, Box<dyn std::error::Error>> {
+    let Some(row) = ops::op_row(name) else {
+        let names = OPS.map(|op| op.names[0]).join("|");
+        return Err(Box::new(ArgError(format!("--op must be {names}, got `{name}`"))));
     };
-    built.validate()?;
-    Ok(built)
+    let problem =
+        || Ok((constraint_text(args.require("node")?), constraint_text(args.require("edge")?)));
+    let op = OpRequest::decode(row, problem, |param| {
+        let flag = param.name.replace('_', "-");
+        if param.kind == Kind::Criterion {
+            return match args.get(&flag) {
+                None => Ok(param.default),
+                Some(s) => Criterion::parse(s)
+                    .map(Value::Criterion)
+                    .map_err(|e| ArgError(format!("--{e}"))),
+            };
+        }
+        // A default the limits refuse (a sweep's Δ of 0) makes the option required.
+        let n = match param.kind.check(param.default) {
+            Err(_) => args.require_u64(&flag)?,
+            Ok(()) => match args.get_u64_opt(&flag)? {
+                None => return Ok(param.default),
+                Some(n) => n,
+            },
+        };
+        param.kind.num(n).ok_or_else(|| ArgError(format!("--{flag} is out of range")))
+    })?;
+    op.validate()?;
+    Ok(op)
 }
 
 fn cmd_status(args: &Args) -> Result<String, Box<dyn std::error::Error>> {
@@ -842,7 +769,7 @@ fn cmd_viz(args: &Args) -> Result<String, Box<dyn std::error::Error>> {
             };
             OpRequest::from_canonical_key(&key)?
         }
-        None => op_from_args(args)?,
+        None => op_from(args, args.require("op")?)?,
     };
     if op.problem()?.is_none() {
         return Err(Box::new(ArgError(format!(

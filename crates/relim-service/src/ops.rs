@@ -142,6 +142,159 @@ pub const MAX_CONSTRAINT_DEGREE: u32 = 64;
 /// bytes and would enumerate 17.4M.
 pub const MAX_EXPANDED_CONFIGS: u128 = 1 << 16;
 
+/// What a job parameter holds, which fixes its serving limit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// A step count, at most [`MAX_STEPS_LIMIT`].
+    Steps,
+    /// A label bound, at most [`MAX_LABEL_LIMIT`].
+    Labels,
+    /// An `autolb` [`Criterion`].
+    Criterion,
+    /// The colors of an optional vertex coloring, at least 2.
+    Coloring,
+    /// A sweep's Δ, in [`SWEEP_DELTA_RANGE`].
+    Delta,
+    /// The lemma a sweep verifies, 6 or 8.
+    Lemma,
+}
+
+impl Kind {
+    /// `n` as a value of this kind, or `None` when the request field
+    /// cannot hold it (Δ and the lemma are `u32`, the rest `usize`).
+    /// Readers refuse such a number rather than truncate it into some
+    /// accidentally valid value.
+    pub fn num(self, n: u64) -> Option<Value> {
+        let fits = match self {
+            Kind::Delta | Kind::Lemma => u32::try_from(n).is_ok(),
+            _ => usize::try_from(n).is_ok(),
+        };
+        fits.then_some(Value::Num(n))
+    }
+
+    /// Refuses a value past this kind's serving limit.
+    pub fn check(self, value: Value) -> Result<(), OpError> {
+        let Value::Num(n) = value else { return Ok(()) };
+        let refusal = match self {
+            Kind::Steps if n > MAX_STEPS_LIMIT as u64 => {
+                format!("max_steps {n} exceeds limit {MAX_STEPS_LIMIT}")
+            }
+            Kind::Labels if n > MAX_LABEL_LIMIT as u64 => {
+                format!("label bound {n} exceeds {MAX_LABEL_LIMIT}")
+            }
+            Kind::Coloring if n < 2 => {
+                format!("coloring {n} is below 2 (a proper coloring needs at least 2 colors)")
+            }
+            Kind::Delta if !u32::try_from(n).is_ok_and(|d| SWEEP_DELTA_RANGE.contains(&d)) => {
+                format!("sweep delta {n} outside the servable range {SWEEP_DELTA_RANGE:?}")
+            }
+            Kind::Lemma if !matches!(n, 6 | 8) => format!("lemma must be 6|8, got {n}"),
+            _ => return Ok(()),
+        };
+        Err(OpError::Invalid(refusal))
+    }
+}
+
+/// A parameter value, in the one form every codec reads and writes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Value {
+    /// A number: steps, a label bound, colors, Δ or a lemma.
+    Num(u64),
+    /// An `autolb` criterion.
+    Criterion(Criterion),
+    /// No coloring: keyed as `none`, left out of JSON.
+    NoColoring,
+}
+
+/// One parameter of a job op.
+#[derive(Debug)]
+pub struct Param {
+    /// The name in keys and JSON, and (with `-` for `_`) the CLI option.
+    pub name: &'static str,
+    /// What the parameter holds.
+    pub kind: Kind,
+    /// The value of a request that leaves the parameter out. A default
+    /// its own limit refuses (a sweep's Δ of 0) must be given.
+    pub default: Value,
+}
+
+/// One job op: a row of [`OPS`].
+#[derive(Debug)]
+pub struct OpSpec {
+    /// The wire name, then the other spellings the wire and CLI accept.
+    pub names: &'static [&'static str],
+    /// Whether the daemon schedules the op as a bulk job by default.
+    pub bulk: bool,
+    /// Whether the op takes a problem (`node` and `edge` text).
+    pub problem: bool,
+    /// The parameters, in wire order.
+    pub params: &'static [Param],
+}
+
+/// The job ops. A row's index is also the op's slot in the daemon's
+/// per-op counters and latency grid.
+pub const OPS: [OpSpec; 5] = [
+    OpSpec {
+        names: &["autolb"],
+        bulk: false,
+        problem: true,
+        params: &[
+            Param { name: "max_steps", kind: Kind::Steps, default: Value::Num(6) },
+            Param { name: "labels", kind: Kind::Labels, default: Value::Num(6) },
+            Param {
+                name: "criterion",
+                kind: Kind::Criterion,
+                default: Value::Criterion(Criterion::Gadget),
+            },
+        ],
+    },
+    OpSpec {
+        names: &["autoub"],
+        bulk: false,
+        problem: true,
+        params: &[
+            Param { name: "max_steps", kind: Kind::Steps, default: Value::Num(6) },
+            Param { name: "labels", kind: Kind::Labels, default: Value::Num(10) },
+            Param { name: "coloring", kind: Kind::Coloring, default: Value::NoColoring },
+        ],
+    },
+    OpSpec {
+        names: &["iterate", "fixed-point"],
+        bulk: false,
+        problem: true,
+        params: &[
+            Param { name: "max_steps", kind: Kind::Steps, default: Value::Num(5) },
+            Param { name: "label_limit", kind: Kind::Labels, default: Value::Num(16) },
+        ],
+    },
+    OpSpec {
+        names: &["sweep"],
+        bulk: true,
+        problem: false,
+        params: &[
+            Param { name: "delta", kind: Kind::Delta, default: Value::Num(0) },
+            Param { name: "lemma", kind: Kind::Lemma, default: Value::Num(8) },
+        ],
+    },
+    OpSpec { names: &["zero-round", "zeroround"], bulk: false, problem: true, params: &[] },
+];
+
+/// Rows of [`OPS`].
+const AUTOLB: usize = 0;
+const AUTOUB: usize = 1;
+const ITERATE: usize = 2;
+const SWEEP: usize = 3;
+const ZERO_ROUND: usize = 4;
+
+/// The [`OPS`] row of the op spelled `name` (any accepted spelling).
+pub fn op_row(name: &str) -> Option<usize> {
+    OPS.iter().position(|op| op.names.contains(&name))
+}
+
+/// The first lines of every canonical key: the format tag, the engine
+/// semantics version and the start of the op line.
+const KEY_HEADER: &str = "relim-store/1\nengine=v1\nop=";
+
 /// Parses client constraint text: tokenized once, refused past
 /// [`MAX_CONSTRAINT_DEGREE`] / [`MAX_EXPANDED_CONFIGS`] before anything
 /// is expanded, then expanded into the problem. Engine-internal
@@ -247,57 +400,31 @@ pub fn constraint_text(raw: &str) -> String {
 }
 
 impl OpRequest {
-    /// An `autolb` request with the CLI's default search budget
-    /// (6 steps, 6 labels, gadget criterion).
+    /// An `autolb` request with the [`OPS`] defaults.
     ///
     /// # Errors
     ///
     /// Rejects unparsable constraint text.
     pub fn auto_lb(node: &str, edge: &str) -> Result<OpRequest, OpError> {
-        let op = OpRequest::AutoLb {
-            node: constraint_text(node),
-            edge: constraint_text(edge),
-            max_steps: 6,
-            labels: 6,
-            criterion: Criterion::Gadget,
-        };
-        op.validate()?;
-        Ok(op)
+        OpRequest::defaulted(AUTOLB, node, edge)
     }
 
-    /// An `autoub` request with the CLI's default budget (6 steps,
-    /// 10 labels, no coloring).
+    /// An `autoub` request with the [`OPS`] defaults.
     ///
     /// # Errors
     ///
     /// Rejects unparsable constraint text.
     pub fn auto_ub(node: &str, edge: &str) -> Result<OpRequest, OpError> {
-        let op = OpRequest::AutoUb {
-            node: constraint_text(node),
-            edge: constraint_text(edge),
-            max_steps: 6,
-            labels: 10,
-            coloring: None,
-        };
-        op.validate()?;
-        Ok(op)
+        OpRequest::defaulted(AUTOUB, node, edge)
     }
 
-    /// An `iterate` request with the CLI's default limits (5 steps,
-    /// label limit 16).
+    /// An `iterate` request with the [`OPS`] defaults.
     ///
     /// # Errors
     ///
     /// Rejects unparsable constraint text.
     pub fn iterate(node: &str, edge: &str) -> Result<OpRequest, OpError> {
-        let op = OpRequest::Iterate {
-            node: constraint_text(node),
-            edge: constraint_text(edge),
-            max_steps: 5,
-            label_limit: 16,
-        };
-        op.validate()?;
-        Ok(op)
+        OpRequest::defaulted(ITERATE, node, edge)
     }
 
     /// A lemma-`lemma` sweep request at degree `delta`.
@@ -317,27 +444,120 @@ impl OpRequest {
     ///
     /// Rejects unparsable constraint text.
     pub fn zero_round(node: &str, edge: &str) -> Result<OpRequest, OpError> {
-        let op = OpRequest::ZeroRound { node: constraint_text(node), edge: constraint_text(edge) };
+        OpRequest::defaulted(ZERO_ROUND, node, edge)
+    }
+
+    /// The validated op of [`OPS`] row `row` with the table's defaults.
+    fn defaulted(row: usize, node: &str, edge: &str) -> Result<OpRequest, OpError> {
+        let problem = || Ok((constraint_text(node), constraint_text(edge)));
+        let op = OpRequest::decode::<OpError>(row, problem, |param| Ok(param.default))?;
         op.validate()?;
         Ok(op)
+    }
+
+    /// The encoder: this request's [`OPS`] row, constraint text (`node`,
+    /// `edge`) and parameter values in wire order.
+    fn encode(&self) -> (usize, Option<(&String, &String)>, [Value; 3]) {
+        let num = |n: usize| Value::Num(n as u64);
+        let none = Value::NoColoring;
+        match self {
+            OpRequest::AutoLb { node, edge, max_steps, labels, criterion } => (
+                AUTOLB,
+                Some((node, edge)),
+                [num(*max_steps), num(*labels), Value::Criterion(*criterion)],
+            ),
+            OpRequest::AutoUb { node, edge, max_steps, labels, coloring } => (
+                AUTOUB,
+                Some((node, edge)),
+                [num(*max_steps), num(*labels), coloring.map_or(none, num)],
+            ),
+            OpRequest::Iterate { node, edge, max_steps, label_limit } => {
+                (ITERATE, Some((node, edge)), [num(*max_steps), num(*label_limit), none])
+            }
+            OpRequest::Sweep { delta, lemma } => {
+                (SWEEP, None, [Value::Num((*delta).into()), Value::Num((*lemma).into()), none])
+            }
+            OpRequest::ZeroRound { node, edge } => (ZERO_ROUND, Some((node, edge)), [none; 3]),
+        }
+    }
+
+    /// This request's parameters with their values, sorted by name: the
+    /// order of the canonical key.
+    fn by_name(&self) -> impl DoubleEndedIterator<Item = (&'static Param, Value)> {
+        let (row, _, values) = self.encode();
+        let mut pairs = [None; 3];
+        for (pair, param) in pairs.iter_mut().zip(OPS[row].params.iter().zip(values)) {
+            *pair = Some(param);
+        }
+        pairs.sort_unstable_by_key(|pair| pair.map(|(param, _)| param.name));
+        pairs.into_iter().flatten()
+    }
+
+    /// The decoder: the request of [`OPS`] row `row`, with the constraint
+    /// text from `problem` (asked of problem ops only) and each parameter's
+    /// value, of its kind, from `read`. JSON, keys and the CLI decode here.
+    ///
+    /// # Errors
+    ///
+    /// The first error of `problem` or `read`.
+    pub fn decode<E>(
+        row: usize,
+        problem: impl FnOnce() -> Result<(String, String), E>,
+        mut read: impl FnMut(&'static Param) -> Result<Value, E>,
+    ) -> Result<OpRequest, E> {
+        let (node, edge) = if OPS[row].problem { problem()? } else { Default::default() };
+        let mut values = [Value::NoColoring; 3];
+        for (value, param) in values.iter_mut().zip(OPS[row].params) {
+            *value = read(param)?;
+        }
+        let num = |i: usize| match values[i] {
+            Value::Num(n) => n,
+            other => unreachable!("`{}` read {other:?}", OPS[row].params[i].name),
+        };
+        // `Kind::num` refused what a field cannot hold; saturate the rest.
+        let count = |i| usize::try_from(num(i)).unwrap_or(usize::MAX);
+        let small = |i| u32::try_from(num(i)).unwrap_or(u32::MAX);
+        Ok(match row {
+            AUTOLB => OpRequest::AutoLb {
+                node,
+                edge,
+                max_steps: count(0),
+                labels: count(1),
+                criterion: match values[2] {
+                    Value::Criterion(criterion) => criterion,
+                    other => unreachable!("`criterion` read {other:?}"),
+                },
+            },
+            AUTOUB => OpRequest::AutoUb {
+                node,
+                edge,
+                max_steps: count(0),
+                labels: count(1),
+                coloring: (values[2] != Value::NoColoring).then(|| count(2)),
+            },
+            ITERATE => {
+                OpRequest::Iterate { node, edge, max_steps: count(0), label_limit: count(1) }
+            }
+            SWEEP => OpRequest::Sweep { delta: small(0), lemma: small(1) },
+            _ => OpRequest::ZeroRound { node, edge },
+        })
     }
 
     /// The wire name of the operation (`autolb`, `autoub`, `iterate`,
     /// `sweep`, `zero-round`).
     pub fn name(&self) -> &'static str {
-        match self {
-            OpRequest::AutoLb { .. } => "autolb",
-            OpRequest::AutoUb { .. } => "autoub",
-            OpRequest::Iterate { .. } => "iterate",
-            OpRequest::Sweep { .. } => "sweep",
-            OpRequest::ZeroRound { .. } => "zero-round",
-        }
+        OPS[self.encode().0].names[0]
     }
 
     /// Whether the service schedules this operation as a bulk job by
     /// default (sweeps are; single-problem queries are interactive).
     pub fn is_bulk(&self) -> bool {
-        matches!(self, OpRequest::Sweep { .. })
+        OPS[self.encode().0].bulk
+    }
+
+    /// The op's [`OPS`] row: its slot in the daemon's per-op counters.
+    pub(crate) fn slot(&self) -> usize {
+        self.encode().0
     }
 
     /// Validates parameters against the serving limits, then the
@@ -353,49 +573,10 @@ impl OpRequest {
     }
 
     /// The parameter half of [`OpRequest::validate`]: everything but the
-    /// constraint text.
+    /// constraint text, in reverse key order (steps before labels, a
+    /// sweep's lemma before its Δ, as requests have always been refused).
     fn check_params(&self) -> Result<(), OpError> {
-        let check_steps = |steps: usize| {
-            if steps > MAX_STEPS_LIMIT {
-                return Err(OpError::Invalid(format!(
-                    "max_steps {steps} exceeds limit {MAX_STEPS_LIMIT}"
-                )));
-            }
-            Ok(())
-        };
-        let check_labels = |labels: usize| {
-            if labels > MAX_LABEL_LIMIT {
-                return Err(OpError::Invalid(format!(
-                    "label bound {labels} exceeds {MAX_LABEL_LIMIT}"
-                )));
-            }
-            Ok(())
-        };
-        match self {
-            OpRequest::AutoLb { max_steps, labels, .. }
-            | OpRequest::AutoUb { max_steps, labels, .. } => {
-                check_steps(*max_steps)?;
-                check_labels(*labels)
-            }
-            OpRequest::Iterate { max_steps, label_limit, .. } => {
-                check_steps(*max_steps)?;
-                check_labels(*label_limit)
-            }
-            OpRequest::Sweep { delta, lemma } => {
-                if !matches!(lemma, 6 | 8) {
-                    return Err(OpError::Invalid(format!("lemma must be 6|8, got {lemma}")));
-                }
-                if !SWEEP_DELTA_RANGE.contains(delta) {
-                    return Err(OpError::Invalid(format!(
-                        "sweep delta {delta} outside the servable range {}..={}",
-                        SWEEP_DELTA_RANGE.start(),
-                        SWEEP_DELTA_RANGE.end()
-                    )));
-                }
-                Ok(())
-            }
-            OpRequest::ZeroRound { .. } => Ok(()),
-        }
+        self.by_name().rev().try_for_each(|(param, value)| param.kind.check(value))
     }
 
     /// The parsed problem for single-problem operations (`None` for
@@ -406,13 +587,7 @@ impl OpRequest {
     /// Propagates the constraint parse failure, including text past
     /// [`MAX_CONSTRAINT_DEGREE`] or [`MAX_EXPANDED_CONFIGS`].
     pub fn problem(&self) -> Result<Option<Problem>, OpError> {
-        match self {
-            OpRequest::AutoLb { node, edge, .. }
-            | OpRequest::AutoUb { node, edge, .. }
-            | OpRequest::Iterate { node, edge, .. }
-            | OpRequest::ZeroRound { node, edge } => Ok(Some(parse_client_problem(node, edge)?)),
-            OpRequest::Sweep { .. } => Ok(None),
-        }
+        self.encode().1.map(|(node, edge)| parse_client_problem(node, edge)).transpose()
     }
 
     /// Validates the request and computes its [`Prepared`] form with one
@@ -446,27 +621,17 @@ impl OpRequest {
 
     /// [`OpRequest::canonical_key`] over an already-parsed problem.
     fn key_with(&self, problem: Option<&Problem>) -> String {
-        let mut key = format!("relim-store/1\nengine=v1\nop={}\n", self.name());
-        match self {
-            OpRequest::AutoLb { max_steps, labels, criterion, .. } => {
-                key.push_str(&format!(
-                    "criterion={}\nlabels={labels}\nmax_steps={max_steps}\n",
-                    criterion.as_str()
-                ));
-            }
-            OpRequest::AutoUb { max_steps, labels, coloring, .. } => {
-                let coloring = coloring.map_or_else(|| "none".to_owned(), |c| c.to_string());
-                key.push_str(&format!(
-                    "coloring={coloring}\nlabels={labels}\nmax_steps={max_steps}\n"
-                ));
-            }
-            OpRequest::Iterate { max_steps, label_limit, .. } => {
-                key.push_str(&format!("label_limit={label_limit}\nmax_steps={max_steps}\n"));
-            }
-            OpRequest::Sweep { delta, lemma } => {
-                key.push_str(&format!("delta={delta}\nlemma={lemma}\n"));
-            }
-            OpRequest::ZeroRound { .. } => {}
+        use std::fmt::Write as _;
+        let mut key = format!("{KEY_HEADER}{}\n", self.name());
+        // Writing to a `String` cannot fail.
+        for (param, value) in self.by_name() {
+            let _ = match value {
+                Value::Num(n) => writeln!(key, "{}={n}", param.name),
+                Value::Criterion(criterion) => {
+                    writeln!(key, "{}={}", param.name, criterion.as_str())
+                }
+                Value::NoColoring => writeln!(key, "{}=none", param.name),
+            };
         }
         if let Some(problem) = problem {
             key.push_str("problem:\n");
@@ -495,11 +660,11 @@ impl OpRequest {
     ///
     /// # Errors
     ///
-    /// Malformed keys, unknown ops or parameters, and keys that fail
-    /// the exact round-trip check.
+    /// Malformed keys, unknown ops, missing, non-numeric or out-of-range
+    /// parameters, and keys that fail the exact round-trip check.
     pub fn from_canonical_key(key: &str) -> Result<OpRequest, OpError> {
         let rest = key
-            .strip_prefix("relim-store/1\nengine=v1\nop=")
+            .strip_prefix(KEY_HEADER)
             .ok_or_else(|| OpError::Invalid("not a relim-store/1 canonical key".to_owned()))?;
         let (name, rest) = rest
             .split_once('\n')
@@ -508,18 +673,9 @@ impl OpRequest {
             Some((params, problem)) => (params, Some(problem)),
             None => (rest, None),
         };
-        let param = |key: &str| -> Result<&str, OpError> {
-            params_text
-                .lines()
-                .find_map(|l| l.strip_prefix(key).and_then(|l| l.strip_prefix('=')))
-                .ok_or_else(|| OpError::Invalid(format!("canonical key missing parameter `{key}`")))
-        };
-        let number = |key: &str| -> Result<usize, OpError> {
-            param(key)?
-                .parse()
-                .map_err(|_| OpError::Invalid(format!("non-numeric `{key}` in canonical key")))
-        };
-        let constraints = || -> Result<(String, String), OpError> {
+        let row = op_row(name)
+            .ok_or_else(|| OpError::Invalid(format!("unknown op `{name}` in canonical key")))?;
+        let problem = || {
             let text = problem_text
                 .ok_or_else(|| OpError::Invalid(format!("op `{name}` requires a problem block")))?;
             // `Problem::render` shape: `N (degree d):\n…\n\nE:\n…`,
@@ -533,53 +689,25 @@ impl OpRequest {
             })?;
             Ok((node.to_owned(), edge.to_owned()))
         };
-        let op = match name {
-            "autolb" => {
-                let (node, edge) = constraints()?;
-                OpRequest::AutoLb {
-                    node,
-                    edge,
-                    max_steps: number("max_steps")?,
-                    labels: number("labels")?,
-                    criterion: Criterion::parse(param("criterion")?)?,
-                }
+        let op = OpRequest::decode(row, problem, |param| {
+            let name = param.name;
+            let invalid =
+                |what: &str| OpError::Invalid(format!("{what} `{name}` in canonical key"));
+            let text = params_text
+                .lines()
+                .find_map(|l| l.strip_prefix(name).and_then(|l| l.strip_prefix('=')))
+                .ok_or_else(|| {
+                    OpError::Invalid(format!("canonical key missing parameter `{name}`"))
+                })?;
+            match (param.kind, text) {
+                (Kind::Criterion, text) => Ok(Value::Criterion(Criterion::parse(text)?)),
+                (Kind::Coloring, "none") => Ok(Value::NoColoring),
+                (kind, text) => match text.parse() {
+                    Ok(n) => kind.num(n).ok_or_else(|| invalid("out-of-range")),
+                    Err(_) => Err(invalid("non-numeric")),
+                },
             }
-            "autoub" => {
-                let (node, edge) = constraints()?;
-                let coloring = match param("coloring")? {
-                    "none" => None,
-                    c => Some(c.parse().map_err(|_| {
-                        OpError::Invalid("non-numeric `coloring` in canonical key".to_owned())
-                    })?),
-                };
-                OpRequest::AutoUb {
-                    node,
-                    edge,
-                    max_steps: number("max_steps")?,
-                    labels: number("labels")?,
-                    coloring,
-                }
-            }
-            "iterate" => {
-                let (node, edge) = constraints()?;
-                OpRequest::Iterate {
-                    node,
-                    edge,
-                    max_steps: number("max_steps")?,
-                    label_limit: number("label_limit")?,
-                }
-            }
-            "sweep" => {
-                OpRequest::Sweep { delta: number("delta")? as u32, lemma: number("lemma")? as u32 }
-            }
-            "zero-round" => {
-                let (node, edge) = constraints()?;
-                OpRequest::ZeroRound { node, edge }
-            }
-            other => {
-                return Err(OpError::Invalid(format!("unknown op `{other}` in canonical key")))
-            }
-        };
+        })?;
         if op.prepare()?.key() != key {
             return Err(OpError::Invalid(
                 "canonical key does not round-trip (corrupted or foreign store entry)".to_owned(),
@@ -596,8 +724,7 @@ impl OpRequest {
     ///
     /// Propagates parse, validation and engine errors.
     pub fn execute(&self, engine: &Engine) -> Result<String, OpError> {
-        self.check_params()?;
-        self.run(self.problem()?.as_ref(), engine)
+        self.execute_prepared(&self.prepare()?, engine)
     }
 
     /// [`OpRequest::execute`] over the problem `prepared` already parsed:
@@ -638,38 +765,19 @@ impl OpRequest {
     /// The operation as the JSON fields of a protocol request (the `op`
     /// name plus its parameters).
     pub fn to_json_fields(&self) -> Vec<(String, Json)> {
-        let mut fields = vec![("op".to_owned(), Json::str(self.name()))];
-        match self {
-            OpRequest::AutoLb { node, edge, max_steps, labels, criterion } => {
-                fields.push(("node".into(), Json::str(node)));
-                fields.push(("edge".into(), Json::str(edge)));
-                fields.push(("max_steps".into(), Json::Int(*max_steps as i64)));
-                fields.push(("labels".into(), Json::Int(*labels as i64)));
-                fields.push(("criterion".into(), Json::str(criterion.as_str())));
-            }
-            OpRequest::AutoUb { node, edge, max_steps, labels, coloring } => {
-                fields.push(("node".into(), Json::str(node)));
-                fields.push(("edge".into(), Json::str(edge)));
-                fields.push(("max_steps".into(), Json::Int(*max_steps as i64)));
-                fields.push(("labels".into(), Json::Int(*labels as i64)));
-                if let Some(c) = coloring {
-                    fields.push(("coloring".into(), Json::Int(*c as i64)));
-                }
-            }
-            OpRequest::Iterate { node, edge, max_steps, label_limit } => {
-                fields.push(("node".into(), Json::str(node)));
-                fields.push(("edge".into(), Json::str(edge)));
-                fields.push(("max_steps".into(), Json::Int(*max_steps as i64)));
-                fields.push(("label_limit".into(), Json::Int(*label_limit as i64)));
-            }
-            OpRequest::Sweep { delta, lemma } => {
-                fields.push(("delta".into(), Json::Int(i64::from(*delta))));
-                fields.push(("lemma".into(), Json::Int(i64::from(*lemma))));
-            }
-            OpRequest::ZeroRound { node, edge } => {
-                fields.push(("node".into(), Json::str(node)));
-                fields.push(("edge".into(), Json::str(edge)));
-            }
+        let (row, problem, values) = self.encode();
+        let mut fields = vec![("op".to_owned(), Json::str(OPS[row].names[0]))];
+        if let Some((node, edge)) = problem {
+            fields.push(("node".into(), Json::str(node)));
+            fields.push(("edge".into(), Json::str(edge)));
+        }
+        for (param, value) in OPS[row].params.iter().zip(values) {
+            let json = match value {
+                Value::Num(n) => Json::Int(n as i64),
+                Value::Criterion(criterion) => Json::str(criterion.as_str()),
+                Value::NoColoring => continue,
+            };
+            fields.push((param.name.into(), json));
         }
         fields
     }
@@ -696,65 +804,27 @@ impl OpRequest {
                 .map(constraint_text)
                 .ok_or_else(|| OpError::Invalid(format!("missing or non-string field `{key}`")))
         };
-        let num_field = |key: &str, default: usize| -> Result<usize, OpError> {
-            match obj.get(key) {
-                None => Ok(default),
-                Some(v) => v.as_i64().and_then(|i| usize::try_from(i).ok()).ok_or_else(|| {
-                    OpError::Invalid(format!("field `{key}` must be a non-negative int"))
-                }),
-            }
-        };
-        let op = match obj.get("op").and_then(Json::as_str) {
-            None => return Err(OpError::Invalid("missing or non-string field `op`".into())),
-            Some(name) => name,
-        };
-        let parsed = match op {
-            "autolb" => OpRequest::AutoLb {
-                node: str_field("node")?,
-                edge: str_field("edge")?,
-                max_steps: num_field("max_steps", 6)?,
-                labels: num_field("labels", 6)?,
-                criterion: match obj.get("criterion").and_then(Json::as_str) {
-                    None => Criterion::Gadget,
-                    Some(s) => Criterion::parse(s)?,
+        let name = obj
+            .get("op")
+            .and_then(Json::as_str)
+            .ok_or_else(|| OpError::Invalid("missing or non-string field `op`".into()))?;
+        let row = op_row(name).ok_or_else(|| OpError::Invalid(format!("unknown op `{name}`")))?;
+        let problem = || Ok((str_field("node")?, str_field("edge")?));
+        OpRequest::decode(row, problem, |param| {
+            let invalid = |what: &str| OpError::Invalid(format!("field `{}` {what}", param.name));
+            match (param.kind, obj.get(param.name)) {
+                // A criterion that is not a string reads as the default.
+                (Kind::Criterion, field) => match field.and_then(Json::as_str) {
+                    None => Ok(param.default),
+                    Some(s) => Ok(Value::Criterion(Criterion::parse(s)?)),
                 },
-            },
-            "autoub" => OpRequest::AutoUb {
-                node: str_field("node")?,
-                edge: str_field("edge")?,
-                max_steps: num_field("max_steps", 6)?,
-                labels: num_field("labels", 10)?,
-                coloring: match obj.get("coloring") {
-                    None => None,
-                    Some(v) => {
-                        Some(v.as_i64().and_then(|i| usize::try_from(i).ok()).ok_or_else(|| {
-                            OpError::Invalid("field `coloring` must be a non-negative int".into())
-                        })?)
-                    }
+                (_, None) => Ok(param.default),
+                (kind, Some(field)) => match field.as_i64().and_then(|i| u64::try_from(i).ok()) {
+                    Some(n) => kind.num(n).ok_or_else(|| invalid("is out of range")),
+                    None => Err(invalid("must be a non-negative int")),
                 },
-            },
-            "iterate" => OpRequest::Iterate {
-                node: str_field("node")?,
-                edge: str_field("edge")?,
-                max_steps: num_field("max_steps", 5)?,
-                label_limit: num_field("label_limit", 16)?,
-            },
-            "sweep" => {
-                // Reject rather than wrap oversized values: a client-side
-                // overflow must surface as an error, never as a sweep of
-                // some accidentally-in-range truncated Δ.
-                let u32_field = |key: &str, default: usize| -> Result<u32, OpError> {
-                    u32::try_from(num_field(key, default)?)
-                        .map_err(|_| OpError::Invalid(format!("field `{key}` is out of range")))
-                };
-                OpRequest::Sweep { delta: u32_field("delta", 0)?, lemma: u32_field("lemma", 8)? }
             }
-            "zero-round" | "zeroround" => {
-                OpRequest::ZeroRound { node: str_field("node")?, edge: str_field("edge")? }
-            }
-            other => return Err(OpError::Invalid(format!("unknown op `{other}`"))),
-        };
-        Ok(parsed)
+        })
     }
 }
 

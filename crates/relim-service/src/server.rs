@@ -163,7 +163,8 @@ struct JobTrace {
 }
 
 /// The counted request kinds in counters-tree spelling and key order:
-/// the five job ops, then the admin ops (`shutdown` is not counted).
+/// the job ops in [`OPS`](crate::ops::OPS) row order, then the admin ops
+/// (`shutdown` is not counted).
 /// The job ops are also the rows of `store_hits` and of the latency
 /// grid, so exposition names line up.
 const OP_NAMES: [&str; 12] = [
@@ -182,23 +183,12 @@ const OP_NAMES: [&str; 12] = [
 ];
 
 /// How many leading [`OP_NAMES`] are job ops.
-const JOB_OPS: usize = 5;
-
-/// The [`OP_NAMES`] slot of a job op.
-fn job_slot(op: &OpRequest) -> usize {
-    match op {
-        OpRequest::AutoLb { .. } => 0,
-        OpRequest::AutoUb { .. } => 1,
-        OpRequest::Iterate { .. } => 2,
-        OpRequest::Sweep { .. } => 3,
-        OpRequest::ZeroRound { .. } => 4,
-    }
-}
+const JOB_OPS: usize = crate::ops::OPS.len();
 
 /// The [`OP_NAMES`] slot a request counts under (`None` for shutdown).
 fn op_slot(body: &RequestBody) -> Option<usize> {
     Some(match body {
-        RequestBody::Job { op, .. } => job_slot(op),
+        RequestBody::Job { op, .. } => op.slot(),
         RequestBody::Status => 5,
         RequestBody::Metrics => 6,
         RequestBody::Timeline => 7,
@@ -895,7 +885,7 @@ fn handle_line(line: &str, shared: &Arc<Shared>) -> (String, bool) {
         }
         RequestBody::Shutdown => return (protocol::render_shutdown_response(id), true),
         RequestBody::Job { op, prepared, class, trace } => {
-            let slot = job_slot(&op);
+            let slot = op.slot();
             // Traced only when the daemon records spans *and* the
             // request carried a context — `None` (one branch per site)
             // otherwise.
@@ -1033,6 +1023,13 @@ mod tests {
     use super::*;
     use crate::client::Client;
     use crate::trace::Span;
+
+    #[test]
+    fn job_counters_follow_the_op_table() {
+        for (row, op) in crate::ops::OPS.iter().enumerate() {
+            assert_eq!(OP_NAMES[row], op.names[0].replace('-', "_"));
+        }
+    }
 
     #[test]
     fn spawn_serve_cache_shutdown_on_ephemeral_port() {
