@@ -1216,6 +1216,74 @@ mod tests {
         assert!(err.to_string().contains("cannot connect"), "{err}");
     }
 
+    /// JSON, the canonical key and the command line decode every op of
+    /// the table, over a spread of in-range parameters, to one request.
+    #[test]
+    fn json_key_and_cli_decoders_agree() {
+        use relim_json::Json;
+        use relim_service::ops::OpError;
+        let samples = |kind: Kind| match kind {
+            Kind::Steps => vec![Value::Num(0), Value::Num(3), Value::Num(64)],
+            Kind::Labels => vec![Value::Num(0), Value::Num(7), Value::Num(64)],
+            Kind::Criterion => {
+                vec![Value::Criterion(Criterion::Gadget), Value::Criterion(Criterion::Universal)]
+            }
+            Kind::Coloring => vec![Value::NoColoring, Value::Num(2), Value::Num(5)],
+            Kind::Delta => vec![Value::Num(3), Value::Num(9)],
+            Kind::Lemma => vec![Value::Num(6), Value::Num(8)],
+        };
+        let mut decoded = 0;
+        for (row, spec) in OPS.iter().enumerate() {
+            let mut combos = vec![Vec::new()];
+            for param in spec.params {
+                combos = combos
+                    .iter()
+                    .flat_map(|c: &Vec<Value>| {
+                        samples(param.kind).into_iter().map(move |v| [&c[..], &[v]].concat())
+                    })
+                    .collect();
+            }
+            for values in combos {
+                let mut next = values.iter().copied();
+                let problem = || Ok(("M M M\nP O O".to_owned(), "M [P O]\nO O".to_owned()));
+                let op = OpRequest::decode::<OpError>(row, problem, |_| Ok(next.next().unwrap()))
+                    .unwrap();
+                let fields = op.to_json_fields();
+                assert_eq!(OpRequest::from_json(&Json::Obj(fields.clone())).unwrap(), op);
+                let key = op.canonical_key().unwrap();
+                assert_eq!(
+                    OpRequest::from_canonical_key(&key).unwrap().canonical_key().unwrap(),
+                    key
+                );
+                let mut words = vec!["submit".to_owned()];
+                for (name, value) in &fields[1..] {
+                    let text = value
+                        .as_str()
+                        .map_or_else(|| value.as_i64().unwrap().to_string(), str::to_owned);
+                    words.extend([format!("--{}", name.replace('_', "-")), text]);
+                }
+                let args = Args::parse(words).unwrap();
+                for name in spec.names {
+                    assert_eq!(op_from(&args, name).unwrap(), op, "{name} from {args:?}");
+                }
+                decoded += 1;
+            }
+        }
+        assert_eq!(decoded, 18 + 27 + 9 + 4 + 1);
+    }
+
+    #[test]
+    fn a_coloring_below_two_is_an_error_not_a_panic() {
+        for c in ["0", "1"] {
+            for command in ["autoub", "trivial"] {
+                let words =
+                    [command, "--node", "M M M;P O O", "--edge", "M [P O];O O", "--coloring", c];
+                let err = run(words.iter().map(|w| w.to_string()).collect()).unwrap_err();
+                assert!(err.to_string().contains(&format!("coloring {c} is below 2")), "{err}");
+            }
+        }
+    }
+
     #[test]
     fn autoub_with_coloring() {
         let out = run_words(&[

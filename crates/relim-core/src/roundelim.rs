@@ -366,30 +366,14 @@ pub(crate) fn forall_multisets_with(
     let cands: Arc<Vec<LabelSet>> = Arc::new(cands.to_vec());
     let sub_index = Arc::clone(sub_index);
     let subtrees: Vec<Vec<SetConfig>> = pool.map_owned(tops, move |&top| {
-        // Replicate the level-0 loop body for index `top`: extend the empty
-        // partial choice by every label of the top candidate, then recurse
-        // over non-decreasing candidate indices as usual.
-        let cand = cands[top];
+        // The level-0 step of `forall_rec` for candidate `top` alone.
         with_scratch(|scratch| {
             scratch.ensure_depth(delta as usize);
             scratch.chosen.clear();
+            scratch.frontiers[0].clear();
+            scratch.frontiers[0].push(Config::empty());
             let mut out = Vec::new();
-            let mut next = std::mem::take(&mut scratch.frontiers[1]);
-            next.clear();
-            for b in cand.iter() {
-                let extended = Config::singleton(b);
-                if !sub_index.contains(&extended) {
-                    scratch.frontiers[1] = next;
-                    return out;
-                }
-                next.push(extended);
-            }
-            next.sort_unstable();
-            next.dedup();
-            scratch.frontiers[1] = next;
-            scratch.chosen.push(cand);
-            forall_rec(&cands, top, delta - 1, 1, scratch, &sub_index, &mut out);
-            scratch.chosen.pop();
+            forall_step(&cands, top, delta, 0, scratch, &sub_index, &mut out);
             out
         })
     });
@@ -417,32 +401,48 @@ fn forall_rec(
         out.push(SetConfig::from_sets(&scratch.chosen));
         return;
     }
-    for (i, &cand) in cands.iter().enumerate().skip(start) {
-        // Extend every partial choice by every label of `cand`.
-        let mut next = std::mem::take(&mut scratch.frontiers[depth + 1]);
-        next.clear();
-        let mut ok = true;
-        'ext: for m in &scratch.frontiers[depth] {
-            for b in cand.iter() {
-                let extended = m.with(b);
-                if !sub_index.contains(&extended) {
-                    ok = false;
-                    break 'ext;
-                }
-                next.push(extended);
-            }
-        }
-        if !ok {
-            scratch.frontiers[depth + 1] = next;
-            continue;
-        }
-        next.sort_unstable();
-        next.dedup();
-        scratch.frontiers[depth + 1] = next;
-        scratch.chosen.push(cand);
-        forall_rec(cands, i, remaining - 1, depth + 1, scratch, sub_index, out);
-        scratch.chosen.pop();
+    for i in start..cands.len() {
+        forall_step(cands, i, remaining, depth, scratch, sub_index, out);
     }
+}
+
+/// One candidate step of [`forall_rec`]: extends every partial choice at
+/// `depth` by every label of `cands[i]` and, unless some extension is no
+/// sub-multiset of any configuration (no completion can then satisfy the
+/// universal condition), recurses below the deduplicated extensions.
+fn forall_step(
+    cands: &[LabelSet],
+    i: usize,
+    remaining: u32,
+    depth: usize,
+    scratch: &mut ScratchArena,
+    sub_index: &SubMultisetIndex,
+    out: &mut Vec<SetConfig>,
+) {
+    let cand = cands[i];
+    let mut next = std::mem::take(&mut scratch.frontiers[depth + 1]);
+    next.clear();
+    let mut ok = true;
+    'ext: for m in &scratch.frontiers[depth] {
+        for b in cand.iter() {
+            let extended = m.with(b);
+            if !sub_index.contains(&extended) {
+                ok = false;
+                break 'ext;
+            }
+            next.push(extended);
+        }
+    }
+    if !ok {
+        scratch.frontiers[depth + 1] = next;
+        return;
+    }
+    next.sort_unstable();
+    next.dedup();
+    scratch.frontiers[depth + 1] = next;
+    scratch.chosen.push(cand);
+    forall_rec(cands, i, remaining - 1, depth + 1, scratch, sub_index, out);
+    scratch.chosen.pop();
 }
 
 /// Removes configurations dominated by another configuration

@@ -1179,6 +1179,10 @@ mod tests {
         let dropped = key.replace("criterion=gadget\n", "");
         let err = OpRequest::from_canonical_key(&dropped).unwrap_err();
         assert!(err.to_string().contains("criterion"), "{err}");
+        // A Δ past `u32` is refused as such, not truncated into range.
+        let huge = "relim-store/1\nengine=v1\nop=sweep\ndelta=4294967300\nlemma=8\n";
+        let err = OpRequest::from_canonical_key(huge).unwrap_err();
+        assert_eq!(err.to_string(), "out-of-range `delta` in canonical key");
     }
 
     #[test]

@@ -213,6 +213,10 @@ fn malformed_job_requests_get_pinned_error_bytes() {
             r#"{"id":5,"op":"autolb","node":"M M;M M M","edge":"M M"}"#,
             r#"{"ok": false, "error": "configuration of degree 3 where 2 was expected"}"#,
         ),
+        (
+            r#"{"id":6,"op":"autoub","node":"M M M;P O O","edge":"M [P O];O O","coloring":1}"#,
+            r#"{"ok": false, "error": "coloring 1 is below 2 (a proper coloring needs at least 2 colors)"}"#,
+        ),
     ] {
         writer.write_all(format!("{request}\n").as_bytes()).unwrap();
         let mut response = String::new();
