@@ -291,10 +291,6 @@ pub fn op_row(name: &str) -> Option<usize> {
     OPS.iter().position(|op| op.names.contains(&name))
 }
 
-/// The first lines of every canonical key: the format tag, the engine
-/// semantics version and the start of the op line.
-const KEY_HEADER: &str = "relim-store/1\nengine=v1\nop=";
-
 /// Parses client constraint text: tokenized once, refused past
 /// [`MAX_CONSTRAINT_DEGREE`] / [`MAX_EXPANDED_CONFIGS`] before anything
 /// is expanded, then expanded into the problem. Engine-internal
@@ -622,7 +618,7 @@ impl OpRequest {
     /// [`OpRequest::canonical_key`] over an already-parsed problem.
     fn key_with(&self, problem: Option<&Problem>) -> String {
         use std::fmt::Write as _;
-        let mut key = format!("{KEY_HEADER}{}\n", self.name());
+        let mut key = format!("relim-store/1\nengine=v1\nop={}\n", self.name());
         // Writing to a `String` cannot fail.
         for (param, value) in self.by_name() {
             let _ = match value {
@@ -664,7 +660,7 @@ impl OpRequest {
     /// parameters, and keys that fail the exact round-trip check.
     pub fn from_canonical_key(key: &str) -> Result<OpRequest, OpError> {
         let rest = key
-            .strip_prefix(KEY_HEADER)
+            .strip_prefix("relim-store/1\nengine=v1\nop=")
             .ok_or_else(|| OpError::Invalid("not a relim-store/1 canonical key".to_owned()))?;
         let (name, rest) = rest
             .split_once('\n')
