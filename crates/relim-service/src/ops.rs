@@ -496,6 +496,10 @@ impl OpRequest {
     /// # Errors
     ///
     /// The first error of `problem` or `read`.
+    ///
+    /// # Panics
+    ///
+    /// When `row` is not an [`OPS`] row or `read` gives a value of another kind.
     pub fn decode<E>(
         row: usize,
         problem: impl FnOnce() -> Result<(String, String), E>,
