@@ -3,10 +3,21 @@
 //!
 //! ## Concurrency architecture
 //!
-//! * An **accept thread** owns the listener and spawns one thread per
-//!   connection (the protocol is blocking line-at-a-time, so a thread
-//!   per connection is the simplest correct shape; the expensive work
-//!   never happens on these threads).
+//! * An **accept thread** owns the listener and gives each connection a
+//!   thread of its own (the protocol is blocking line-at-a-time, so a
+//!   thread per connection is the simplest correct shape; the expensive
+//!   work never happens on these threads).
+//! * Connection threads are **reused**. A thread that finishes its
+//!   connection parks on a handoff in `Shared` (a mutex and a condvar)
+//!   unless `IDLE_CONNECTION_THREADS` (4) are parked already, in
+//!   which case it exits. The accept loop hands the next stream to a
+//!   parked thread and spawns a new one only when none is free, so a
+//!   client that connects once per request (the shipped `Client`, the
+//!   fleet's peer calls) does not pay a thread create and exit per
+//!   request. A parked thread takes every stream handed to it, even
+//!   during shutdown, so an accepted connection is never lost. If the
+//!   OS refuses a new thread, that one connection is dropped and
+//!   counted in `errors`; the accept loop keeps running.
 //! * Connection threads parse requests. A job request is **prepared**
 //!   by that parse ([`crate::ops::Prepared`]): its problem text is
 //!   parsed once, and the resulting key and digest drive the store
@@ -27,11 +38,11 @@
 //!   because every cache hit is byte-identical to a rebuild and every
 //!   result is canonical.
 //! * **Graceful shutdown**: a `shutdown` request flips the flag, wakes
-//!   the executors and unblocks the accept loop. New jobs are refused
-//!   (checked under the queue lock, so no job is ever lost in the
-//!   race), already-queued jobs are drained and answered — waiters
-//!   included — then every thread exits and [`ServerHandle::join`]
-//!   returns.
+//!   the executors and the parked connection threads (which exit) and
+//!   unblocks the accept loop. New jobs are refused (checked under the
+//!   queue lock, so no job is ever lost in the race), already-queued
+//!   jobs are drained and answered — waiters included — then every
+//!   thread exits and [`ServerHandle::join`] returns.
 //!
 //! An identical query that misses both the store and the coalescing
 //! window (the owner completed between this request's store lookup and
@@ -67,6 +78,7 @@ use crate::trace::{FetchTrace, SpanLog, TraceContext, TraceSnapshot, DEFAULT_SPA
 use crate::wire;
 use relim_core::Engine;
 use relim_json::Json;
+use std::collections::VecDeque;
 use std::io::{BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -74,7 +86,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Configuration of a daemon instance.
 #[derive(Debug, Clone)]
@@ -291,9 +303,15 @@ struct Shared {
     started: Instant,
     /// Resolved executor-pool width (for the status response).
     executors: usize,
-    /// Live connection threads — joined (bounded-wait) at shutdown so a
-    /// response write never races process exit.
+    /// Accepted connections not yet closed, including streams waiting
+    /// in the handoff — waited for (bounded) at shutdown so a response
+    /// write never races process exit.
     active_connections: AtomicU64,
+    /// Connection threads parked between connections (see [`park`]).
+    parked: Mutex<Parked>,
+    /// Wakes parked connection threads: a handed-off stream, or
+    /// shutdown.
+    parked_cv: Condvar,
     requests_total: AtomicU64,
     /// Requests by kind, indexed like [`OP_NAMES`].
     ops: [AtomicU64; OP_NAMES.len()],
@@ -443,7 +461,7 @@ impl Server {
             Some(Fleet::new(&FleetConfig::new(
                 config.peers.clone(),
                 addr.to_string(),
-                std::time::Duration::from_millis(config.peer_timeout_ms.max(1)),
+                Duration::from_millis(config.peer_timeout_ms.max(1)),
             )))
         };
         let shared = Arc::new(Shared {
@@ -458,6 +476,8 @@ impl Server {
             started: Instant::now(),
             executors,
             active_connections: AtomicU64::new(0),
+            parked: Mutex::new(Parked::default()),
+            parked_cv: Condvar::new(),
             requests_total: AtomicU64::new(0),
             ops: Default::default(),
             errors: AtomicU64::new(0),
@@ -497,7 +517,7 @@ fn prober_loop(shared: &Arc<Shared>) {
         if let Some(fleet) = &shared.fleet {
             fleet.probe_open_breakers();
         }
-        std::thread::sleep(std::time::Duration::from_millis(PROBE_INTERVAL_MS));
+        std::thread::sleep(Duration::from_millis(PROBE_INTERVAL_MS));
     }
 }
 
@@ -536,14 +556,16 @@ impl ServerHandle {
         if let Some(prober) = self.prober {
             let _ = prober.join();
         }
-        // Give in-flight connection threads a bounded window to finish
-        // writing their final responses (they are detached; without this
-        // the hosting process could exit mid-write).
+        // Give open connections a bounded window to finish writing their
+        // final responses (their threads are detached; without this the
+        // hosting process could exit mid-write). Parked threads hold no
+        // connection and are not waited for: the shutdown woke them to
+        // exit.
         for _ in 0..500 {
             if shared.active_connections.load(Ordering::SeqCst) == 0 {
                 break;
             }
-            std::thread::sleep(std::time::Duration::from_millis(10));
+            std::thread::sleep(Duration::from_millis(10));
         }
         shared.counters_json()
     }
@@ -552,20 +574,108 @@ impl ServerHandle {
 fn trigger_shutdown(shared: &Arc<Shared>, addr: SocketAddr) {
     shared.shutdown.store(true, Ordering::SeqCst);
     shared.cv.notify_all();
+    {
+        // Under the handoff lock, so a thread between its flag check and
+        // its wait cannot miss the wake-up.
+        let _parked = shared.parked.lock().expect("parked lock poisoned");
+        shared.parked_cv.notify_all();
+    }
     // Unblock the accept loop: a throwaway connection makes `incoming`
     // yield once more, after which the loop observes the flag.
     let _ = TcpStream::connect(addr);
 }
 
+/// How many connection threads may park between connections. The
+/// steady load of a daemon is a few clients, each holding one
+/// connection at a time, plus the fleet's peer reads; four parked
+/// threads cover that (the benchmark's fleet runs two clients against
+/// two daemons). A parked thread costs its stack's touched pages, so
+/// the cap keeps idle memory fixed: a burst beyond it spawns threads as
+/// before, and they exit instead of parking.
+const IDLE_CONNECTION_THREADS: usize = 4;
+
+/// How long the accept loop sleeps after a failed `accept`, so a
+/// persistent error (such as running out of file descriptors) does not
+/// spin a CPU.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
+
+/// Connection threads parked between connections, and the streams the
+/// accept loop handed to them. Every handed stream has a parked thread
+/// to take it: the accept loop hands off only while
+/// `threads > streams.len()`.
+#[derive(Default)]
+struct Parked {
+    threads: usize,
+    streams: VecDeque<TcpStream>,
+}
+
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
+    let addr = listener.local_addr().expect("bound listener has an address");
     for stream in listener.incoming() {
         if shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
-        let Ok(stream) = stream else { continue };
-        let shared = Arc::clone(shared);
-        let addr = listener.local_addr().expect("bound listener has an address");
-        std::thread::spawn(move || serve_connection(stream, &shared, addr));
+        let Ok(stream) = stream else {
+            std::thread::sleep(ACCEPT_ERROR_BACKOFF);
+            continue;
+        };
+        // Counted from here, not from the thread: a stream waiting in
+        // the handoff is one the shutdown wait must cover.
+        shared.active_connections.fetch_add(1, Ordering::SeqCst);
+        let Some(stream) = hand_off(shared, stream) else { continue };
+        let thread_shared = Arc::clone(shared);
+        let spawned = std::thread::Builder::new()
+            .spawn(move || connection_thread(stream, &thread_shared, addr));
+        if spawned.is_err() {
+            // The OS refused a thread. The failed spawn dropped the
+            // closure, closing this one connection; the loop keeps
+            // accepting.
+            shared.active_connections.fetch_sub(1, Ordering::SeqCst);
+            shared.errors.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}
+
+/// Hands `stream` to a parked connection thread, or gives it back when
+/// none is free so the caller spawns one.
+fn hand_off(shared: &Shared, stream: TcpStream) -> Option<TcpStream> {
+    let mut parked = shared.parked.lock().expect("parked lock poisoned");
+    if parked.threads == parked.streams.len() {
+        return Some(stream);
+    }
+    parked.streams.push_back(stream);
+    shared.parked_cv.notify_one();
+    None
+}
+
+/// Parks a connection thread until the accept loop hands it a stream.
+/// `None` tells the thread to exit: [`IDLE_CONNECTION_THREADS`] are
+/// parked already, or the daemon is shutting down.
+fn park(shared: &Shared) -> Option<TcpStream> {
+    let mut parked = shared.parked.lock().expect("parked lock poisoned");
+    if parked.threads == IDLE_CONNECTION_THREADS {
+        return None;
+    }
+    parked.threads += 1;
+    loop {
+        // A handed stream is served even during shutdown: it was
+        // accepted before the accept loop saw the flag.
+        let next = parked.streams.pop_front();
+        if next.is_some() || shared.shutdown.load(Ordering::SeqCst) {
+            parked.threads -= 1;
+            return next;
+        }
+        parked = shared.parked_cv.wait(parked).expect("parked lock poisoned");
+    }
+}
+
+/// A connection thread: serves its stream, then parks for the next one.
+fn connection_thread(first: TcpStream, shared: &Arc<Shared>, addr: SocketAddr) {
+    let mut next = Some(first);
+    while let Some(stream) = next {
+        serve_connection(stream, shared, addr);
+        shared.active_connections.fetch_sub(1, Ordering::SeqCst);
+        next = park(shared);
     }
 }
 
@@ -685,12 +795,6 @@ fn enqueue(shared: &Shared, class: Class, job: Job) -> Result<(), String> {
 }
 
 fn serve_connection(stream: TcpStream, shared: &Arc<Shared>, addr: SocketAddr) {
-    shared.active_connections.fetch_add(1, Ordering::SeqCst);
-    serve_connection_inner(stream, shared, addr);
-    shared.active_connections.fetch_sub(1, Ordering::SeqCst);
-}
-
-fn serve_connection_inner(stream: TcpStream, shared: &Arc<Shared>, addr: SocketAddr) {
     let mut writer = match stream.try_clone() {
         Ok(w) => w,
         Err(_) => return,
@@ -1074,7 +1178,7 @@ mod tests {
                     if shared.store.stats().coalesced >= 2 {
                         break;
                     }
-                    std::thread::sleep(std::time::Duration::from_millis(5));
+                    std::thread::sleep(Duration::from_millis(5));
                 }
                 panic!("deliberate test panic inside op execution");
             }),
@@ -1259,5 +1363,52 @@ mod tests {
             Ok(reply) => panic!("job accepted after shutdown: {reply:?}"),
             Err(e) => assert!(!e.to_string().is_empty()),
         }
+    }
+
+    /// Polls `shared`'s parked-thread count until it equals `want`.
+    fn await_parked(shared: &Shared, want: usize) {
+        for _ in 0..400 {
+            if shared.parked.lock().unwrap().threads == want {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        panic!("parked threads never reached {want}");
+    }
+
+    #[test]
+    fn finished_connection_threads_park_up_to_the_cap_and_exit_at_shutdown() {
+        use std::io::Write;
+        let handle = Server::spawn("127.0.0.1:0", ServerConfig::default()).unwrap();
+        let shared = Arc::clone(&handle.shared);
+        // Twice the cap of connections, each answered once so each is
+        // known to hold a thread of its own, then all closed together:
+        // the cap parks, the rest exit.
+        let open: Vec<TcpStream> = (0..2 * IDLE_CONNECTION_THREADS)
+            .map(|_| {
+                let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
+                stream.write_all(b"{\"op\": \"ping\"}\n").unwrap();
+                let mut pong = String::new();
+                BufReader::new(stream.try_clone().unwrap()).read_line(&mut pong).unwrap();
+                assert!(pong.contains("\"pong\": true"), "{pong}");
+                stream
+            })
+            .collect();
+        assert_eq!(shared.parked.lock().unwrap().threads, 0);
+        drop(open);
+        await_parked(&shared, IDLE_CONNECTION_THREADS);
+        // Sequential connections reuse the parked threads and leave the
+        // count at the cap; no stream is left waiting in the handoff.
+        let client = Client::new(handle.local_addr().to_string());
+        for _ in 0..20 {
+            client.ping().unwrap();
+        }
+        await_parked(&shared, IDLE_CONNECTION_THREADS);
+        assert!(shared.parked.lock().unwrap().streams.is_empty());
+        // Shutdown wakes every parked thread, and each exits.
+        handle.shutdown();
+        handle.join();
+        await_parked(&shared, 0);
+        assert_eq!(shared.active_connections.load(Ordering::SeqCst), 0);
     }
 }

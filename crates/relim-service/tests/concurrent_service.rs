@@ -1,8 +1,9 @@
 //! The daemon under concurrent load: 8 client threads against a
 //! 4-executor pool must serve bytes identical to local in-process runs,
 //! a burst of identical cold queries must coalesce onto one
-//! computation, graceful shutdown must drain every accepted job, and an
-//! adversarial interactive-vs-bulk mix must starve nothing.
+//! computation, graceful shutdown must drain every accepted job, an
+//! adversarial interactive-vs-bulk mix must starve nothing, and reused
+//! connection threads must answer every connection.
 
 use relim_core::Engine;
 use relim_json::Json;
@@ -411,4 +412,83 @@ fn bulk_jobs_survive_adversarial_interactive_pressure() {
     assert_eq!(report.get("errors").and_then(Json::as_i64), Some(0), "{report:?}");
     assert_eq!(int_at(&report, "ops", "sweep"), 2);
     assert_eq!(int_at(&report, "ops", "iterate"), 6 * 12);
+}
+
+/// Connection threads are reused: a finished one parks for the next
+/// connection (up to a small cap) instead of exiting. Hundreds of
+/// one-request connections, sequential and in bursts wider than the
+/// cap, must all be answered with the in-process bytes: a connection
+/// that arrives while the cap is full (it gets a fresh thread) or just
+/// as a parked thread wakes (it is handed over) is never lost. With
+/// threads parked, shutdown and `join_and_report` must still return
+/// promptly, and the final report must count every request.
+#[test]
+fn reused_connection_threads_answer_every_connection_and_shut_down_promptly() {
+    let ops = [
+        OpRequest::zero_round("O I I", "[O I] I").unwrap(),
+        OpRequest::zero_round("A A", "A A").unwrap(),
+        mis_iterate(1),
+    ];
+    let references: Vec<String> = ops.iter().map(local).collect();
+    let handle = Server::spawn("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let addr = handle.local_addr().to_string();
+    // Each `Client` call is one connection carrying one request.
+    let mut requests = 0i64;
+
+    // Sequential: every connection after the first finds a parked thread.
+    let client = Client::new(addr.clone());
+    for i in 0..300 {
+        if i % 5 == 4 {
+            client.status().expect("sequential status");
+        } else {
+            let got = client.submit(&ops[i % ops.len()], None).expect("sequential submit");
+            assert_eq!(got.result, references[i % ops.len()], "sequential submit #{i}");
+        }
+        requests += 1;
+    }
+
+    // Bursts of 16 simultaneous connections: a few are handed to parked
+    // threads, the rest spawn threads that exit afterwards because the
+    // cap is full. Repeated rounds race handoffs against threads parking.
+    let threads = 16usize;
+    let rounds = 20usize;
+    let barrier = Arc::new(Barrier::new(threads));
+    let bursts: Vec<_> = (0..threads)
+        .map(|t| {
+            let (addr, ops, barrier) = (addr.clone(), ops.clone(), Arc::clone(&barrier));
+            std::thread::spawn(move || {
+                let client = Client::new(addr);
+                (0..rounds)
+                    .map(|r| {
+                        barrier.wait();
+                        let idx = (r + t) % ops.len();
+                        (idx, client.submit(&ops[idx], None).expect("burst submit").result)
+                    })
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    for burst in bursts {
+        for (idx, got) in burst.join().expect("burst client panicked") {
+            assert_eq!(got, references[idx], "burst submit of op #{idx}");
+        }
+    }
+    requests += (threads * rounds) as i64;
+
+    // The burst's threads park (or exit) as their connections close.
+    // Compare a live status with the report taken after shutdown.
+    let before = client.status().unwrap();
+    requests += 1;
+    assert_eq!(before.get("requests_total").and_then(Json::as_i64), Some(requests));
+    let started = std::time::Instant::now();
+    client.shutdown().unwrap();
+    let report = handle.join_and_report();
+    let took = started.elapsed();
+    assert!(took < std::time::Duration::from_secs(2), "shutdown with parked threads took {took:?}");
+    // The shutdown request is the one request the report adds.
+    assert_eq!(report.get("requests_total").and_then(Json::as_i64), Some(requests + 1));
+    assert_eq!(report.get("errors").and_then(Json::as_i64), Some(0), "{report:?}");
+    for key in ["ops", "store_hits", "store"] {
+        assert_eq!(report.get(key), before.get(key), "{key} moved across shutdown");
+    }
 }
