@@ -10,10 +10,10 @@
 //! `tests/engine_exhaustive.rs`); the ablation quantifies the speedup that
 //! makes the Lemma 6/8 sweeps feasible.
 
-use bench::shared_engine;
+use bench::{shared_engine, uncached_engine};
 use criterion::{criterion_group, criterion_main, Criterion};
 use lb_family::family::{self, PiParams};
-use relim_core::roundelim::{r_step, r_step_edge_bruteforce, rbar_step, rbar_step_node_bruteforce};
+use relim_core::roundelim::{r_step, r_step_edge_bruteforce, rbar_step_node_bruteforce};
 
 fn print_tables() {
     println!("\n[Ablation] candidate-space sizes for the universal steps:");
@@ -57,7 +57,10 @@ fn bench(c: &mut Criterion) {
     // brute force is merely ~450× slower instead of unmeasurable.
     let p3 = family::pi(&PiParams { delta: 3, a: 2, x: 0 }).expect("valid");
     let r3 = r_step(&p3).expect("ok");
-    c.bench_function("node_side_rightclosed", |b| b.iter(|| rbar_step(&r3.problem).expect("ok")));
+    let uncached = uncached_engine();
+    c.bench_function("node_side_rightclosed", |b| {
+        b.iter(|| uncached.rbar_step(&r3.problem).expect("ok"))
+    });
     c.bench_function("node_side_bruteforce", |b| {
         b.iter(|| rbar_step_node_bruteforce(&r3.problem).expect("ok"))
     });
@@ -66,7 +69,7 @@ fn bench(c: &mut Criterion) {
     // brute-force counterpart.
     let r4 = r_step(&p).expect("ok");
     c.bench_function("node_side_rightclosed_delta4", |b| {
-        b.iter(|| rbar_step(&r4.problem).expect("ok"))
+        b.iter(|| uncached.rbar_step(&r4.problem).expect("ok"))
     });
 }
 

@@ -35,7 +35,7 @@ fn print_autolb_table() {
     for row in engine.map_owned(grid, move |(name, p, budget)| {
         let opts = AutoLbOptions { max_steps: 3, label_budget: *budget, ..Default::default() };
         let outcome = session.auto_lower_bound(p, &opts);
-        let replay = autolb::verify_chain(&outcome).is_ok();
+        let replay = autolb::verify_chain(&outcome, &session).is_ok();
         format!(
             "{:<26} {:>7} {:>6} {:>10} {:>8}",
             name,
@@ -62,7 +62,7 @@ fn print_autoub_table(engine: &bench::Engine) {
         let opts = AutoUbOptions { max_steps: 6, label_budget: 14, coloring: Some(colors) };
         let outcome = engine.auto_upper_bound(&mis2, &opts);
         let cell = outcome.bound.as_ref().map_or("not found".to_owned(), |b| b.rounds.to_string());
-        assert!(autoub::verify_ub(&outcome).is_ok());
+        assert!(autoub::verify_ub(&outcome, engine).is_ok());
         println!("{:<34} {:>10}", format!("given a proper {colors}-coloring"), cell);
     }
 }

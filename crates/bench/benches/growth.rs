@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lb_family::family::{self, PiParams};
-use relim_core::roundelim::{r_step, rr_step};
+use relim_core::roundelim::r_step;
 
 fn print_tables() {
     println!("\n[E13] alphabet growth under naive round elimination (MIS, D=3):");
@@ -60,7 +60,10 @@ fn print_tables() {
 fn bench(c: &mut Criterion) {
     print_tables();
     let mis = family::mis(3).expect("valid");
-    c.bench_function("rr_step_mis_d3", |b| b.iter(|| rr_step(&mis).expect("non-degenerate")));
+    let uncached = bench::uncached_engine();
+    c.bench_function("rr_step_mis_d3", |b| {
+        b.iter(|| uncached.rr_step(&mis).expect("non-degenerate"))
+    });
     let pi = family::pi(&PiParams { delta: 8, a: 6, x: 2 }).expect("valid");
     c.bench_function("r_step_family_d8", |b| b.iter(|| r_step(&pi).expect("non-degenerate")));
 }

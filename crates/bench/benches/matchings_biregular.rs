@@ -14,7 +14,6 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use lb_family::matchings;
 use relim_core::autolb::{self, AutoLbOptions, Triviality};
 use relim_core::biregular::{self, BiregularProblem};
-use relim_core::roundelim::rr_step;
 use relim_core::zeroround;
 
 fn print_matching_landscape() {
@@ -47,7 +46,7 @@ fn print_matching_chains() {
         let opts =
             AutoLbOptions { max_steps: 2, label_budget: 6, triviality: Triviality::Universal };
         let outcome = session.auto_lower_bound(&mm, &opts);
-        let replay = autolb::verify_chain(&outcome).is_ok();
+        let replay = autolb::verify_chain(&outcome, &session).is_ok();
         format!(
             "{:>4} {:>7} {:>10} {:>8}",
             delta,
@@ -91,7 +90,8 @@ fn bench(c: &mut Criterion) {
     // The cost of generality: specialized rr_step vs biregular full_step
     // on the same (Δ, 2) input.
     let mm = matchings::maximal_matching_problem(3).expect("valid");
-    c.bench_function("rr_step_specialized_mm3", |b| b.iter(|| rr_step(&mm).expect("ok")));
+    let uncached = bench::uncached_engine();
+    c.bench_function("rr_step_specialized_mm3", |b| b.iter(|| uncached.rr_step(&mm).expect("ok")));
     let bi = BiregularProblem::from_problem(&mm);
     c.bench_function("biregular_full_step_mm3", |b| {
         b.iter(|| biregular::full_step(&bi).expect("ok"))

@@ -27,6 +27,14 @@ pub fn shared_engine() -> Engine {
     Engine::from_env()
 }
 
+/// A width-1 session with memoization off, for timing single operator
+/// applications: every iteration runs inline and rebuilds its
+/// sub-multiset index, so repeated iterations do the same work instead
+/// of hitting a warm cache.
+pub fn uncached_engine() -> Engine {
+    Engine::builder().threads(1).memoize(false).build()
+}
+
 /// Times `samples` runs of `f` and returns (last result, median wall ns,
 /// min wall ns, max wall ns).
 pub fn time_median<R>(samples: usize, mut f: impl FnMut() -> R) -> (R, u64, u64, u64) {

@@ -230,9 +230,10 @@ mod tests {
             label_budget: 6,
             triviality: autolb::Triviality::Universal,
         };
-        let outcome = relim_core::Engine::sequential().auto_lower_bound(&mm, &opts);
+        let engine = relim_core::Engine::sequential();
+        let outcome = engine.auto_lower_bound(&mm, &opts);
         assert!(outcome.certified_rounds >= 1);
-        assert_eq!(autolb::verify_chain(&outcome).unwrap(), outcome.certified_rounds);
+        assert_eq!(autolb::verify_chain(&outcome, &engine).unwrap(), outcome.certified_rounds);
     }
 
     #[test]

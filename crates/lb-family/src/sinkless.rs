@@ -8,8 +8,7 @@
 //! (experiment E14).
 
 use relim_core::error::{RelimError, Result};
-use relim_core::roundelim::rr_step;
-use relim_core::{iso, Alphabet, Constraint, Label, LabelSet, Line, Problem};
+use relim_core::{iso, Alphabet, Constraint, Engine, Label, LabelSet, Line, Problem};
 
 /// The sinkless orientation problem on Δ-regular trees in its *fixed-point*
 /// encoding: labels `O` (my outgoing claim) and `I` (other edges), node
@@ -70,14 +69,14 @@ pub struct FixedPointReport {
 }
 
 /// Checks whether sinkless orientation is a fixed point of `R̄(R(·))` at
-/// degree Δ.
+/// degree Δ, running the step on `engine`.
 ///
 /// # Errors
 ///
 /// Propagates construction errors.
-pub fn check_fixed_point(delta: u32) -> Result<FixedPointReport> {
+pub fn check_fixed_point(delta: u32, engine: &Engine) -> Result<FixedPointReport> {
     let so = sinkless_orientation(delta)?;
-    let (r, rr) = rr_step(&so)?;
+    let (r, rr) = engine.rr_step(&so)?;
     let (reduced, _) = rr.problem.drop_unused_labels();
     let is_fixed_point = iso::isomorphic(&reduced, &so);
     Ok(FixedPointReport {
@@ -106,7 +105,7 @@ mod tests {
     #[test]
     fn fixed_point_for_delta_3_to_5() {
         for delta in 3..=5 {
-            let report = check_fixed_point(delta).unwrap();
+            let report = check_fixed_point(delta, &Engine::sequential()).unwrap();
             assert!(
                 report.is_fixed_point,
                 "sinkless orientation not a fixed point at delta={delta}: {report:?}"
@@ -119,7 +118,7 @@ mod tests {
         // R̄(R(·)) maps the strict-edge encoding onto the fixed-point
         // encoding in a single step.
         let strict = sinkless_orientation_strict_edges(3).unwrap();
-        let (_, rr) = rr_step(&strict).unwrap();
+        let (_, rr) = Engine::sequential().rr_step(&strict).unwrap();
         let (reduced, _) = rr.problem.drop_unused_labels();
         let fixed = sinkless_orientation(3).unwrap();
         assert!(iso::isomorphic(&reduced, &fixed));

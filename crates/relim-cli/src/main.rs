@@ -944,6 +944,20 @@ mod tests {
     }
 
     #[test]
+    fn degrees_past_the_mask_width_are_refused() {
+        for words in [
+            ["step", "--node", "A^65;A^64 B", "--edge", "A A;B B"],
+            ["bistep", "--black", "A^65;A^64 B", "--white", "A A;B B"],
+        ] {
+            let err = run(words.iter().map(|s| s.to_string()).collect()).unwrap_err();
+            assert!(err.to_string().contains("degree 65 exceeds the limit of 64"), "{err}");
+        }
+        // At the limit the step still answers, and `A^64` is dominated.
+        let out = run_words(&["step", "--node", "A^64;A^63 B", "--edge", "A A;B B"]);
+        assert!(out.contains("A^63 AB\n") && !out.contains("A^64\n"), "{out}");
+    }
+
+    #[test]
     fn trivial_reports_all_criteria() {
         // Perfect matching: solvable with the edge coloring, not bare.
         let out = run_words(&["trivial", "--node", "M O", "--edge", "M M;O O", "--coloring", "2"]);

@@ -37,15 +37,16 @@
 //! let so = Problem::from_text("O I I", "[O I] I").unwrap();
 //! let outcome = engine.auto_lower_bound(&so, &autolb::AutoLbOptions::default());
 //! assert!(outcome.unbounded());
-//! assert!(autolb::verify_chain(&outcome).is_ok());
+//! assert!(autolb::verify_chain(&outcome, &engine).is_ok());
 //! ```
 
 use crate::diagram::StrengthOrder;
+use crate::engine::Engine;
 use crate::error::{RelimError, Result};
 use crate::iso;
 use crate::label::Label;
 use crate::problem::Problem;
-use crate::roundelim::{rr_step, Step};
+use crate::roundelim::Step;
 use crate::simplify;
 use crate::zeroround;
 
@@ -270,16 +271,18 @@ fn best_merge(p: &Problem, triviality: Triviality) -> Option<(String, String, Pr
 
 /// Replays and verifies an [`AutoLbOutcome`] from scratch.
 ///
-/// Re-runs every `R̄(R(·))` step, re-applies the recorded merges by name,
-/// checks the results match the recorded problems, and re-checks the
-/// non-triviality of every chain element. Returns the certified number of
-/// rounds.
+/// Re-runs every `R̄(R(·))` step on `engine`, re-applies the recorded
+/// merges by name, checks the results match the recorded problems, and
+/// re-checks the non-triviality of every chain element. Returns the
+/// certified number of rounds. A warm session replays the same bytes as
+/// a fresh one: its cache only shares sub-multiset indices, which are
+/// pure functions of their constraints.
 ///
 /// # Errors
 ///
 /// Returns [`RelimError::InvalidParameter`] describing the first mismatch,
 /// or any engine error hit during the replay.
-pub fn verify_chain(outcome: &AutoLbOutcome) -> Result<usize> {
+pub fn verify_chain(outcome: &AutoLbOutcome, engine: &Engine) -> Result<usize> {
     let mismatch = |message: String| RelimError::InvalidParameter { message };
     if outcome.stopped == AutoLbStop::InitialTrivial {
         if !outcome.triviality.is_trivial(&outcome.initial) {
@@ -294,7 +297,7 @@ pub fn verify_chain(outcome: &AutoLbOutcome) -> Result<usize> {
     let mut certified = 1usize;
     let mut prev = outcome.initial.clone();
     for (i, step) in outcome.steps.iter().enumerate() {
-        let (_, rbar) = rr_step(&prev)?;
+        let (_, rbar) = engine.rr_step(&prev)?;
         let (raw, _) = rbar.problem.drop_unused_labels();
         if !iso::isomorphic(&raw, &step.raw) {
             return Err(mismatch(format!("step {i}: recorded raw problem does not match replay")));
@@ -352,7 +355,10 @@ mod tests {
         // One step suffices to witness the fixed point.
         assert_eq!(outcome.steps.len(), 1);
         assert!(outcome.steps[0].merges.is_empty());
-        assert_eq!(verify_chain(&outcome).unwrap(), outcome.certified_rounds);
+        assert_eq!(
+            verify_chain(&outcome, &Engine::sequential()).unwrap(),
+            outcome.certified_rounds
+        );
     }
 
     #[test]
@@ -361,7 +367,7 @@ mod tests {
         let outcome = auto_lower_bound(&p, &AutoLbOptions::default());
         assert_eq!(outcome.stopped, AutoLbStop::InitialTrivial);
         assert_eq!(outcome.certified_rounds, 0);
-        assert_eq!(verify_chain(&outcome).unwrap(), 0);
+        assert_eq!(verify_chain(&outcome, &Engine::sequential()).unwrap(), 0);
     }
 
     #[test]
@@ -371,7 +377,10 @@ mod tests {
         // MIS is not 0-round solvable, so at least the input is certified.
         assert!(outcome.certified_rounds >= 1);
         // Whatever happened, the certificate must replay.
-        assert_eq!(verify_chain(&outcome).unwrap(), outcome.certified_rounds);
+        assert_eq!(
+            verify_chain(&outcome, &Engine::sequential()).unwrap(),
+            outcome.certified_rounds
+        );
         // All recorded chain elements respect the criterion except a
         // trailing trivial element in the BecameTrivial case.
         let n = outcome.steps.len();
@@ -403,7 +412,7 @@ mod tests {
         let so = Problem::from_text("O I I", "[O I] I").unwrap();
         let mut outcome = auto_lower_bound(&so, &AutoLbOptions::default());
         outcome.certified_rounds += 1;
-        assert!(verify_chain(&outcome).is_err());
+        assert!(verify_chain(&outcome, &Engine::sequential()).is_err());
     }
 
     #[test]
@@ -412,7 +421,7 @@ mod tests {
         let mut outcome = auto_lower_bound(&so, &AutoLbOptions::default());
         // Replace the recorded step problem with something else entirely.
         outcome.steps[0].problem = mis3();
-        assert!(verify_chain(&outcome).is_err());
+        assert!(verify_chain(&outcome, &Engine::sequential()).is_err());
     }
 
     #[test]
@@ -428,6 +437,9 @@ mod tests {
             &AutoLbOptions { triviality: Triviality::Universal, ..Default::default() },
         );
         assert!(universal.certified_rounds >= 1);
-        assert_eq!(verify_chain(&universal).unwrap(), universal.certified_rounds);
+        assert_eq!(
+            verify_chain(&universal, &Engine::sequential()).unwrap(),
+            universal.certified_rounds
+        );
     }
 }

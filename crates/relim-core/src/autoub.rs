@@ -31,10 +31,11 @@
 //! from scratch.
 
 use crate::config::Config;
+use crate::engine::Engine;
 use crate::error::{RelimError, Result};
 use crate::label::Label;
 use crate::problem::Problem;
-use crate::roundelim::{rr_step, Step};
+use crate::roundelim::Step;
 use crate::simplify;
 use crate::zeroround;
 
@@ -222,20 +223,21 @@ fn best_removal(p: &Problem) -> Option<(String, Problem)> {
 
 /// Replays and verifies an [`AutoUbOutcome`] from scratch.
 ///
-/// Re-runs every `R̄(R(·))` step, re-applies the recorded label deletions
-/// by name, checks the chain matches, and re-checks the claimed endpoint
-/// on the final problem. Returns the certified rounds when a bound is
-/// claimed.
+/// Re-runs every `R̄(R(·))` step on `engine` (see
+/// [`crate::autolb::verify_chain`]), re-applies the recorded label
+/// deletions by name, checks the chain matches, and re-checks the claimed
+/// endpoint on the final problem. Returns the certified rounds when a
+/// bound is claimed.
 ///
 /// # Errors
 ///
 /// Returns [`RelimError::InvalidParameter`] on the first mismatch, or any
 /// engine error hit during the replay.
-pub fn verify_ub(outcome: &AutoUbOutcome) -> Result<Option<usize>> {
+pub fn verify_ub(outcome: &AutoUbOutcome, engine: &Engine) -> Result<Option<usize>> {
     let mismatch = |message: String| RelimError::InvalidParameter { message };
     let mut prev = outcome.initial.clone();
     for (i, step) in outcome.steps.iter().enumerate() {
-        let (_, rbar) = rr_step(&prev)?;
+        let (_, rbar) = engine.rr_step(&prev)?;
         let (raw, _) = rbar.problem.drop_unused_labels();
         if !crate::iso::isomorphic(&raw, &step.raw) {
             return Err(mismatch(format!("step {i}: recorded raw problem does not match replay")));
@@ -293,7 +295,7 @@ mod tests {
         let bound = outcome.bound.clone().expect("found");
         assert_eq!(bound.rounds, 0);
         assert_eq!(bound.kind, UbKind::Pn);
-        assert_eq!(verify_ub(&outcome).unwrap(), Some(0));
+        assert_eq!(verify_ub(&outcome, &Engine::sequential()).unwrap(), Some(0));
     }
 
     #[test]
@@ -303,7 +305,7 @@ mod tests {
         let bound = outcome.bound.clone().expect("found");
         assert_eq!(bound.rounds, 0);
         assert_eq!(bound.kind, UbKind::EdgeColoring);
-        assert!(verify_ub(&outcome).is_ok());
+        assert!(verify_ub(&outcome, &Engine::sequential()).is_ok());
     }
 
     #[test]
@@ -333,7 +335,7 @@ mod tests {
             outcome.bound.clone().expect("MIS on cycles has a constant bound given a 3-coloring");
         assert!(bound.rounds <= 6);
         assert!(matches!(bound.kind, UbKind::VertexColoring { colors: 3 }));
-        assert_eq!(verify_ub(&outcome).unwrap(), Some(bound.rounds));
+        assert_eq!(verify_ub(&outcome, &Engine::sequential()).unwrap(), Some(bound.rounds));
     }
 
     #[test]
@@ -351,7 +353,7 @@ mod tests {
             auto_upper_bound(&p, &AutoUbOptions { max_steps: 2, label_budget: 16, coloring: None });
         let bound = outcome.bound.clone().expect("one-round bound");
         assert_eq!(bound.rounds, 1);
-        assert!(verify_ub(&outcome).is_ok());
+        assert!(verify_ub(&outcome, &Engine::sequential()).is_ok());
     }
 
     #[test]
@@ -359,7 +361,7 @@ mod tests {
         let pm = Problem::from_text("M O", "M M\nO O").unwrap();
         let mut outcome = auto_upper_bound(&pm, &AutoUbOptions::default());
         outcome.bound.as_mut().unwrap().rounds = 1;
-        assert!(verify_ub(&outcome).is_err());
+        assert!(verify_ub(&outcome, &Engine::sequential()).is_err());
     }
 
     #[test]
@@ -371,6 +373,6 @@ mod tests {
         );
         assert!(outcome.bound.is_none());
         assert_eq!(outcome.failure, Some(UbFailure::MaxSteps));
-        assert_eq!(verify_ub(&outcome).unwrap(), None);
+        assert_eq!(verify_ub(&outcome, &Engine::sequential()).unwrap(), None);
     }
 }

@@ -21,18 +21,18 @@
 //! replacement. Two half steps (white, then black) are one full
 //! `R̄(R(·))` and lower the complexity by exactly one round on
 //! high-girth biregular trees; on (Δ, 2) instances [`full_step`] agrees
-//! with [`crate::roundelim::rr_step`] — differentially tested.
+//! with [`crate::engine::Engine::rr_step`] — differentially tested.
 
 use crate::config::{Config, SetConfig};
 use crate::constraint::Constraint;
-use crate::diagram::StrengthOrder;
 use crate::error::{RelimError, Result};
 use crate::label::Alphabet;
 use crate::labelset::LabelSet;
 use crate::parse;
 use crate::problem::Problem;
-use crate::rightclosed::right_closed_sets;
-use crate::roundelim::{derive_sides, dominance_filter, forall_multisets};
+use crate::roundelim::{derive_sides, maximal_universal};
+use relim_pool::Pool;
+use std::sync::Arc;
 
 /// A locally checkable problem on (δ_B, δ_W)-biregular trees.
 ///
@@ -184,21 +184,18 @@ pub struct BiStep {
 /// # Errors
 ///
 /// Returns [`RelimError::DegenerateProblem`] when a derived constraint
-/// would be empty, and [`RelimError::TooManyLabels`] past the
-/// right-closed enumeration limit.
+/// would be empty, [`RelimError::TooManyLabels`] past
+/// [`crate::roundelim::MAX_LABELS`] labels and
+/// [`RelimError::DegreeTooLarge`] when the universal side's degree
+/// exceeds [`crate::roundelim::MAX_DEGREE`].
 pub fn half_step(p: &BiregularProblem, side: Side) -> Result<BiStep> {
-    let n = p.alphabet.len();
-    if n > 22 {
-        return Err(RelimError::TooManyLabels { requested: n });
-    }
     let (uni_src, exist_src) = match side {
         Side::Black => (&p.black, &p.white),
         Side::White => (&p.white, &p.black),
     };
-    let order = StrengthOrder::of_constraint(uni_src, n);
-    let cands = right_closed_sets(&order);
-    let raw = forall_multisets(&cands, uni_src.degree(), &uni_src.sub_multiset_index());
-    let maximal = dominance_filter(raw);
+    let maximal = maximal_universal(uni_src, p.alphabet.len(), &Pool::sequential(), |c| {
+        Arc::new(c.sub_multiset_index())
+    })?;
     let derived = derive_sides(&p.alphabet, maximal, exist_src)?;
     let (black, white) = match side {
         Side::Black => (derived.universal, derived.existential),
@@ -210,7 +207,7 @@ pub fn half_step(p: &BiregularProblem, side: Side) -> Result<BiStep> {
 
 /// One full speedup step (white half, then black half): exactly one round
 /// cheaper on high-girth biregular trees. Matches
-/// [`crate::roundelim::rr_step`] on (Δ, 2) problems.
+/// [`crate::engine::Engine::rr_step`] on (Δ, 2) problems.
 ///
 /// # Errors
 ///
@@ -281,8 +278,8 @@ pub fn as_set_config(step: &BiStep, config: &Config) -> SetConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Engine;
     use crate::iso;
-    use crate::roundelim::rr_step;
 
     fn mis3() -> Problem {
         Problem::from_text("M M M\nP O O", "M [P O]\nO O").unwrap()
@@ -299,7 +296,7 @@ mod tests {
             ("M O", "M M\nO O"),
         ] {
             let p = Problem::from_text(node, edge).unwrap();
-            let (_, rr) = rr_step(&p).unwrap();
+            let (_, rr) = Engine::sequential().rr_step(&p).unwrap();
             let bi = BiregularProblem::from_problem(&p);
             let (_, bb) = full_step(&bi).unwrap();
             let q = bb.problem.to_problem().unwrap();
@@ -410,7 +407,7 @@ mod tests {
         let p = mis3();
         let r = crate::roundelim::r_step(&p).unwrap();
         let bi = BiregularProblem::from_problem(&r.problem);
-        let direct = crate::roundelim::rbar_step(&r.problem).unwrap();
+        let direct = Engine::sequential().rbar_step(&r.problem).unwrap();
         let via_bi = half_step(&bi, Side::Black).unwrap();
         let q = via_bi.problem.to_problem().unwrap();
         assert!(iso::isomorphic(&q, &direct.problem));

@@ -2,33 +2,33 @@
 //!
 //! The automatic lower-bound machinery of the paper is one long stateful
 //! computation — a round-elimination chain where every step reuses the
-//! alphabet, diagram and sub-multiset structure of the last — yet the
-//! crate's historical surface exposed it as stateless free functions
-//! (`rr_step_with`, `iterate_rr_with`, `auto_lower_bound`, …), each taking
-//! an ad-hoc [`Pool`] and rebuilding caches from scratch. The [`Engine`]
-//! replaces that surface with a *session object* that owns:
+//! alphabet, diagram and sub-multiset structure of the last. The
+//! [`Engine`] is the one surface for it: `R̄(·)`, `R̄(R(·))`, the
+//! dominance filter, iteration and the bound searches are reached only
+//! through a session, which owns:
 //!
 //! * a **persistent-pool handle** (a width policy over the process-wide
 //!   worker set of `relim-pool` — the `Engine` is the one component that
 //!   hands the pool to the rest of the system),
-//! * a **long-lived sharded [`SubIndexCache`]** shared across *all*
-//!   calls — in particular across the steps of
-//!   [`Engine::auto_lower_bound`]'s merge search, across repeated
-//!   [`Engine::iterate`] probes, and across *clones of the handle on
-//!   other threads* (daemon executors, sweep tasks): the cache is
-//!   internally sharded-and-locked, so N threads share one memo state
-//!   without a session-wide mutex,
-//! * the memoization toggle and default step limits, and
+//! * a **long-lived sharded [`SubIndexCache`]** of [`CACHE_CAPACITY`]
+//!   entries over [`CACHE_SHARDS`] shards, shared across *all* calls — in
+//!   particular across the steps of [`Engine::auto_lower_bound`]'s merge
+//!   search, across repeated [`Engine::iterate_with_limits`] probes, and
+//!   across *clones of the handle on other threads* (daemon executors,
+//!   sweep tasks): the cache is internally sharded-and-locked, so N
+//!   threads share one memo state without a session-wide mutex,
+//! * the memoization toggle, and
 //! * session counters surfaced through [`EngineReport`] (cache hits,
-//!   per-operator step counts, batch counts, wall time) that were
-//!   previously unobservable.
+//!   per-operator step counts, batch counts, wall time).
 //!
-//! Determinism is inherited, not re-argued: every `Engine` method is
-//! **byte-identical** to its free-function counterpart at any thread
-//! count and any cache state, because cache hits return the same bytes a
-//! rebuild would (the sub-multiset index is a pure function of the node
-//! constraint) and pool results are canonically re-sorted. The
-//! differential suite at the workspace root pins this.
+//! A session has three settable values: [`EngineBuilder::threads`],
+//! [`EngineBuilder::memoize`] and [`EngineBuilder::record_lineage`].
+//! Output never depends on any of them: cache hits return the same bytes
+//! a rebuild would (the sub-multiset index is a pure function of the node
+//! constraint) and pool results are concatenated in canonical order. A
+//! width-1 session with `memoize(false)` — no pool fan-out, no cache — is
+//! the reference configuration the differential suite at the workspace
+//! root compares every other configuration against.
 //!
 //! # Example
 //!
@@ -54,11 +54,11 @@ use crate::autolb::{self, AutoLbOptions, AutoLbOutcome};
 use crate::autoub::{self, AutoUbOptions, AutoUbOutcome};
 use crate::config::SetConfig;
 use crate::constraint::{Constraint, SubMultisetIndex};
-use crate::error::{RelimError, Result};
+use crate::error::Result;
 use crate::iterate::{self, IterationOutcome, SubIndexCache};
 use crate::lineage::LineageGraph;
 use crate::problem::Problem;
-use crate::roundelim::{self, Step, MAX_LABELS};
+use crate::roundelim::{self, Step};
 use relim_pool::Pool;
 pub use relim_pool::{parse_threads, ThreadsEnvError};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -72,23 +72,24 @@ use std::time::Instant;
 ///
 /// let engine = Engine::builder()
 ///     .threads(4)            // pool width (0 = available parallelism)
-///     .cache_capacity(128)   // sub-multiset index cache bound
 ///     .memoize(true)         // share indices across steps (default)
-///     .max_steps(6)          // default iteration step limit
-///     .label_limit(20)       // default iteration label limit
+///     .record_lineage(false) // derivation DAG recording (default off)
 ///     .build();
 /// assert_eq!(engine.threads(), 4);
 /// ```
 #[derive(Debug, Clone)]
 pub struct EngineBuilder {
     threads: usize,
-    cache_capacity: usize,
-    cache_shards: usize,
     memoize: bool,
-    max_steps: usize,
-    label_limit: usize,
     record_lineage: bool,
 }
+
+/// Distinct node constraints a session's [`SubIndexCache`] holds.
+pub const CACHE_CAPACITY: usize = 64;
+
+/// Independently-locked shards of a session's [`SubIndexCache`], each
+/// bounded by `CACHE_CAPACITY / CACHE_SHARDS` entries.
+pub const CACHE_SHARDS: usize = 8;
 
 impl EngineBuilder {
     /// Pool width the session shards over; `0` (the default) means
@@ -96,23 +97,6 @@ impl EngineBuilder {
     /// only wall clock does.
     pub fn threads(mut self, threads: usize) -> EngineBuilder {
         self.threads = threads;
-        self
-    }
-
-    /// Bound on the number of distinct node constraints the session's
-    /// [`SubIndexCache`] holds (default 64; clamped to at least 1).
-    pub fn cache_capacity(mut self, capacity: usize) -> EngineBuilder {
-        self.cache_capacity = capacity;
-        self
-    }
-
-    /// Number of independently-locked shards the session's
-    /// [`SubIndexCache`] is split into (default 8; clamped to at least
-    /// 1). More shards reduce lock contention when many threads share
-    /// one session; output bytes never depend on this — the index is a
-    /// pure function of the constraint.
-    pub fn cache_shards(mut self, shards: usize) -> EngineBuilder {
-        self.cache_shards = shards;
         self
     }
 
@@ -125,25 +109,12 @@ impl EngineBuilder {
         self
     }
 
-    /// Default maximum number of `R̄(R(·))` applications for
-    /// [`Engine::iterate`] (default 8).
-    pub fn max_steps(mut self, max_steps: usize) -> EngineBuilder {
-        self.max_steps = max_steps;
-        self
-    }
-
-    /// Default alphabet-size abort threshold for [`Engine::iterate`]
-    /// (default 20).
-    pub fn label_limit(mut self, label_limit: usize) -> EngineBuilder {
-        self.label_limit = label_limit;
-        self
-    }
-
     /// Whether the session records its derivation DAG (default `false`).
-    /// When on, [`Engine::iterate`], [`Engine::auto_lower_bound`] and
-    /// [`Engine::auto_upper_bound`] intern every intermediate problem and
-    /// operator application into a [`LineageGraph`] retrievable through
-    /// [`Engine::lineage`]. Recording digests every intermediate problem
+    /// When on, [`Engine::iterate_with_limits`],
+    /// [`Engine::auto_lower_bound`] and [`Engine::auto_upper_bound`]
+    /// intern every intermediate problem and operator application into a
+    /// [`LineageGraph`] retrievable through [`Engine::lineage`].
+    /// Recording digests every intermediate problem
     /// (one render + hash per node plus one reduction per step), so it is
     /// opt-in: with the flag off the drivers skip a single `Option` check
     /// and allocate nothing — the bench alloc-gate budgets assume the off
@@ -160,8 +131,7 @@ impl EngineBuilder {
             shared: Arc::new(EngineShared {
                 pool: Pool::new(self.threads),
                 memoize: self.memoize,
-                cache_capacity: self.cache_capacity,
-                cache: SubIndexCache::sharded(self.cache_shards, self.cache_capacity),
+                cache: SubIndexCache::sharded(CACHE_SHARDS, CACHE_CAPACITY),
                 uncached_builds: AtomicU64::new(0),
                 r_steps: AtomicU64::new(0),
                 rbar_steps: AtomicU64::new(0),
@@ -171,8 +141,6 @@ impl EngineBuilder {
                 autoub_runs: AtomicU64::new(0),
                 map_batches: AtomicU64::new(0),
                 wall_ns: AtomicU64::new(0),
-                max_steps: self.max_steps,
-                label_limit: self.label_limit,
                 lineage: if self.record_lineage {
                     Some(Mutex::new(LineageGraph::new()))
                 } else {
@@ -185,15 +153,7 @@ impl EngineBuilder {
 
 impl Default for EngineBuilder {
     fn default() -> Self {
-        EngineBuilder {
-            threads: 0,
-            cache_capacity: 64,
-            cache_shards: 8,
-            memoize: true,
-            max_steps: 8,
-            label_limit: 20,
-            record_lineage: false,
-        }
+        EngineBuilder { threads: 0, memoize: true, record_lineage: false }
     }
 }
 
@@ -201,7 +161,6 @@ impl Default for EngineBuilder {
 struct EngineShared {
     pool: Pool,
     memoize: bool,
-    cache_capacity: usize,
     /// The sharded concurrent sub-multiset index cache — `&self` API, so
     /// N clones of the handle (daemon executors, sweep tasks) share one
     /// memo state with per-shard locking instead of a session-wide mutex.
@@ -217,8 +176,6 @@ struct EngineShared {
     autoub_runs: AtomicU64,
     map_batches: AtomicU64,
     wall_ns: AtomicU64,
-    max_steps: usize,
-    label_limit: usize,
     /// The derivation DAG, recorded only when the session was built with
     /// [`EngineBuilder::record_lineage`] — `None` keeps the hot loop
     /// allocation-free (a single branch per step, no lock, no digest).
@@ -234,9 +191,9 @@ struct EngineShared {
 /// parameter points over the session while each point's engine calls share
 /// the same cache underneath.
 ///
-/// Every method is byte-identical to its sequential free-function
-/// reference (`roundelim::rr_step`, `iterate::iterate_rr_unmemoized`, …)
-/// at any thread count; see the module docs.
+/// Every method is byte-identical to the same method on a width-1,
+/// `memoize(false)` session at any thread count and cache state; see the
+/// module docs.
 #[derive(Clone)]
 pub struct Engine {
     shared: Arc<EngineShared>,
@@ -265,7 +222,7 @@ impl Engine {
     }
 
     /// A session sized from the `RELIM_THREADS` environment variable
-    /// (available parallelism when unset), with default cache and limits.
+    /// (available parallelism when unset), otherwise with defaults.
     ///
     /// # Panics
     ///
@@ -319,13 +276,18 @@ impl Engine {
         })
     }
 
-    /// Applies `R̄(·)` (universal step on the node constraint), sharding
-    /// the enumeration and dominance filter over the session pool and
-    /// serving the sub-multiset index from the session cache.
+    /// Applies `R̄(·)` (universal step on the node constraint, existential
+    /// step on the edge constraint), sharding the enumeration and
+    /// dominance filter over the session pool and serving the sub-multiset
+    /// index from the session cache.
     ///
     /// # Errors
     ///
-    /// Same as [`crate::roundelim::rbar_step`].
+    /// Returns [`crate::RelimError::DegenerateProblem`] when a derived
+    /// constraint would be empty, [`crate::RelimError::TooManyLabels`]
+    /// past [`crate::roundelim::MAX_LABELS`] labels and
+    /// [`crate::RelimError::DegreeTooLarge`] past
+    /// [`crate::roundelim::MAX_DEGREE`] positions.
     pub fn rbar_step(&self, p: &Problem) -> Result<Step> {
         self.timed(|| self.rbar_step_inner(p))
     }
@@ -335,26 +297,26 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Same as [`crate::roundelim::rr_step`].
+    /// Those of [`crate::roundelim::r_step`] and [`Engine::rbar_step`].
     pub fn rr_step(&self, p: &Problem) -> Result<(Step, Step)> {
         self.timed(|| self.rr_step_inner(p))
     }
 
-    /// Removes dominated configurations (see
-    /// [`crate::roundelim::dominance_filter`]), sharding the maximality
-    /// checks over the session pool.
+    /// Removes configurations dominated by another one (position-wise `⊆`
+    /// after the best permutation), keeping the survivors in input order,
+    /// with the maximality checks sharded over the session pool. Equals
+    /// [`crate::roundelim::dominance_filter_reference`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when two configurations of equal degree above
+    /// [`crate::roundelim::MAX_DEGREE`] are compared (see
+    /// [`crate::roundelim::dominates`]).
     pub fn dominance_filter(&self, configs: Vec<SetConfig>) -> Vec<SetConfig> {
         self.timed(|| {
             self.shared.dominance_filters.fetch_add(1, Ordering::Relaxed);
-            roundelim::dominance_filter_pooled(configs, &self.shared.pool)
+            roundelim::dominance_filter(configs, &self.shared.pool)
         })
-    }
-
-    /// Iterates `R̄(R(·))` with the session's default step and label
-    /// limits (see [`EngineBuilder::max_steps`] /
-    /// [`EngineBuilder::label_limit`]).
-    pub fn iterate(&self, p: &Problem) -> IterationOutcome {
-        self.iterate_with_limits(p, self.shared.max_steps, self.shared.label_limit)
     }
 
     /// Iterates `R̄(R(·))` from `p`, up to `max_steps` applications,
@@ -454,7 +416,7 @@ impl Engine {
     ///
     /// // Sinkless orientation is a fixed point: a repeated probe of the
     /// // same problem recomputes the same R(Π) node constraint, so the
-    /// // session cache scores a hit the stateless API could never have.
+    /// // session cache scores a hit.
     /// let engine = Engine::sequential();
     /// let so = Problem::from_text("O I I", "[O I] I").unwrap();
     /// assert!(engine.iterate_with_limits(&so, 5, 20).reached_fixed_point());
@@ -479,8 +441,6 @@ impl Engine {
             cache_hits: cache.hits(),
             cache_misses: cache.misses() + uncached,
             cache_entries: cache.len(),
-            cache_capacity: self.shared.cache_capacity.max(1),
-            cache_shards: cache.shard_count(),
             r_steps: self.shared.r_steps.load(Ordering::Relaxed),
             rbar_steps: self.shared.rbar_steps.load(Ordering::Relaxed),
             dominance_filters: self.shared.dominance_filters.load(Ordering::Relaxed),
@@ -512,27 +472,18 @@ impl Engine {
             self.shared.uncached_builds.fetch_add(1, Ordering::Relaxed);
             return Arc::new(constraint.sub_multiset_index());
         }
-        if let Some(index) = self.shared.cache.lookup(constraint) {
-            return index;
-        }
-        // Build outside the shard lock so concurrent sweep points and
-        // daemon executors do not serialize on each other's enumeration
-        // work; a racing duplicate build inserts the same bytes.
-        let index = Arc::new(constraint.sub_multiset_index());
-        self.shared.cache.insert(constraint.clone(), Arc::clone(&index));
-        index
+        self.shared.cache.get_or_build(constraint)
     }
 
     /// `R̄(·)` through the session cache, without the entry-point timer
     /// (shared by the step drivers so wall time is not double counted).
+    /// The step is counted, and the index fetched, only for inputs within
+    /// the universal-side limits.
     fn rbar_step_inner(&self, p: &Problem) -> Result<Step> {
-        let n = p.alphabet().len();
-        if n > MAX_LABELS {
-            return Err(RelimError::TooManyLabels { requested: n });
-        }
-        self.shared.rbar_steps.fetch_add(1, Ordering::Relaxed);
-        let index = self.cached_index(p.node());
-        roundelim::rbar_step_indexed(p, &index, &self.shared.pool)
+        roundelim::rbar_step_indexed(p, &self.shared.pool, |node| {
+            self.shared.rbar_steps.fetch_add(1, Ordering::Relaxed);
+            self.cached_index(node)
+        })
     }
 
     /// `R̄(R(·))` through the session cache, without the entry-point timer.
@@ -615,11 +566,6 @@ pub struct EngineReport {
     pub cache_misses: u64,
     /// Distinct constraints currently held by the cache.
     pub cache_entries: usize,
-    /// Configured cache bound.
-    pub cache_capacity: usize,
-    /// Number of independently-locked cache shards (see
-    /// [`EngineBuilder::cache_shards`]).
-    pub cache_shards: usize,
     /// `R(·)` applications (including those inside `rr_step`, iterations
     /// and bound searches).
     pub r_steps: u64,
@@ -627,7 +573,7 @@ pub struct EngineReport {
     pub rbar_steps: u64,
     /// Stand-alone dominance filter calls.
     pub dominance_filters: u64,
-    /// [`Engine::iterate`] / [`Engine::iterate_with_limits`] runs.
+    /// [`Engine::iterate_with_limits`] runs.
     pub iterate_runs: u64,
     /// [`Engine::auto_lower_bound`] runs.
     pub autolb_runs: u64,
@@ -664,8 +610,8 @@ impl EngineReport {
     /// cache-hit trends exactly, not just timings.
     ///
     /// Deliberately excludes `wall_ns` (schedule-dependent) and the
-    /// configuration fields (`threads`, `memoize`, `cache_capacity`,
-    /// `cache_shards` — inputs, not observations). For a fixed workload on a fixed
+    /// configuration echoes (`threads`, `memoize`, `record_lineage` —
+    /// inputs, not observations). For a fixed workload on a fixed
     /// session configuration, every pair is byte-stable across runs,
     /// thread counts and machines.
     ///
@@ -732,15 +678,15 @@ mod tests {
     }
 
     #[test]
-    fn engine_rr_step_matches_free_functions() {
+    fn engine_rr_step_matches_the_reference_session() {
         let p = mis3();
-        let free = roundelim::rr_step(&p).unwrap();
+        let reference = Engine::builder().threads(1).memoize(false).build().rr_step(&p).unwrap();
         for threads in [1, 2, 8] {
             let engine = Engine::builder().threads(threads).build();
             let (r, rr) = engine.rr_step(&p).unwrap();
-            assert_eq!(r.problem.render(), free.0.problem.render(), "threads = {threads}");
-            assert_eq!(rr.problem.render(), free.1.problem.render(), "threads = {threads}");
-            assert_eq!(rr.provenance, free.1.provenance, "threads = {threads}");
+            assert_eq!(r.problem.render(), reference.0.problem.render(), "threads = {threads}");
+            assert_eq!(rr.problem.render(), reference.1.problem.render(), "threads = {threads}");
+            assert_eq!(rr.provenance, reference.1.provenance, "threads = {threads}");
         }
     }
 
@@ -831,13 +777,6 @@ mod tests {
         let report = engine.report();
         assert_eq!((report.cache_hits, report.cache_misses), (2, 1), "{report:?}");
         assert_eq!(report.autoub_runs, 1);
-    }
-
-    #[test]
-    fn iterate_uses_builder_defaults() {
-        let engine = Engine::builder().threads(1).max_steps(1).label_limit(40).build();
-        let outcome = engine.iterate(&mis3());
-        assert!(outcome.stats.len() <= 2, "max_steps(1) caps the iteration");
     }
 
     #[test]

@@ -57,6 +57,12 @@ pub enum RelimError {
         /// Human-readable description of the violated requirement.
         message: String,
     },
+    /// A constraint's degree exceeds the universal-side limit of
+    /// [`crate::roundelim::MAX_DEGREE`] positions.
+    DegreeTooLarge {
+        /// Degree of the offending constraint.
+        degree: u32,
+    },
     /// A round elimination step produced an empty constraint: the input
     /// problem is degenerate (e.g. a label required by the node constraint
     /// is compatible with nothing).
@@ -87,6 +93,11 @@ impl fmt::Display for RelimError {
             RelimError::InvalidParameter { message } => {
                 write!(f, "invalid parameter: {message}")
             }
+            RelimError::DegreeTooLarge { degree } => write!(
+                f,
+                "constraint degree {degree} exceeds the limit of {}",
+                crate::roundelim::MAX_DEGREE
+            ),
             RelimError::DegenerateProblem { message } => {
                 write!(f, "degenerate problem: {message}")
             }

@@ -11,20 +11,19 @@
 //! the node constraint it universally quantifies over — a pure function of
 //! that constraint. Fixed-point searches recompute steps on recurring
 //! problems (the confirming step at a fixed point, repeated probes of the
-//! same problem), so the session API ([`crate::engine::Engine::iterate`])
-//! serves the index from a [`SubIndexCache`]: an exact-match cache from
-//! node constraints to `Arc`-shared indices, owned by the `Engine` and
-//! shared across *all* of its calls. Cache hits skip the enumeration work
-//! of rebuilding the index and are **byte-identical** to cache misses
-//! (the index content is fully determined by the constraint) — pinned by
-//! [`iterate_rr_unmemoized`], the memoization-off reference path the
-//! differential suite compares against.
+//! same problem), so the session
+//! ([`crate::engine::Engine::iterate_with_limits`]) serves the index from
+//! a [`SubIndexCache`]: an exact-match cache from node constraints to
+//! `Arc`-shared indices, owned by the `Engine` and shared across *all* of
+//! its calls. Cache hits skip the enumeration work of rebuilding the index
+//! and are **byte-identical** to cache misses (the index content is fully
+//! determined by the constraint) — pinned by the differential suite
+//! against a `memoize(false)` session, which rebuilds every index.
 
 use crate::constraint::{Constraint, SubMultisetIndex};
 use crate::iso;
 use crate::problem::Problem;
-use crate::roundelim::{r_step, rbar_step_pooled, Step};
-use relim_pool::Pool;
+use crate::roundelim::Step;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -63,7 +62,7 @@ pub struct StepStats {
 }
 
 /// The outcome of an iterated round-elimination search
-/// ([`crate::engine::Engine::iterate`] / [`iterate_rr_unmemoized`]).
+/// ([`crate::engine::Engine::iterate_with_limits`]).
 #[derive(Debug, Clone)]
 pub struct IterationOutcome {
     /// Per-step statistics, starting with the input problem.
@@ -126,21 +125,12 @@ pub struct SubIndexCache {
 }
 
 impl SubIndexCache {
-    /// A single-shard cache holding up to 64 constraints.
-    pub fn new() -> SubIndexCache {
-        SubIndexCache::with_capacity(64)
-    }
-
-    /// A single-shard cache holding up to `capacity` constraints (at
-    /// least 1) — the historical epoch-reset behaviour, byte-for-byte.
-    pub fn with_capacity(capacity: usize) -> SubIndexCache {
-        SubIndexCache::sharded(1, capacity)
-    }
-
-    /// A cache of `shards` independently-locked shards (at least 1)
-    /// holding up to `capacity` constraints in total: each shard is
-    /// bounded by `capacity / shards` (rounded up, at least 1) and
-    /// epoch-resets independently.
+    /// A cache of `shards` independently-locked shards (at least 1), each
+    /// bounded by `capacity / shards` constraints (rounded up, at least 1)
+    /// and epoch-resetting independently — so `capacity` in total when
+    /// `shards` divides it, as for the session's
+    /// [`crate::engine::CACHE_CAPACITY`] over
+    /// [`crate::engine::CACHE_SHARDS`].
     pub fn sharded(shards: usize, capacity: usize) -> SubIndexCache {
         let shards = shards.max(1);
         let shard_capacity = capacity.max(1).div_ceil(shards);
@@ -150,11 +140,6 @@ impl SubIndexCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
-    }
-
-    /// Number of independently-locked shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// The shard holding `constraint`, chosen by its hash.
@@ -181,9 +166,7 @@ impl SubIndexCache {
     }
 
     /// The cached index for `constraint`, if held; counts a hit or a miss.
-    /// Split out from [`SubIndexCache::get_or_build`] so a caller (the
-    /// [`crate::engine::Engine`]) can build outside the shard lock.
-    pub fn lookup(&self, constraint: &Constraint) -> Option<Arc<SubMultisetIndex>> {
+    fn lookup(&self, constraint: &Constraint) -> Option<Arc<SubMultisetIndex>> {
         let shard = self.shard_of(constraint).lock().expect("cache shard poisoned");
         match shard.get(constraint) {
             Some(index) => {
@@ -208,7 +191,7 @@ impl SubIndexCache {
     /// case, where a *replacement* (racing duplicate build of a resident
     /// key) must not trigger the epoch reset since it cannot grow the
     /// shard.
-    pub fn insert(&self, constraint: Constraint, index: Arc<SubMultisetIndex>) {
+    fn insert(&self, constraint: Constraint, index: Arc<SubMultisetIndex>) {
         let mut shard = self.shard_of(&constraint).lock().expect("cache shard poisoned");
         if shard.len() >= self.shard_capacity && !shard.contains_key(&constraint) {
             shard.clear();
@@ -235,29 +218,6 @@ impl SubIndexCache {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-}
-
-impl Default for SubIndexCache {
-    fn default() -> Self {
-        SubIndexCache::new()
-    }
-}
-
-/// The memoization-off reference for [`crate::engine::Engine::iterate`]:
-/// every step rebuilds its sub-multiset index from scratch, with no
-/// session state anywhere. Exists so differential tests can pin that the
-/// memoized path changes nothing; not deprecated on purpose.
-pub fn iterate_rr_unmemoized(
-    p: &Problem,
-    max_steps: usize,
-    label_limit: usize,
-    pool: &Pool,
-) -> IterationOutcome {
-    iterate_with_step(p, max_steps, label_limit, |prev| {
-        let r = r_step(prev)?;
-        let rr = rbar_step_pooled(&r.problem, pool)?;
-        Ok((r, rr))
-    })
 }
 
 /// The shared iteration loop, parameterized over how one step is computed
@@ -313,6 +273,7 @@ pub(crate) fn iterate_with_step(
 mod tests {
     use super::*;
     use crate::engine::Engine;
+    use crate::roundelim::{r_step, rbar_step_indexed};
 
     #[test]
     fn sinkless_orientation_fixed_point_detected() {
@@ -361,7 +322,8 @@ mod tests {
             [("O I I I", "[O I] I"), ("M M M\nP O O", "M [P O]\nO O"), ("A A", "A A")]
         {
             let p = Problem::from_text(node, edge).unwrap();
-            let reference = render_outcome(&iterate_rr_unmemoized(&p, 6, 20, &Pool::sequential()));
+            let unmemoized = Engine::builder().threads(1).memoize(false).build();
+            let reference = render_outcome(&unmemoized.iterate_with_limits(&p, 6, 20));
             let memoized = render_outcome(&Engine::sequential().iterate_with_limits(&p, 6, 20));
             assert_eq!(memoized, reference, "problem: {node} / {edge}");
         }
@@ -370,7 +332,7 @@ mod tests {
     #[test]
     fn cache_hits_share_the_index_and_change_nothing() {
         let p = Problem::from_text("M M M\nP O O", "M [P O]\nO O").unwrap();
-        let cache = SubIndexCache::new();
+        let cache = SubIndexCache::sharded(1, 64);
         let first = cache.get_or_build(p.node());
         let second = cache.get_or_build(p.node());
         assert!(Arc::ptr_eq(&first, &second), "a hit must share the built index");
@@ -380,7 +342,7 @@ mod tests {
 
     #[test]
     fn cache_epoch_reset_respects_capacity() {
-        let cache = SubIndexCache::with_capacity(2);
+        let cache = SubIndexCache::sharded(1, 2);
         let constraints = ["A A", "A B", "B B"].map(|e| {
             let p = Problem::from_text("A A\nB B", e).unwrap();
             p.edge().clone()
@@ -398,7 +360,7 @@ mod tests {
         // A racing duplicate build re-inserts a key the full shard already
         // holds; that replacement must not clear the shard (it cannot grow
         // it), while a genuinely new key at capacity still resets.
-        let cache = SubIndexCache::with_capacity(2);
+        let cache = SubIndexCache::sharded(1, 2);
         let constraints = ["A A", "A B", "B B"].map(|e| {
             let p = Problem::from_text("A A\nB B", e).unwrap();
             p.edge().clone()
@@ -419,7 +381,7 @@ mod tests {
         // `lookup` alone (hits == 1) so only the first (miss) call pays
         // the `constraint.clone()` insert.
         let p = Problem::from_text("M M M\nP O O", "M [P O]\nO O").unwrap();
-        let cache = SubIndexCache::new();
+        let cache = SubIndexCache::sharded(1, 64);
         let built = cache.get_or_build(p.node());
         let hit = cache.lookup(p.node()).expect("must be resident");
         assert!(Arc::ptr_eq(&built, &hit));
@@ -432,7 +394,6 @@ mod tests {
         let reference = p.node().sub_multiset_index();
         for shards in [1usize, 4, 16] {
             let cache = Arc::new(SubIndexCache::sharded(shards, 64));
-            assert_eq!(cache.shard_count(), shards);
             let handles: Vec<_> = (0..4)
                 .map(|_| {
                     let cache = Arc::clone(&cache);
@@ -460,13 +421,12 @@ mod tests {
         // provenance-set display — but the cache keys on the name-free
         // `Constraint`, which repeats exactly at the fixed point.)
         let so = Problem::from_text("O I I", "[O I] I").unwrap();
-        let pool = Pool::sequential();
-        let cache = SubIndexCache::new();
+        let pool = relim_pool::Pool::sequential();
+        let cache = SubIndexCache::sharded(1, 64);
         let mut current = so.drop_unused_labels().0;
         for step in 0..2 {
             let r = r_step(&current).unwrap();
-            let index = cache.get_or_build(r.problem.node());
-            let rr = crate::roundelim::rbar_step_indexed(&r.problem, &index, &pool).unwrap();
+            let rr = rbar_step_indexed(&r.problem, &pool, |node| cache.get_or_build(node)).unwrap();
             let (reduced, _) = rr.problem.drop_unused_labels();
             assert!(iso::isomorphic(&reduced, &current), "step {step} left the fixed point");
             current = reduced;

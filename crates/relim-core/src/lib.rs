@@ -25,19 +25,19 @@
 //! * [`engine::Engine`] — **the entry point**: a builder-constructed
 //!   session that owns the worker-pool handle, a long-lived sub-multiset
 //!   index cache shared across all calls, and per-session statistics
-//!   ([`engine::EngineReport`]). Every operator below is reachable as an
-//!   `Engine` method; the historical pool-taking free-function wrappers
-//!   served their one-release deprecation window and are gone — only the
-//!   sequential references (`roundelim::rr_step`, …) remain as free
-//!   functions.
+//!   ([`engine::EngineReport`]). `R̄(·)`, `R̄(R(·))`, the dominance filter,
+//!   iteration and the bound searches are reached only through it; no
+//!   public function of this crate takes a pool. A width-1 session with
+//!   `memoize(false)` is the reference configuration.
 //! * [`digest`] — canonical content digests ([`Constraint`] /
 //!   [`Problem`]), the keying primitive of the `relim-service`
 //!   content-addressed result store.
 //! * [`Problem`] — validated problems over interned alphabets, with a text
 //!   format ([`parse`]) compatible in spirit with the round-eliminator.
-//! * [`roundelim::r_step`] / [`roundelim::rbar_step`] — the `R(·)` and
+//! * [`roundelim::r_step`] / [`Engine::rbar_step`] — the `R(·)` and
 //!   `R̄(·)` operators of the paper (maximal "for-all" side + "exists" side),
-//!   with the right-closedness pruning of Observation 4.
+//!   with the right-closedness pruning of Observation 4; `R(·)` is pure
+//!   and stays a free function.
 //! * [`diagram`] — label strength orders ("edge diagram" / "node diagram",
 //!   paper §2.3, Figures 1, 4, 5) and their Hasse edges.
 //! * [`rightclosed`] — enumeration of right-closed label sets.
@@ -47,7 +47,8 @@
 //!   gadget underlying Lemmas 12 and 15, the bare-PN "trivial problem"
 //!   criterion, and the c-vertex-coloring clique criterion.
 //! * [`autolb`] / [`autoub`] — automatic lower/upper-bound search in the
-//!   style of the round-eliminator tool, with replayable certificates.
+//!   style of the round-eliminator tool, with certificates replayed on a
+//!   session.
 //! * [`biregular`] — the operators at full (δ_B, δ_W)-biregular
 //!   generality: rank-r hypergraph problems, dual views, half steps.
 //! * [`iso`] — semantic equality and isomorphism search between problems.
@@ -105,5 +106,4 @@ pub use labelset::LabelSet;
 pub use line::Line;
 pub use lineage::LineageGraph;
 pub use problem::Problem;
-pub use relim_pool::Pool;
 pub use roundelim::Step;

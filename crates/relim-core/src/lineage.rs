@@ -5,7 +5,7 @@
 //! merges (lower bounds) or label deletions (upper bounds) — that the
 //! engine historically computed and threw away. When a session is built
 //! with [`crate::engine::EngineBuilder::record_lineage`], the drivers
-//! behind [`crate::engine::Engine::iterate`],
+//! behind [`crate::engine::Engine::iterate_with_limits`],
 //! [`crate::engine::Engine::auto_lower_bound`] and
 //! [`crate::engine::Engine::auto_upper_bound`] record every operator
 //! application into a `LineageGraph`: one arena-indexed node per distinct

@@ -8,8 +8,8 @@
 //!   - `Σ_Π'`: the sets appearing in `E_Π'`;
 //!   - `N_Π'`: all configurations `B₁ … B_Δ` over `Σ_Π'` admitting **some**
 //!     choice in `N_Π`.
-//! * [`rbar_step`] computes `Π'' = R̄(Π')` — the same with the roles of node
-//!   and edge constraints swapped.
+//! * [`crate::engine::Engine::rbar_step`] computes `Π'' = R̄(Π')` — the same
+//!   with the roles of node and edge constraints swapped.
 //!
 //! By Brandt's automatic speedup theorem (paper Theorem 3), on Δ-regular
 //! trees of girth `≥ 2T+2`, `Π` is solvable in `T` rounds iff `R̄(R(Π))` is
@@ -23,23 +23,21 @@
 //! 2. For the degree-2 edge side, maximal pairs are exactly the fixed points
 //!    of the Galois connection `A ↦ ⋂_{a∈A} compat(a)`.
 //!
-//! Both hot paths are parallelizable over a [`Pool`]: the `R̄` enumeration
-//! splits its DFS at the top candidate level into stealable subtree tasks
-//! (`forall_multisets`'s internals), and the dominance filter shards its
-//! per-configuration maximality checks. Batches go to the **persistent**
-//! worker set ([`Pool::map_owned`] — task payloads are `Arc`-owned, so no
-//! threads are spawned per call), and parallel results are collected and
-//! canonically re-ordered, so every parallel entry point is
-//! **byte-identical** to its sequential counterpart at any thread count
-//! (enforced by the differential proptests at the workspace root).
-//!
-//! The parallel (and cache-serving) surface of these operators is the
-//! session API, [`crate::engine::Engine`]: it owns the pool handle and a
+//! `R(·)` is pure: [`r_step`] needs no pool and no cache. The `R̄` side,
+//! `R̄∘R` and the dominance filter are reached only through the session,
+//! [`crate::engine::Engine`], which owns the pool handle and the
 //! long-lived [`crate::iterate::SubIndexCache`] the `R̄` side's
-//! sub-multiset index is served from. The free functions here compute
-//! the operators sequentially — they are the references the differential
-//! suites compare sessions against (the old pool-taking `*_with`
-//! wrappers served their one-release deprecation window and are gone).
+//! sub-multiset index is served from. Underneath, the `R̄` enumeration
+//! splits its DFS at the top candidate level into stealable subtree tasks
+//! and the dominance filter shards its per-configuration maximality
+//! checks over the persistent worker set (task payloads are `Arc`-owned,
+//! so no threads are spawned per call). Results are concatenated in
+//! canonical order, so the output is **byte-identical** at any thread
+//! count; a width-1 session runs every batch inline on the calling
+//! thread. The brute-force oracles at the end of this module
+//! ([`dominance_filter_reference`], [`r_step_edge_bruteforce`],
+//! [`rbar_step_node_bruteforce`]) are what the differential suites check
+//! the session against.
 
 use crate::config::{Config, SetConfig, INLINE_DEGREE};
 use crate::constraint::{Constraint, SubMultisetIndex};
@@ -59,10 +57,17 @@ use std::sync::Arc;
 
 /// Largest alphabet the universal-side enumeration accepts — the
 /// right-closed-set enumeration limit of
-/// [`crate::rightclosed::right_closed_sets`]. Shared by every guard
-/// (including the memoized path in [`crate::iterate`]) so the limit can
-/// only ever change in one place.
+/// [`crate::rightclosed::right_closed_sets`]. Checked by [`r_step`] and
+/// at the universal-side entry shared by `R̄(·)` and
+/// [`crate::biregular::half_step`], so the limit can only ever change in
+/// one place.
 pub const MAX_LABELS: usize = 22;
+
+/// Largest constraint degree the universal side accepts: the dominance
+/// filter matches configuration positions through `u64` bitmasks, one bit
+/// per position. Checked with [`MAX_LABELS`] at the universal-side entry
+/// shared by `R̄(·)` and [`crate::biregular::half_step`].
+pub const MAX_DEGREE: u32 = 64;
 
 /// The result of one `R(·)` or `R̄(·)` application.
 ///
@@ -144,71 +149,58 @@ pub fn r_step(p: &Problem) -> Result<Step> {
     finish_step(p, set_configs, UniversalSide::Edge)
 }
 
-/// Applies `R̄(·)`: universal step on the node constraint, existential step on
-/// the edge constraint. Runs sequentially; use
-/// [`crate::engine::Engine::rbar_step`] to shard over a worker pool and
-/// serve the sub-multiset index from a session cache (byte-identical).
+/// Applies `R̄(·)`: universal step on the node constraint, existential step
+/// on the edge constraint — the body behind
+/// [`crate::engine::Engine::rbar_step`].
 ///
-/// # Errors
-///
-/// Returns [`RelimError::DegenerateProblem`] when a derived constraint
-/// would be empty, and [`RelimError::TooManyLabels`] if the alphabet
-/// exceeds the right-closed enumeration limit (22 labels).
-pub fn rbar_step(p: &Problem) -> Result<Step> {
-    rbar_step_pooled(p, &Pool::sequential())
-}
-
-/// The pooled `R̄(·)` implementation behind [`rbar_step`] and the engine:
-/// builds a fresh sub-multiset index of `p.node()`.
-pub(crate) fn rbar_step_pooled(p: &Problem, pool: &Pool) -> Result<Step> {
-    let n = p.alphabet().len();
-    if n > MAX_LABELS {
-        return Err(RelimError::TooManyLabels { requested: n });
-    }
-    let sub_index = Arc::new(p.node().sub_multiset_index());
-    rbar_step_indexed(p, &sub_index, pool)
-}
-
-/// The shared `R̄(·)` body: universal enumeration against a prebuilt
-/// (possibly cache-served) sub-multiset index, then the dominance filter,
-/// both sharded over `pool`.
+/// `sub_index` supplies the sub-multiset index of `p.node()` (the session
+/// serves it from its cache, or builds it fresh with memoization off). It
+/// is called only once the input passed the universal-side limits of
+/// [`maximal_universal`], so a refused input costs no index build and
+/// counts no step.
 pub(crate) fn rbar_step_indexed(
     p: &Problem,
-    sub_index: &Arc<SubMultisetIndex>,
     pool: &Pool,
+    sub_index: impl FnOnce(&Constraint) -> Arc<SubMultisetIndex>,
 ) -> Result<Step> {
-    let n = p.alphabet().len();
-    if n > MAX_LABELS {
-        return Err(RelimError::TooManyLabels { requested: n });
-    }
-    assert_eq!(
-        sub_index.degree(),
-        p.node().degree(),
-        "sub-multiset index was built for a different constraint"
-    );
-    let order = StrengthOrder::of_constraint(p.node(), n);
-    let cands = right_closed_sets(&order);
-    let delta = p.delta();
-
-    let raw = forall_multisets_with(&cands, delta, sub_index, pool);
-    let maximal = dominance_filter_pooled(raw, pool);
+    let maximal = maximal_universal(p.node(), p.alphabet().len(), pool, sub_index)?;
     finish_step(p, maximal, UniversalSide::Node)
 }
 
-/// One full round elimination step `Π ↦ R̄(R(Π))`, returning both
-/// intermediate results. Runs sequentially; use
-/// [`crate::engine::Engine::rr_step`] for the pooled, cache-served
-/// session path (byte-identical).
+/// The universal side of a speedup step over `constraint` (alphabet of
+/// `labels` labels): every configuration over right-closed label sets
+/// whose every choice lies in `constraint`, reduced to the maximal ones.
+/// Shared by `R̄(·)` and [`crate::biregular::half_step`], and the one
+/// place their input limits are checked.
 ///
 /// # Errors
 ///
-/// Returns [`RelimError::DegenerateProblem`] when a derived constraint
-/// would be empty, and [`RelimError::TooManyLabels`] when an intermediate
-/// alphabet exceeds the enumeration limit.
-pub fn rr_step(p: &Problem) -> Result<(Step, Step)> {
-    let r = r_step(p)?;
-    let rr = rbar_step_pooled(&r.problem, &Pool::sequential())?;
-    Ok((r, rr))
+/// Returns [`RelimError::TooManyLabels`] past [`MAX_LABELS`] and
+/// [`RelimError::DegreeTooLarge`] past [`MAX_DEGREE`], before
+/// `sub_index` is called.
+pub(crate) fn maximal_universal(
+    constraint: &Constraint,
+    labels: usize,
+    pool: &Pool,
+    sub_index: impl FnOnce(&Constraint) -> Arc<SubMultisetIndex>,
+) -> Result<Vec<SetConfig>> {
+    if labels > MAX_LABELS {
+        return Err(RelimError::TooManyLabels { requested: labels });
+    }
+    let degree = constraint.degree();
+    if degree > MAX_DEGREE {
+        return Err(RelimError::DegreeTooLarge { degree });
+    }
+    let sub_index = sub_index(constraint);
+    assert_eq!(
+        sub_index.degree(),
+        degree,
+        "sub-multiset index was built for a different constraint"
+    );
+    let order = StrengthOrder::of_constraint(constraint, labels);
+    let cands = right_closed_sets(&order);
+    let raw = forall_multisets(&cands, degree, &sub_index, pool);
+    Ok(dominance_filter(raw, pool))
 }
 
 enum UniversalSide {
@@ -322,35 +314,16 @@ pub(crate) fn derive_sides(
 /// (soundness: the universal condition fails for any completion).
 ///
 /// All DFS state (one frontier buffer per depth, the chosen stack) lives
-/// in this thread's [`crate::scratch::ScratchArena`], so repeat calls on
-/// a warm worker allocate only for the output vector.
+/// in the running thread's [`crate::scratch::ScratchArena`], so repeat
+/// calls on a warm worker allocate only for the output vector.
+///
+/// On a pool wider than one thread the DFS is split at the top candidate
+/// level into one stealable subtree task per starting candidate,
+/// submitted to the persistent worker set (candidates and index are
+/// `Arc`-shared with the `'static` tasks). Subtree outputs are
+/// concatenated in candidate order, which is exactly the inline DFS
+/// emission order — output is byte-identical at any thread count.
 pub(crate) fn forall_multisets(
-    cands: &[LabelSet],
-    delta: u32,
-    sub_index: &SubMultisetIndex,
-) -> Vec<SetConfig> {
-    if delta == 0 {
-        return vec![SetConfig::from_sets(&[])];
-    }
-    with_scratch(|scratch| {
-        scratch.ensure_depth(delta as usize);
-        scratch.chosen.clear();
-        scratch.frontiers[0].clear();
-        scratch.frontiers[0].push(Config::empty());
-        let mut out = Vec::new();
-        forall_rec(cands, 0, delta, 0, scratch, sub_index, &mut out);
-        out
-    })
-}
-
-/// [`forall_multisets`] with the DFS split at the top candidate level into
-/// one stealable subtree task per starting candidate, submitted to the
-/// persistent worker set (candidates and index are `Arc`-shared with the
-/// `'static` tasks). Subtree outputs are concatenated in candidate order,
-/// which is exactly the sequential DFS emission order — output is
-/// byte-identical at any thread count. Each worker thread uses its own
-/// scratch arena, warm across tasks and calls.
-pub(crate) fn forall_multisets_with(
     cands: &[LabelSet],
     delta: u32,
     sub_index: &Arc<SubMultisetIndex>,
@@ -360,7 +333,12 @@ pub(crate) fn forall_multisets_with(
         return vec![SetConfig::from_sets(&[])];
     }
     if pool.threads() <= 1 || cands.len() <= 1 {
-        return forall_multisets(cands, delta, sub_index);
+        return with_scratch(|scratch| {
+            start_dfs(scratch, delta);
+            let mut out = Vec::new();
+            forall_rec(cands, 0, delta, 0, scratch, sub_index, &mut out);
+            out
+        });
     }
     let tops: Vec<usize> = (0..cands.len()).collect();
     let cands: Arc<Vec<LabelSet>> = Arc::new(cands.to_vec());
@@ -368,16 +346,22 @@ pub(crate) fn forall_multisets_with(
     let subtrees: Vec<Vec<SetConfig>> = pool.map_owned(tops, move |&top| {
         // The level-0 step of `forall_rec` for candidate `top` alone.
         with_scratch(|scratch| {
-            scratch.ensure_depth(delta as usize);
-            scratch.chosen.clear();
-            scratch.frontiers[0].clear();
-            scratch.frontiers[0].push(Config::empty());
+            start_dfs(scratch, delta);
             let mut out = Vec::new();
             forall_step(&cands, top, delta, 0, scratch, &sub_index, &mut out);
             out
         })
     });
     subtrees.into_iter().flatten().collect()
+}
+
+/// Resets a scratch arena to the DFS root: nothing chosen, one empty
+/// partial choice at depth 0.
+fn start_dfs(scratch: &mut ScratchArena, delta: u32) {
+    scratch.ensure_depth(delta as usize);
+    scratch.chosen.clear();
+    scratch.frontiers[0].clear();
+    scratch.frontiers[0].push(Config::empty());
 }
 
 /// The shared DFS over non-decreasing candidate indices, carrying the
@@ -446,21 +430,16 @@ fn forall_step(
 }
 
 /// Removes configurations dominated by another configuration
-/// (position-wise `⊆` after the best permutation — a bipartite matching).
+/// (position-wise `⊆` after the best permutation — a bipartite matching);
+/// the body behind [`crate::engine::Engine::dominance_filter`].
 ///
 /// Domination is a strict partial order (transitive, and antisymmetric
 /// because mutual domination forces equal cardinality sums and hence equal
 /// multisets), so the survivors are exactly the **maximal** configurations
 /// — independent of input order. The input order of survivors is preserved.
-/// Runs sequentially; use [`crate::engine::Engine::dominance_filter`] to
-/// shard the maximality checks (byte-identical).
-pub fn dominance_filter(configs: Vec<SetConfig>) -> Vec<SetConfig> {
-    dominance_filter_pooled(configs, &Pool::sequential())
-}
-
-/// [`dominance_filter`] with the per-configuration maximality checks
-/// sharded over `pool`, after a bucketing pass that prunes candidate
-/// dominators:
+///
+/// A bucketing pass prunes candidate dominators before the per-configuration
+/// maximality checks, which are sharded over `pool`:
 ///
 /// * configurations are grouped by their sorted cardinality signature, and
 ///   a configuration can only be dominated from a bucket whose signature
@@ -470,8 +449,8 @@ pub fn dominance_filter(configs: Vec<SetConfig>) -> Vec<SetConfig> {
 /// * the bipartite matching inside [`dominates`] only runs on pairs that
 ///   survive both pre-checks.
 ///
-/// Output is byte-identical to [`dominance_filter`] at any thread count.
-pub(crate) fn dominance_filter_pooled(configs: Vec<SetConfig>, pool: &Pool) -> Vec<SetConfig> {
+/// Output equals [`dominance_filter_reference`] at any thread count.
+pub(crate) fn dominance_filter(configs: Vec<SetConfig>, pool: &Pool) -> Vec<SetConfig> {
     if configs.len() <= 1 {
         return configs;
     }
@@ -517,7 +496,7 @@ pub(crate) fn dominance_filter_pooled(configs: Vec<SetConfig>, pool: &Pool) -> V
 type CardSig = InlineVec<u8, INLINE_DEGREE>;
 
 /// Whether `configs[i]` is dominated by no other configuration, using the
-/// bucket pre-checks of the pooled dominance filter.
+/// bucket pre-checks of [`dominance_filter`].
 fn is_maximal(
     configs: &[SetConfig],
     sigs: &[(CardSig, LabelSet)],
@@ -542,8 +521,9 @@ fn is_maximal(
     true
 }
 
-/// The seed's quadratic dominance filter, kept verbatim as the reference
-/// implementation for differential tests of the bucketed/sharded rewrite.
+/// The quadratic dominance filter, kept as the reference implementation
+/// for differential tests of the bucketed, sharded
+/// [`crate::engine::Engine::dominance_filter`].
 pub fn dominance_filter_reference(configs: Vec<SetConfig>) -> Vec<SetConfig> {
     let mut keep = vec![true; configs.len()];
     for i in 0..configs.len() {
@@ -565,10 +545,16 @@ pub fn dominance_filter_reference(configs: Vec<SetConfig>) -> Vec<SetConfig> {
 /// Whether `big` dominates `small`: `big ≠ small` and there is a perfect
 /// matching pairing every position of `small` with a distinct position of
 /// `big` such that `small_i ⊆ big_j`.
+///
+/// # Panics
+///
+/// Panics when both configurations have a degree above [`MAX_DEGREE`]
+/// (one mask bit per position).
 pub fn dominates(big: &SetConfig, small: &SetConfig) -> bool {
     if big == small || big.degree() != small.degree() {
         return false;
     }
+    assert!(big.degree() <= MAX_DEGREE, "degree {} exceeds MAX_DEGREE", big.degree());
     let big_sets = big.as_slice();
     let small_sets = small.as_slice();
     let options: InlineVec<u64, INLINE_DEGREE> = small_sets
@@ -627,7 +613,7 @@ pub fn r_step_edge_bruteforce(p: &Problem) -> Result<Vec<SetConfig>> {
             }
         }
     }
-    Ok(dominance_filter(all))
+    Ok(dominance_filter(all, &Pool::sequential()))
 }
 
 /// Brute-force reference implementation of the universal node side.
@@ -643,9 +629,10 @@ pub fn rbar_step_node_bruteforce(p: &Problem) -> Result<Vec<SetConfig>> {
     }
     let universe = LabelSet::full(n);
     let all_sets: Vec<LabelSet> = crate::labelset::subsets_nonempty(universe).collect();
-    let sub_index = p.node().sub_multiset_index();
-    let raw = forall_multisets(&all_sets_sorted(all_sets), p.delta(), &sub_index);
-    Ok(dominance_filter(raw))
+    let sub_index = Arc::new(p.node().sub_multiset_index());
+    let pool = Pool::sequential();
+    let raw = forall_multisets(&all_sets_sorted(all_sets), p.delta(), &sub_index, &pool);
+    Ok(dominance_filter(raw, &pool))
 }
 
 fn all_sets_sorted(mut sets: Vec<LabelSet>) -> Vec<LabelSet> {
@@ -656,6 +643,7 @@ fn all_sets_sorted(mut sets: Vec<LabelSet>) -> Vec<LabelSet> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Engine;
 
     fn mis3() -> Problem {
         Problem::from_text("M M M\nP O O", "M [P O]\nO O").unwrap()
@@ -701,7 +689,7 @@ mod tests {
         let p = Problem::from_text("O [O I]^2", "O I").unwrap();
         let r = r_step(&p).unwrap();
         let mut fast: Vec<SetConfig> = {
-            let step = rbar_step(&r.problem).unwrap();
+            let step = Engine::sequential().rbar_step(&r.problem).unwrap();
             step.problem.node().iter().map(|c| step.as_set_config(c)).collect()
         };
         let mut brute = rbar_step_node_bruteforce(&r.problem).unwrap();
@@ -755,9 +743,10 @@ mod tests {
         // unit suite; the parallel engine must reproduce it exactly.
         let p = mis3();
         let r = r_step(&p).unwrap();
-        let seq = rbar_step(&r.problem).unwrap();
+        let seq =
+            Engine::builder().threads(1).memoize(false).build().rbar_step(&r.problem).unwrap();
         for threads in [2, 3, 8] {
-            let engine = crate::engine::Engine::builder().threads(threads).build();
+            let engine = Engine::builder().threads(threads).build();
             let par = engine.rbar_step(&r.problem).unwrap();
             assert_eq!(par.problem.render(), seq.problem.render(), "threads = {threads}");
             assert_eq!(par.provenance, seq.provenance, "threads = {threads}");
@@ -776,9 +765,8 @@ mod tests {
             }
         }
         let expected = dominance_filter_reference(configs.clone());
-        assert_eq!(dominance_filter(configs.clone()), expected);
-        for threads in [2, 8] {
-            let engine = crate::engine::Engine::builder().threads(threads).build();
+        for threads in [1, 2, 8] {
+            let engine = Engine::builder().threads(threads).build();
             assert_eq!(engine.dominance_filter(configs.clone()), expected, "threads = {threads}");
         }
     }
@@ -798,7 +786,7 @@ mod tests {
         );
         // The session driver turns the error into a label-limit stop even
         // when its own limit is larger, instead of panicking.
-        let outcome = crate::engine::Engine::builder().threads(1).build().iterate_with_limits(
+        let outcome = Engine::builder().threads(1).build().iterate_with_limits(
             &diagonal(MAX_LABELS + 1),
             3,
             64,
@@ -818,7 +806,30 @@ mod tests {
         assert!(dominates(&y, &x));
         assert!(!dominates(&x, &y));
         assert!(!dominates(&x, &x));
-        let filtered = dominance_filter(vec![x, y.clone()]);
+        let filtered = dominance_filter(vec![x, y.clone()], &Pool::sequential());
         assert_eq!(filtered, vec![y]);
+    }
+
+    /// `A^d` and `A^(d-1) B` on the node side, `A A` / `B B` on the edge
+    /// side: `R̄(R(·))` keeps `A^d` only below the degree limit, where it
+    /// is dominated by `A^(d-1) AB`.
+    fn wide(degree: u32) -> Problem {
+        let node = format!("A^{degree}\nA^{} B", degree - 1);
+        Problem::from_text(&node, "A A\nB B").unwrap()
+    }
+
+    #[test]
+    fn universal_side_refuses_degrees_past_the_mask_width() {
+        let engine = Engine::sequential();
+        let (_, rr) = engine.rr_step(&wide(MAX_DEGREE)).unwrap();
+        assert_eq!(rr.problem.node().len(), 1, "A^64 is dominated by A^63 AB");
+
+        let r = r_step(&wide(MAX_DEGREE + 1)).unwrap();
+        let err = engine.rbar_step(&r.problem).unwrap_err();
+        assert_eq!(err, RelimError::DegreeTooLarge { degree: MAX_DEGREE + 1 });
+        assert_eq!(engine.report().rbar_steps, 1, "a refused input counts no step");
+        let bi = crate::biregular::BiregularProblem::from_problem(&r.problem);
+        let err = crate::biregular::half_step(&bi, crate::biregular::Side::Black).unwrap_err();
+        assert_eq!(err, RelimError::DegreeTooLarge { degree: MAX_DEGREE + 1 });
     }
 }

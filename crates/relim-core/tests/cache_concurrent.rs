@@ -1,10 +1,11 @@
 //! The concurrency battery for the sharded [`SubIndexCache`]: M threads
 //! running clones of one [`Engine`] session over a shared cache must be
-//! **byte-identical** to a fresh single-threaded engine — across
-//! memoization on/off and shard counts 1/4/16 — and hammering one
-//! constraint from every thread must never show more duplicate index
-//! builds than the benign lookup→build→insert race allows (at most one
-//! extra build per racing thread, never a wrong byte).
+//! **byte-identical** to a fresh single-threaded engine — with
+//! memoization on or off — and hammering one constraint from every thread
+//! must never show more duplicate index builds than the benign
+//! lookup→build→insert race allows (at most one extra build per racing
+//! thread, never a wrong byte). The raw cache is hammered at shard counts
+//! 1/4/16; a session always uses `CACHE_SHARDS`.
 
 use proptest::prelude::*;
 use relim_core::iterate::{IterationOutcome, SubIndexCache};
@@ -35,15 +36,13 @@ proptest! {
     /// walking the workload from a rotated offset (so different threads
     /// populate and consume different entries first), must reproduce the
     /// fresh single-threaded reference byte-for-byte — with memoization
-    /// on or off, at 1, 4 and 16 shards.
+    /// on or off.
     #[test]
     fn engine_clones_sharing_the_cache_match_a_fresh_sequential_engine(
         threads in 2usize..=6,
-        shard_idx in 0usize..3,
         memoize_bit in 0usize..2,
         rotation in 0usize..4,
     ) {
-        let shards = [1usize, 4, 16][shard_idx];
         let memoize = memoize_bit == 1;
         let references: Vec<String> = PROBLEMS
             .iter()
@@ -53,8 +52,7 @@ proptest! {
             })
             .collect();
 
-        let engine =
-            Engine::builder().threads(1).cache_shards(shards).memoize(memoize).build();
+        let engine = Engine::builder().threads(1).memoize(memoize).build();
         let barrier = Arc::new(Barrier::new(threads));
         let handles: Vec<_> = (0..threads)
             .map(|t| {
@@ -78,16 +76,14 @@ proptest! {
                 prop_assert_eq!(
                     &got,
                     &references[idx],
-                    "threads={} shards={} memoize={} problem #{} drifted",
+                    "threads={} memoize={} problem #{} drifted",
                     threads,
-                    shards,
                     memoize,
                     idx
                 );
             }
         }
         let report = engine.report();
-        prop_assert_eq!(report.cache_shards, shards);
         if memoize {
             prop_assert!(
                 report.cache_hits >= 1,
@@ -109,54 +105,52 @@ proptest! {
 fn same_constraint_hammer_stays_within_the_benign_race_bound() {
     let so = Problem::from_text("O I I", "[O I] I").unwrap();
     let reference = render(&Engine::sequential().iterate_with_limits(&so, 5, 20));
-    for shards in [1usize, 4, 16] {
-        let threads = 8usize;
-        let engine = Engine::builder().threads(1).cache_shards(shards).build();
-        let run_wave = |wave: usize| {
-            let barrier = Arc::new(Barrier::new(threads));
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let engine = engine.clone();
-                    let p = so.clone();
-                    let barrier = Arc::clone(&barrier);
-                    std::thread::spawn(move || {
-                        barrier.wait();
-                        render(&engine.iterate_with_limits(&p, 5, 20))
-                    })
+    let threads = 8usize;
+    let engine = Engine::builder().threads(1).build();
+    let run_wave = |wave: usize| {
+        let barrier = Arc::new(Barrier::new(threads));
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                let engine = engine.clone();
+                let p = so.clone();
+                let barrier = Arc::clone(&barrier);
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    render(&engine.iterate_with_limits(&p, 5, 20))
                 })
-                .collect();
-            for handle in handles {
-                let got = handle.join().expect("hammer thread panicked");
-                assert_eq!(got, reference, "shards={shards} wave={wave} drifted");
-            }
-        };
+            })
+            .collect();
+        for handle in handles {
+            let got = handle.join().expect("hammer thread panicked");
+            assert_eq!(got, reference, "wave={wave} drifted");
+        }
+    };
 
-        run_wave(1);
-        let after_first = engine.report();
-        assert_eq!(
-            after_first.cache_hits + after_first.cache_misses,
-            threads as u64,
-            "one lookup per run: {after_first:?}"
-        );
-        assert!(after_first.cache_misses >= 1, "someone built: {after_first:?}");
-        assert!(
-            after_first.cache_misses <= threads as u64,
-            "duplicate builds beyond the benign race bound: {after_first:?}"
-        );
-        assert_eq!(after_first.cache_entries, 1, "one constraint, one entry");
+    run_wave(1);
+    let after_first = engine.report();
+    assert_eq!(
+        after_first.cache_hits + after_first.cache_misses,
+        threads as u64,
+        "one lookup per run: {after_first:?}"
+    );
+    assert!(after_first.cache_misses >= 1, "someone built: {after_first:?}");
+    assert!(
+        after_first.cache_misses <= threads as u64,
+        "duplicate builds beyond the benign race bound: {after_first:?}"
+    );
+    assert_eq!(after_first.cache_entries, 1, "one constraint, one entry");
 
-        run_wave(2);
-        let after_second = engine.report();
-        assert_eq!(
-            after_second.cache_misses, after_first.cache_misses,
-            "a warm cache must not build again: {after_second:?}"
-        );
-        assert_eq!(
-            after_second.cache_hits,
-            after_first.cache_hits + threads as u64,
-            "the second wave is served entirely from cache: {after_second:?}"
-        );
-    }
+    run_wave(2);
+    let after_second = engine.report();
+    assert_eq!(
+        after_second.cache_misses, after_first.cache_misses,
+        "a warm cache must not build again: {after_second:?}"
+    );
+    assert_eq!(
+        after_second.cache_hits,
+        after_first.cache_hits + threads as u64,
+        "the second wave is served entirely from cache: {after_second:?}"
+    );
 }
 
 /// The raw cache under the same hammer: M threads calling

@@ -13,7 +13,7 @@
 use proptest::prelude::*;
 use relim_core::config::INLINE_DEGREE;
 use relim_core::inline_vec::InlineVec;
-use relim_core::roundelim::{r_step, rbar_step};
+use relim_core::roundelim::r_step;
 use relim_core::{Config, Label, LabelSet, Problem, SetConfig};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -154,7 +154,7 @@ fn canonical_digests_unchanged_by_inline_storage() {
     assert_eq!(mis.canonical_digest(), "c633598dbe7699f769d135cf09462198");
     let r = r_step(&mis).unwrap().problem;
     assert_eq!(r.canonical_digest(), "8ebc3bcf8d8fb15e0e3419a77ef7a7a9");
-    let rr = rbar_step(&r).unwrap().problem;
+    let rr = relim_core::Engine::sequential().rbar_step(&r).unwrap().problem;
     assert_eq!(rr.canonical_digest(), "0b9ce17dc3d7fc1e6b4cdf09e2e69361");
 }
 
@@ -167,7 +167,8 @@ fn spilled_configs_survive_a_full_step() {
     let so9 = Problem::from_text("O I I I I I I I I", "[O I] I").unwrap();
     assert_eq!(so9.delta(), 9);
     let r = r_step(&so9).unwrap();
-    let seq = rbar_step(&r.problem).unwrap();
+    let reference = relim_core::Engine::builder().threads(1).memoize(false).build();
+    let seq = reference.rbar_step(&r.problem).unwrap();
     for threads in [2, 8] {
         let engine = relim_core::Engine::builder().threads(threads).build();
         let par = engine.rbar_step(&r.problem).unwrap();

@@ -131,10 +131,11 @@ pub const MAX_LABEL_LIMIT: usize = 64;
 /// The `Δ` range a served sweep may ask for (Δ=9 is already hours of
 /// work; beyond that the request is a denial of service, not a query).
 pub const SWEEP_DELTA_RANGE: std::ops::RangeInclusive<u32> = 3..=9;
-/// Upper bound on the degree of any line of client constraint text (the
-/// paper's problems have Δ ≤ 9 here; a larger degree is a typo or an
+/// Upper bound on the degree of any line of client constraint text: the
+/// engine's universal-side limit, [`relim_core::roundelim::MAX_DEGREE`]
+/// (the paper's problems have Δ ≤ 9 here; a larger degree is a typo or an
 /// attempt to make the parser allocate, not a query).
-pub const MAX_CONSTRAINT_DEGREE: u32 = 64;
+pub const MAX_CONSTRAINT_DEGREE: u32 = relim_core::roundelim::MAX_DEGREE;
 /// Upper bound on the configurations client constraint text may expand
 /// to, summed over its node and edge lines. `Π_Δ(a,x)` spells 13 at any
 /// Δ, and `R(Π_9(4,1))` written out in full 8,161. Read off the
@@ -869,7 +870,7 @@ fn render_autolb(
             autolb::Triviality::Universal => "bare PN model",
         }
     ));
-    let replay = autolb::verify_chain(&outcome).map_err(OpError::from)?;
+    let replay = autolb::verify_chain(&outcome, engine).map_err(OpError::from)?;
     out.push_str(&format!("certificate replay: OK ({replay} rounds)"));
     Ok(out)
 }
@@ -911,7 +912,7 @@ fn render_autoub(
         (None, Some(f)) => out.push_str(&format!("no upper bound found: {f:?}\n")),
         (None, None) => unreachable!("outcome carries a bound or a failure"),
     }
-    let replay = autoub::verify_ub(&outcome).map_err(OpError::from)?;
+    let replay = autoub::verify_ub(&outcome, engine).map_err(OpError::from)?;
     out.push_str(&format!("certificate replay: OK ({replay:?})"));
     Ok(out)
 }

@@ -27,7 +27,7 @@ fn main() {
     println!("=== autolb: sinkless orientation (Δ = 3) ===");
     println!("stopped: {:?}", outcome.stopped);
     println!("unbounded fixed point: {}", outcome.unbounded());
-    let replayed = autolb::verify_chain(&outcome).expect("certificate replays");
+    let replayed = autolb::verify_chain(&outcome, &engine).expect("certificate replays");
     println!("certificate replay: OK ({replayed} explicit rounds)\n");
 
     // ---------------------------------------------------------------
@@ -55,7 +55,7 @@ fn main() {
         "certified: ≥ {} rounds, even given a Δ-edge coloring (criterion {:?})",
         outcome.certified_rounds, outcome.triviality
     );
-    autolb::verify_chain(&outcome).expect("certificate replays");
+    autolb::verify_chain(&outcome, &engine).expect("certificate replays");
     println!("certificate replay: OK\n");
 
     // ---------------------------------------------------------------
@@ -111,7 +111,7 @@ fn main() {
         UbKind::VertexColoring { colors } => format!("given a proper {colors}-coloring"),
     };
     println!("upper bound: {} rounds ({kind})", bound.rounds);
-    autoub::verify_ub(&outcome).expect("certificate replays");
+    autoub::verify_ub(&outcome, &engine).expect("certificate replays");
     println!("certificate replay: OK\n");
 
     // ---------------------------------------------------------------
@@ -134,7 +134,7 @@ fn main() {
         "autoub: {} rounds",
         outcome.bound.as_ref().map_or("none".to_owned(), |b| b.rounds.to_string())
     );
-    autoub::verify_ub(&outcome).expect("certificate replays");
+    autoub::verify_ub(&outcome, &engine).expect("certificate replays");
 
     // Lower/upper bounds certified by the same engine are consistent.
     let lb = engine.auto_lower_bound(

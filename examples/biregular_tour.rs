@@ -81,8 +81,9 @@ fn main() {
     //    bound for maximal matching — with a replayable certificate.
     // ---------------------------------------------------------------
     let opts = AutoLbOptions { max_steps: 2, label_budget: 6, triviality: Triviality::Universal };
-    let outcome = mis_domset_lb::Engine::from_env().auto_lower_bound(&mm, &opts);
-    autolb::verify_chain(&outcome).expect("certificate replays");
+    let engine = mis_domset_lb::Engine::from_env();
+    let outcome = engine.auto_lower_bound(&mm, &opts);
+    autolb::verify_chain(&outcome, &engine).expect("certificate replays");
     println!(
         "autolb (universal, budget 6): maximal matching at Δ = 3 needs ≥ {} rounds ({:?})\n",
         outcome.certified_rounds, outcome.stopped

@@ -31,7 +31,10 @@ fn autolb_certifies_family_members() {
             "Π_{delta}({a},{x}): certified {}",
             outcome.certified_rounds
         );
-        assert_eq!(autolb::verify_chain(&outcome).unwrap(), outcome.certified_rounds);
+        assert_eq!(
+            autolb::verify_chain(&outcome, &Engine::sequential()).unwrap(),
+            outcome.certified_rounds
+        );
     }
 }
 
@@ -44,7 +47,10 @@ fn autolb_extends_mis_chain() {
     let opts = AutoLbOptions { max_steps: 2, label_budget: 6, ..Default::default() };
     let outcome = Engine::sequential().auto_lower_bound(&mis, &opts);
     assert!(outcome.certified_rounds >= 2, "certified {}", outcome.certified_rounds);
-    assert_eq!(autolb::verify_chain(&outcome).unwrap(), outcome.certified_rounds);
+    assert_eq!(
+        autolb::verify_chain(&outcome, &Engine::sequential()).unwrap(),
+        outcome.certified_rounds
+    );
     // The merges recorded are genuine (every step within budget).
     for step in &outcome.steps {
         assert!(step.problem.alphabet().len() <= 6);
@@ -68,7 +74,10 @@ fn paper_chain_beats_generic_search_at_scale() {
     let outcome = Engine::sequential().auto_lower_bound(&mis, &opts);
     // Whatever happens (engine error, no viable merge, or one step), the
     // certificate must stay consistent.
-    assert_eq!(autolb::verify_chain(&outcome).unwrap(), outcome.certified_rounds);
+    assert_eq!(
+        autolb::verify_chain(&outcome, &Engine::sequential()).unwrap(),
+        outcome.certified_rounds
+    );
 }
 
 /// MIS on cycles: 0-round solvable given a proper 2-coloring (map color 1
@@ -88,7 +97,7 @@ fn mis_on_cycles_coloring_criteria() {
     let bound = outcome.bound.clone().expect("constant bound exists");
     assert!(bound.rounds >= 1, "not 0-round solvable with 3 colors");
     assert_eq!(bound.kind, UbKind::VertexColoring { colors: 3 });
-    assert_eq!(autoub::verify_ub(&outcome).unwrap(), Some(bound.rounds));
+    assert_eq!(autoub::verify_ub(&outcome, &Engine::sequential()).unwrap(), Some(bound.rounds));
 }
 
 /// Upper and lower automatic bounds are consistent on a mixed sample of

@@ -10,7 +10,7 @@
 use mis_domset_lb::relim::roundelim::{
     self, dominates, r_step_edge_bruteforce, rbar_step_node_bruteforce,
 };
-use mis_domset_lb::relim::{Alphabet, Config, Constraint, Label, LabelSet, Problem};
+use mis_domset_lb::relim::{Alphabet, Config, Constraint, Engine, Label, LabelSet, Problem};
 
 fn multisets(num_labels: u8, k: u32) -> Vec<Config> {
     let labels: Vec<Label> = (0..num_labels).map(Label::new).collect();
@@ -118,6 +118,7 @@ fn exhaustive_three_labels_delta3_sampled_wide() {
 }
 
 fn run_differential(problems: &[Problem]) {
+    let engine = Engine::builder().threads(1).memoize(false).build();
     let mut degenerate = 0usize;
     for p in problems {
         // --- R step: fast vs brute force on the universal edge side. ---
@@ -139,7 +140,7 @@ fn run_differential(problems: &[Problem]) {
 
                 // --- R̄ step on the derived problem, fast vs brute. ---
                 if step.problem.alphabet().len() <= 8 {
-                    match roundelim::rbar_step(&step.problem) {
+                    match engine.rbar_step(&step.problem) {
                         Ok(rr) => {
                             let mut fast_n: Vec<_> =
                                 rr.problem.node().iter().map(|c| rr.as_set_config(c)).collect();

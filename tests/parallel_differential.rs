@@ -1,14 +1,14 @@
 //! Differential property tests for the round-elimination `Engine`
 //! sessions: at thread counts 1, 2 and 8, with session memoization on and
 //! off, every `Engine` method must produce **byte-identical** output to
-//! the sequential reference — the determinism invariant the work-stealing
-//! pool promises (results are collected and canonically re-sorted, so the
+//! the reference — the determinism invariant the work-stealing pool
+//! promises (results are collected and canonically re-sorted, so the
 //! schedule can never leak into the output) composed with the cache
 //! invariant (a sub-multiset index served from the session cache is a
-//! pure function of the constraint). The references are the session-free
-//! sequential paths (`rr_step`, `dominance_filter_reference`,
-//! `iterate_rr_unmemoized`) — the deprecated pool-taking wrappers this
-//! suite used to exercise served their one-release window and are gone.
+//! pure function of the constraint). The reference for steps and
+//! iterations is a width-1 session with memoization off (every batch
+//! inline, every index rebuilt); the dominance filter is checked against
+//! the quadratic `dominance_filter_reference`.
 //!
 //! Problems are drawn from the full space of small LCLs (random non-empty
 //! subsets of the node/edge configuration spaces), seeded via the standard
@@ -17,10 +17,9 @@
 //! empty member sets, duplicates) are pinned deterministically below the
 //! property tests.
 
-use mis_domset_lb::pool::Pool;
 use mis_domset_lb::relim::autolb::{self, AutoLbOptions};
-use mis_domset_lb::relim::iterate::{iterate_rr_unmemoized, IterationOutcome};
-use mis_domset_lb::relim::roundelim::{dominance_filter, dominance_filter_reference, rr_step};
+use mis_domset_lb::relim::iterate::IterationOutcome;
+use mis_domset_lb::relim::roundelim::dominance_filter_reference;
 use mis_domset_lb::relim::{Alphabet, Config, Constraint, Label, LabelSet, Problem, SetConfig};
 use mis_domset_lb::Engine;
 use proptest::prelude::*;
@@ -35,6 +34,12 @@ fn engine_grid() -> Vec<Engine> {
         }
     }
     engines
+}
+
+/// The reference session: one thread (every batch inline on the caller)
+/// and memoization off (every sub-multiset index rebuilt).
+fn reference_engine() -> Engine {
+    Engine::builder().threads(1).memoize(false).build()
 }
 
 /// All multisets of `k` labels over `num_labels` labels.
@@ -130,12 +135,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// `Engine::rr_step` — at threads 1/2/8, memo on/off, warm or cold
-    /// cache — is byte-identical to the sequential `rr_step`, including
-    /// on degenerate problems where every path must fail with the same
+    /// cache — is byte-identical to the reference session, including on
+    /// degenerate problems where every path must fail with the same
     /// error.
     #[test]
     fn rr_step_identical_across_engines(p in problems()) {
-        let sequential = render_rr(&rr_step(&p));
+        let sequential = render_rr(&reference_engine().rr_step(&p));
         for engine in engine_grid() {
             let got = render_rr(&engine.rr_step(&p));
             prop_assert_eq!(&got, &sequential,
@@ -147,8 +152,8 @@ proptest! {
         }
     }
 
-    /// The bucketed, sharded dominance filter agrees with the seed's
-    /// quadratic reference at every thread count.
+    /// The bucketed, sharded dominance filter agrees with the quadratic
+    /// reference at every thread count.
     #[test]
     fn dominance_filter_identical_across_thread_counts(configs in set_configs()) {
         let reference = dominance_filter_reference(configs.clone());
@@ -159,23 +164,15 @@ proptest! {
     }
 
     /// End-to-end `Engine::iterate_with_limits` (a full fixed-point
-    /// search, not a single step) is byte-identical across threads 1/2/8
-    /// and memoization on/off — and the session-free
-    /// `iterate_rr_unmemoized` reference agrees exactly with it at every
-    /// thread count.
+    /// search, not a single step) is byte-identical to the reference
+    /// session across threads 1/2/8 and memoization on/off.
     #[test]
     fn iterate_identical_across_engines(p in problems()) {
-        let reference =
-            render_outcome(&iterate_rr_unmemoized(&p, 4, 12, &Pool::sequential()));
+        let reference = render_outcome(&reference_engine().iterate_with_limits(&p, 4, 12));
         for engine in engine_grid() {
             let session = render_outcome(&engine.iterate_with_limits(&p, 4, 12));
             prop_assert_eq!(&session, &reference,
                             "engine threads = {}, memo = {}", engine.threads(), engine.memoizing());
-        }
-        for threads in [1usize, 2, 8] {
-            let unmemoized =
-                render_outcome(&iterate_rr_unmemoized(&p, 4, 12, &Pool::new(threads)));
-            prop_assert_eq!(&unmemoized, &reference, "memo off, threads = {}", threads);
         }
     }
 
@@ -209,12 +206,10 @@ fn render_outcome(o: &IterationOutcome) -> String {
     format!("{:?}\n{:?}\n{}", o.stats, o.stopped, rendered.join("\n---\n"))
 }
 
-/// `Engine::dominance_filter` must match the seed's quadratic reference
-/// on `configs` at thread counts 1, 2 and 8 (and via the sequential
-/// entry point).
+/// `Engine::dominance_filter` must match the quadratic reference on
+/// `configs` at thread counts 1, 2 and 8.
 fn assert_matches_reference(configs: Vec<SetConfig>, what: &str) {
     let reference = dominance_filter_reference(configs.clone());
-    assert_eq!(dominance_filter(configs.clone()), reference, "{what}: sequential entry point");
     for threads in [1usize, 2, 8] {
         assert_eq!(
             Engine::builder().threads(threads).build().dominance_filter(configs.clone()),

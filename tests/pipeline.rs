@@ -5,8 +5,8 @@
 use mis_domset_lb::family::family::{self, PiParams};
 use mis_domset_lb::family::lemma8::Lemma8Machinery;
 use mis_domset_lb::family::{bounds, convert, lemma6, sequence, sinkless, transforms};
-use mis_domset_lb::relim::roundelim::{self, rr_step};
-use mis_domset_lb::relim::{iso, zeroround};
+use mis_domset_lb::relim::roundelim;
+use mis_domset_lb::relim::{iso, zeroround, Engine};
 use mis_domset_lb::sim::lcl_solver::LeafPolicy;
 use mis_domset_lb::sim::{edge_coloring, trees};
 
@@ -75,7 +75,7 @@ fn chains_end_in_non_zero_round_solvable_problems() {
 #[test]
 fn mis_survives_full_round_elimination_step() {
     let mis = family::mis(3).unwrap();
-    let (r, rr) = rr_step(&mis).unwrap();
+    let (r, rr) = Engine::sequential().rr_step(&mis).unwrap();
     // R(MIS) must contain the pointer structure: more labels than MIS.
     assert!(r.problem.alphabet().len() >= 3);
     assert!(rr.problem.alphabet().len() >= 3);
@@ -96,11 +96,11 @@ fn mis_survives_full_round_elimination_step() {
 #[test]
 fn sinkless_orientation_anchor() {
     for delta in 3..=4 {
-        let report = sinkless::check_fixed_point(delta).unwrap();
+        let report = sinkless::check_fixed_point(delta, &Engine::sequential()).unwrap();
         assert!(report.is_fixed_point, "delta={delta}");
     }
     let strict = sinkless::sinkless_orientation_strict_edges(4).unwrap();
-    let (_, rr) = rr_step(&strict).unwrap();
+    let (_, rr) = Engine::sequential().rr_step(&strict).unwrap();
     let (reduced, _) = rr.problem.drop_unused_labels();
     assert!(iso::isomorphic(&reduced, &sinkless::sinkless_orientation(4).unwrap()));
 }
@@ -127,7 +127,7 @@ fn bounds_consistent_with_chains() {
 #[test]
 fn growth_contrast_between_naive_and_family() {
     let mis = family::mis(3).unwrap();
-    let (r1, rr1) = rr_step(&mis).unwrap();
+    let (r1, rr1) = Engine::sequential().rr_step(&mis).unwrap();
     let naive_labels =
         [mis.alphabet().len(), r1.problem.alphabet().len(), rr1.problem.alphabet().len()];
     assert!(naive_labels[2] > naive_labels[0], "{naive_labels:?}");

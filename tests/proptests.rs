@@ -6,7 +6,7 @@ use mis_domset_lb::algos;
 use mis_domset_lb::family::family::{self, PiParams};
 use mis_domset_lb::family::{convert, transforms};
 use mis_domset_lb::relim::roundelim::{self, dominates};
-use mis_domset_lb::relim::{parse, zeroround, Problem};
+use mis_domset_lb::relim::{parse, zeroround, Engine, Problem};
 use mis_domset_lb::sim::lcl_solver::LeafPolicy;
 use mis_domset_lb::sim::{checkers, edge_coloring, trees};
 use proptest::prelude::*;
@@ -115,6 +115,26 @@ proptest! {
         }
     }
 
+    /// Differential test: the session's `R̄(·)` universal node side (over
+    /// right-closed candidates only) agrees with brute force over every
+    /// label set, on `R(Π)` of random problems with at most 8 labels.
+    #[test]
+    fn rbar_step_matches_bruteforce(num_labels in 2u8..5, delta in 2u32..4,
+                                    node_mask in 1u64..5000, edge_mask in 1u64..5000) {
+        if let Some(p) = random_problem(num_labels, delta, node_mask, edge_mask) {
+            let Ok(r) = roundelim::r_step(&p) else { return Ok(()) };
+            if r.problem.alphabet().len() > 8 {
+                return Ok(());
+            }
+            let Ok(rr) = Engine::sequential().rbar_step(&r.problem) else { return Ok(()) };
+            let mut fast: Vec<_> = rr.problem.node().iter().map(|c| rr.as_set_config(c)).collect();
+            let mut brute = roundelim::rbar_step_node_bruteforce(&r.problem).unwrap();
+            fast.sort();
+            brute.sort();
+            prop_assert_eq!(fast, brute);
+        }
+    }
+
     /// Zero-round analysis is stable under label renaming.
     #[test]
     fn zeroround_invariant_under_renaming(num_labels in 2u8..5, delta in 2u32..4,
@@ -173,7 +193,7 @@ proptest! {
     fn triviality_never_disappears_under_rr(num_labels in 2u8..4, delta in 2u32..4,
                                             node_mask in 1u64..2000, edge_mask in 1u64..2000) {
         if let Some(p) = random_problem(num_labels, delta, node_mask, edge_mask) {
-            let Ok((_, rr)) = roundelim::rr_step(&p) else { return Ok(()) };
+            let Ok((_, rr)) = Engine::sequential().rr_step(&p) else { return Ok(()) };
             let (q, _) = rr.problem.drop_unused_labels();
             if zeroround::solvable_pn_universal(&p) {
                 prop_assert!(zeroround::solvable_pn_universal(&q),
@@ -261,8 +281,9 @@ proptest! {
         use mis_domset_lb::relim::autolb;
         if let Some(p) = random_problem(num_labels, delta, node_mask, edge_mask) {
             let opts = autolb::AutoLbOptions { max_steps: 2, label_budget: 5, ..Default::default() };
-            let outcome = mis_domset_lb::Engine::sequential().auto_lower_bound(&p, &opts);
-            let replay = autolb::verify_chain(&outcome);
+            let engine = mis_domset_lb::Engine::sequential();
+            let outcome = engine.auto_lower_bound(&p, &opts);
+            let replay = autolb::verify_chain(&outcome, &engine);
             prop_assert!(replay.is_ok(), "{:?} -> {:?}", outcome.stopped, replay.err());
             prop_assert_eq!(replay.unwrap(), outcome.certified_rounds);
         }
@@ -275,7 +296,7 @@ proptest! {
                                       node_mask in 1u64..2000, edge_mask in 1u64..2000) {
         use mis_domset_lb::relim::{biregular, iso};
         if let Some(p) = random_problem(num_labels, delta, node_mask, edge_mask) {
-            let rr = roundelim::rr_step(&p);
+            let rr = Engine::sequential().rr_step(&p);
             let bi = biregular::full_step(&biregular::BiregularProblem::from_problem(&p));
             match (rr, bi) {
                 (Ok((_, rr)), Ok((_, bi))) => {
@@ -302,8 +323,9 @@ proptest! {
                 label_budget: 8,
                 coloring: Some(colors),
             };
-            let outcome = mis_domset_lb::Engine::sequential().auto_upper_bound(&p, &opts);
-            let replay = autoub::verify_ub(&outcome);
+            let engine = mis_domset_lb::Engine::sequential();
+            let outcome = engine.auto_upper_bound(&p, &opts);
+            let replay = autoub::verify_ub(&outcome, &engine);
             prop_assert!(replay.is_ok(), "{:?}", replay.err());
             prop_assert_eq!(replay.unwrap(), outcome.bound.map(|b| b.rounds));
         }

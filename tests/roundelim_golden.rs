@@ -1,5 +1,5 @@
-//! Golden tests: `relim_core::roundelim::{r_step, rbar_step}` pinned to
-//! the paper-known fixed points and first-step shapes.
+//! Golden tests: `R(·)` and `R̄(R(·))` pinned to the paper-known fixed
+//! points and first-step shapes.
 //!
 //! Two anchors from the round elimination literature (paper §1.3, §2.2):
 //!
@@ -16,8 +16,14 @@
 //! golden value.
 
 use mis_domset_lb::family::sinkless;
-use mis_domset_lb::relim::roundelim::{self, rr_step};
-use mis_domset_lb::relim::{iso, iterate, zeroround, Engine, Problem};
+use mis_domset_lb::relim::error::Result;
+use mis_domset_lb::relim::roundelim;
+use mis_domset_lb::relim::{iso, iterate, zeroround, Engine, Problem, Step};
+
+/// One `R̄(R(·))` step on the reference session (one thread, no cache).
+fn rr_step(p: &Problem) -> Result<(Step, Step)> {
+    Engine::builder().threads(1).memoize(false).build().rr_step(p)
+}
 
 fn mis_delta3() -> Problem {
     Problem::from_text("M M M\nP O O", "M [P O]\nO O").expect("valid MIS encoding")
