@@ -63,11 +63,13 @@ fn print_hso_fixed_points() {
     println!("\n[E19c] hypergraph sinkless orientation under one full biregular step:");
     println!("{:>10} {:>8} {:>8} {:>8} {:>8}", "(δ_B,δ_W)", "|Σ|→", "|B|→", "|W|→", "trivial");
     let grid = vec![(3u32, 2u32), (3, 3), (4, 3), (3, 4)];
-    for row in bench::shared_engine().map_owned(grid, |&(db, dw)| {
+    let engine = bench::shared_engine();
+    let session = engine.clone();
+    for row in engine.map_owned(grid, move |&(db, dw)| {
         let black = format!("O{}", " I".repeat(db as usize - 1));
         let white = format!("[O I]{}", " I".repeat(dw as usize - 1));
         let hso = BiregularProblem::from_text(&black, &white).expect("valid");
-        let (_, step) = biregular::full_step(&hso).expect("steps");
+        let (_, step) = biregular::full_step(&hso, &session).expect("steps");
         let q = &step.problem;
         format!(
             "{:>10} {:>8} {:>8} {:>8} {:>8}",
@@ -94,12 +96,12 @@ fn bench(c: &mut Criterion) {
     c.bench_function("rr_step_specialized_mm3", |b| b.iter(|| uncached.rr_step(&mm).expect("ok")));
     let bi = BiregularProblem::from_problem(&mm);
     c.bench_function("biregular_full_step_mm3", |b| {
-        b.iter(|| biregular::full_step(&bi).expect("ok"))
+        b.iter(|| biregular::full_step(&bi, &uncached).expect("ok"))
     });
 
     let hso = BiregularProblem::from_text("O I I", "[O I] I I").expect("valid");
     c.bench_function("biregular_full_step_hso33", |b| {
-        b.iter(|| biregular::full_step(&hso).expect("ok"))
+        b.iter(|| biregular::full_step(&hso, &uncached).expect("ok"))
     });
 }
 

@@ -25,7 +25,7 @@
 use crate::family::{self, PiParams};
 use relim_core::diagram::StrengthOrder;
 use relim_core::error::{RelimError, Result};
-use relim_core::roundelim::r_step;
+use relim_core::roundelim::{r_step, Step};
 use relim_core::{Alphabet, Constraint, Label, LabelSet, Line, Problem};
 
 /// Indices of the 8 labels of the claimed `R(Π)` in canonical order
@@ -152,10 +152,17 @@ impl Lemma6Report {
 ///
 /// Propagates parameter validation (`x + 2 ≤ a ≤ Δ` required).
 pub fn verify(params: &PiParams) -> Result<Lemma6Report> {
-    let p = family::pi(params)?;
-    let claimed = claimed_r_of_pi(params)?;
-    let step = r_step(&p)?;
+    check(params, &r_step(&family::pi(params)?)?)
+}
 
+/// Verifies Lemma 6 + Figure 5 against `step`, an already computed
+/// `R(Π_Δ(a,x))`.
+///
+/// # Errors
+///
+/// Propagates parameter validation (`x + 2 ≤ a ≤ Δ` required).
+pub fn check(params: &PiParams, step: &Step) -> Result<Lemma6Report> {
+    let claimed = claimed_r_of_pi(params)?;
     let provenance_matches = step.provenance == claimed_provenance();
 
     // With matching provenance the label indices coincide, so constraints

@@ -26,7 +26,6 @@ use crate::lemma6::{self, rp_labels as rp};
 use local_sim::lcl_solver::LclViolation;
 use local_sim::{Graph, PortLabeling};
 use relim_core::error::{RelimError, Result};
-use relim_core::matching::assign_positions;
 use relim_core::relax;
 use relim_core::roundelim::Step;
 use relim_core::{Config, Engine, Label, LabelSet, Line, Problem};
@@ -184,20 +183,16 @@ impl Lemma8Machinery {
         &self.rr.problem
     }
 
-    /// Runs the full verification.
+    /// Runs the full verification. Lemma 6 is checked on the machinery's
+    /// own `R(Π)`, so the point computes `R` once.
     pub fn verify(&self) -> Lemma8Report {
-        let lemma6_ok = lemma6::verify(&self.params).map(|r| r.matches_paper()).unwrap_or(false);
+        let lemma6_ok =
+            lemma6::check(&self.params, &self.r).map(|r| r.matches_paper()).unwrap_or(false);
 
-        let mut all_relax = true;
-        let mut counterexample = None;
-        for cfg in self.rr.problem.node().iter() {
-            let sc = self.rr.as_set_config(cfg);
-            if !self.rel_lines.iter().any(|l| relax::config_relaxes_to_line(&sc, l)) {
-                all_relax = false;
-                counterexample = Some(format!("{sc:?}"));
-                break;
-            }
-        }
+        let node_configs = self.rr.problem.node().iter().map(|cfg| self.rr.as_set_config(cfg));
+        let counterexample = relax::all_relax_to_lines(node_configs, &self.rel_lines)
+            .err()
+            .map(|sc| format!("{sc:?}"));
 
         let pi_rel_equals_pi_plus =
             match (pi_rel_problem(&self.params), family::pi_plus(&self.params)) {
@@ -208,7 +203,7 @@ impl Lemma8Machinery {
         Lemma8Report {
             params: self.params,
             lemma6_ok,
-            all_node_configs_relax: all_relax,
+            all_node_configs_relax: counterexample.is_none(),
             pi_rel_equals_pi_plus,
             rr_label_count: self.rr.problem.alphabet().len(),
             rr_node_config_count: self.rr.problem.node().len(),
@@ -230,49 +225,26 @@ impl Lemma8Machinery {
         let sup = super_labels();
         let mut out: Vec<Vec<u8>> = Vec::with_capacity(graph.n());
         for v in 0..graph.n() {
-            let d = graph.degree(v);
             // Per-port provenance sets (over R(Π) labels).
-            let port_sets: Vec<LabelSet> =
-                (0..d).map(|p| self.rr.provenance[labeling.get(v, p) as usize]).collect();
-            let mut assigned: Option<Vec<u8>> = None;
-            for line in &self.rel_lines {
-                let groups = line.groups();
-                let options: Vec<u64> = port_sets
-                    .iter()
-                    .map(|&y| {
-                        let mut mask = 0u64;
-                        for (g, &(set, _)) in groups.iter().enumerate() {
-                            if y.is_subset_of(set) {
-                                mask |= 1 << g;
-                            }
-                        }
-                        mask
+            let port_sets: Vec<LabelSet> = (0..graph.degree(v))
+                .map(|p| self.rr.provenance[labeling.get(v, p) as usize])
+                .collect();
+            let relaxed = self
+                .rel_lines
+                .iter()
+                .find_map(|line| relax::relax_into_line(&port_sets, line))
+                .ok_or_else(|| RelimError::InvalidParameter {
+                    message: format!("node {v} configuration does not relax into any Π_rel line"),
+                })?;
+            out.push(
+                relaxed
+                    .into_iter()
+                    .map(|target| {
+                        sup.iter().position(|&s| s == target).expect("groups are super-labels")
+                            as u8
                     })
-                    .collect();
-                let caps: Vec<u32> = groups.iter().map(|&(_, m)| m).collect();
-                if let Some(asg) = assign_positions(&options, &caps) {
-                    let labels: Vec<u8> = asg
-                        .into_iter()
-                        .map(|g| {
-                            let target = groups[g].0;
-                            sup.iter().position(|&s| s == target).expect("groups are super-labels")
-                                as u8
-                        })
-                        .collect();
-                    assigned = Some(labels);
-                    break;
-                }
-            }
-            match assigned {
-                Some(labels) => out.push(labels),
-                None => {
-                    return Err(RelimError::InvalidParameter {
-                        message: format!(
-                            "node {v} configuration does not relax into any Π_rel line"
-                        ),
-                    })
-                }
-            }
+                    .collect(),
+            );
         }
         PortLabeling::from_vecs(graph, out)
             .map_err(|e| RelimError::InvalidParameter { message: e.to_string() })

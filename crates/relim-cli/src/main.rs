@@ -107,7 +107,7 @@ fn run(raw: Vec<String>) -> Result<String, Box<dyn std::error::Error>> {
     let engine = engine_from(&args)?;
     match command {
         "step" => cmd_step(&args, &engine),
-        "bistep" => cmd_bistep(&args),
+        "bistep" => cmd_bistep(&args, &engine),
         "diagram" => cmd_diagram(&args),
         "trivial" => cmd_trivial(&args),
         // Rendered by the serving layer's canonical op, so a local run and
@@ -214,90 +214,81 @@ the lineage JSON instead of DOT."
 }
 
 /// The engine session for this invocation: one per run, sized from the
-/// global `--threads N` flag or the `RELIM_THREADS` environment variable.
-/// A malformed `RELIM_THREADS` (zero, empty, non-numeric) is a reported
-/// error, not a silent fallback — and setting *both* the flag and the
-/// variable to different values is rejected instead of silently
-/// preferring the flag.
+/// global `--threads N` flag or the `RELIM_THREADS` environment variable
+/// (see [`resolve_width`]).
 fn engine_from(args: &Args) -> Result<Engine, Box<dyn std::error::Error>> {
-    Ok(Engine::builder().threads(threads_from(args)?).build())
+    Ok(Engine::builder().threads(width_from(args, &THREADS)?).build())
 }
 
-/// The resolved pool width of this invocation (`0` = available
-/// parallelism) without building an engine — `serve` passes it to the
-/// daemon's own session instead of constructing an idle CLI pool.
-fn threads_from(args: &Args) -> Result<usize, Box<dyn std::error::Error>> {
-    let env = match std::env::var("RELIM_THREADS") {
+/// A pool width set by a flag, an environment variable, or both.
+struct WidthSetting {
+    /// The flag, without its leading `--`.
+    flag: &'static str,
+    /// The environment variable.
+    var: &'static str,
+    /// What is counted, for the conflict message.
+    noun: &'static str,
+    /// Parses the variable's value; the error is the full message.
+    parse: fn(&str) -> Result<usize, String>,
+}
+
+/// The engine pool width (`0` = available parallelism).
+const THREADS: WidthSetting = WidthSetting {
+    flag: "threads",
+    var: "RELIM_THREADS",
+    noun: "thread",
+    parse: |raw| parse_threads(raw).map_err(|e| e.to_string()),
+};
+
+/// The daemon's executor count (`0` = the daemon default, `min(4, cores)`).
+const EXECUTORS: WidthSetting = WidthSetting {
+    flag: "executors",
+    var: "RELIM_EXECUTORS",
+    noun: "executor",
+    parse: |raw| match raw.trim().parse::<usize>() {
+        Ok(n) if n >= 1 => Ok(n),
+        _ => Err(format!(
+            "RELIM_EXECUTORS must be a positive integer (e.g. 4), got `{raw}`; \
+             unset it to use the default (min(4, cores))"
+        )),
+    },
+};
+
+/// The resolved value of `setting` for this invocation, without building
+/// anything — `serve` passes its widths on to the daemon.
+fn width_from(args: &Args, setting: &WidthSetting) -> Result<usize, Box<dyn std::error::Error>> {
+    let env = match std::env::var(setting.var) {
         Ok(raw) => Some(raw),
         Err(std::env::VarError::NotPresent) => None,
         Err(std::env::VarError::NotUnicode(raw)) => Some(raw.to_string_lossy().into_owned()),
     };
-    Ok(resolve_threads(args.get_u64_opt("threads")?, env.as_deref())?)
+    Ok(resolve_width(setting, args.get_u64_opt(setting.flag)?, env.as_deref())?)
 }
 
-/// The pure flag-vs-environment resolution behind [`engine_from`]:
-/// returns the width to build the session with (`0` = available
-/// parallelism), or the error describing a malformed or conflicting
-/// configuration.
-fn resolve_threads(flag: Option<u64>, env: Option<&str>) -> Result<usize, ArgError> {
+/// The pure flag-vs-environment resolution behind [`width_from`]: the
+/// width to use (`0` = the default), or the error describing a malformed
+/// or conflicting configuration. A malformed variable (zero, empty,
+/// non-numeric) is a reported error, not a silent fallback, and a flag
+/// and variable that disagree are rejected instead of silently
+/// preferring the flag.
+fn resolve_width(
+    setting: &WidthSetting,
+    flag: Option<u64>,
+    env: Option<&str>,
+) -> Result<usize, ArgError> {
     match (flag, env) {
         (None, None) => Ok(0),
-        (None, Some(raw)) => parse_threads(raw).map_err(|e| ArgError(e.to_string())),
+        (None, Some(raw)) => (setting.parse)(raw).map_err(ArgError),
         (Some(n), None) => Ok(n as usize),
         (Some(n), Some(raw)) => {
-            let env_threads = parse_threads(raw).map_err(|e| {
-                ArgError(format!("--threads {n} conflicts with the environment: {e}"))
+            let from_env = (setting.parse)(raw).map_err(|e| {
+                ArgError(format!("--{} {n} conflicts with the environment: {e}", setting.flag))
             })?;
-            if env_threads as u64 != n {
+            if from_env as u64 != n {
                 return Err(ArgError(format!(
-                    "conflicting thread counts: --threads {n} vs RELIM_THREADS={env_threads}; \
-                     unset one of them (they must agree when both are given)"
-                )));
-            }
-            Ok(n as usize)
-        }
-    }
-}
-
-/// The executor-pool width of a `serve` invocation (`0` = the daemon
-/// default, `min(4, cores)`) from the `--executors N` flag or the
-/// `RELIM_EXECUTORS` environment variable, with the same loud-rejection
-/// rules as [`resolve_threads`].
-fn executors_from(args: &Args) -> Result<usize, Box<dyn std::error::Error>> {
-    let env = match std::env::var("RELIM_EXECUTORS") {
-        Ok(raw) => Some(raw),
-        Err(std::env::VarError::NotPresent) => None,
-        Err(std::env::VarError::NotUnicode(raw)) => Some(raw.to_string_lossy().into_owned()),
-    };
-    Ok(resolve_executors(args.get_u64_opt("executors")?, env.as_deref())?)
-}
-
-/// The pure flag-vs-environment resolution behind [`executors_from`],
-/// mirroring [`resolve_threads`]: a malformed `RELIM_EXECUTORS` (zero,
-/// empty, non-numeric) is a reported error, and setting both the flag
-/// and the variable to different values is rejected.
-fn resolve_executors(flag: Option<u64>, env: Option<&str>) -> Result<usize, ArgError> {
-    fn parse_env(raw: &str) -> Result<usize, ArgError> {
-        match raw.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(n),
-            _ => Err(ArgError(format!(
-                "RELIM_EXECUTORS must be a positive integer (e.g. 4), got `{raw}`; \
-                 unset it to use the default (min(4, cores))"
-            ))),
-        }
-    }
-    match (flag, env) {
-        (None, None) => Ok(0),
-        (None, Some(raw)) => parse_env(raw),
-        (Some(n), None) => Ok(n as usize),
-        (Some(n), Some(raw)) => {
-            let env_executors = parse_env(raw).map_err(|e| {
-                ArgError(format!("--executors {n} conflicts with the environment: {e}"))
-            })?;
-            if env_executors as u64 != n {
-                return Err(ArgError(format!(
-                    "conflicting executor counts: --executors {n} vs RELIM_EXECUTORS={env_executors}; \
-                     unset one of them (they must agree when both are given)"
+                    "conflicting {} counts: --{} {n} vs {}={from_env}; \
+                     unset one of them (they must agree when both are given)",
+                    setting.noun, setting.flag, setting.var
                 )));
             }
             Ok(n as usize)
@@ -346,7 +337,7 @@ fn cmd_step(args: &Args, engine: &Engine) -> Result<String, Box<dyn std::error::
     Ok(out.trim_end().to_owned())
 }
 
-fn cmd_bistep(args: &Args) -> Result<String, Box<dyn std::error::Error>> {
+fn cmd_bistep(args: &Args, engine: &Engine) -> Result<String, Box<dyn std::error::Error>> {
     use relim_core::biregular::{self, BiregularProblem};
     let black = constraint_text(args.require("black")?);
     let white = constraint_text(args.require("white")?);
@@ -355,7 +346,7 @@ fn cmd_bistep(args: &Args) -> Result<String, Box<dyn std::error::Error>> {
     let mut out = format!("(δ_B, δ_W) = {:?}\n\n=== input ===\n{}\n\n", p.degrees(), p.render());
     let mut current = p;
     for i in 1..=steps {
-        let (_, b) = biregular::full_step(&current)?;
+        let (_, b) = biregular::full_step(&current, engine)?;
         out.push_str(&format!("=== after full step {i} ===\n{}\n", b.problem.render()));
         out.push_str(&format!(
             "trivial for black nodes: {}\n\n",
@@ -540,8 +531,8 @@ fn peers_from(args: &Args) -> Result<Vec<String>, ArgError> {
 
 fn cmd_serve(args: &Args) -> Result<String, Box<dyn std::error::Error>> {
     let addr = args.get("addr").unwrap_or(DEFAULT_ADDR);
-    let threads = threads_from(args)?;
-    let executors = executors_from(args)?;
+    let threads = width_from(args, &THREADS)?;
+    let executors = width_from(args, &EXECUTORS)?;
     let config = ServerConfig {
         threads,
         executors,
@@ -778,7 +769,8 @@ fn cmd_viz(args: &Args) -> Result<String, Box<dyn std::error::Error>> {
             op.name()
         ))));
     }
-    let engine = Engine::builder().threads(threads_from(args)?).record_lineage(true).build();
+    let engine =
+        Engine::builder().threads(width_from(args, &THREADS)?).record_lineage(true).build();
     op.execute(&engine)?;
     let graph = engine.lineage().expect("a record_lineage(true) session always has a graph");
     if args.has_flag("json") {
@@ -899,30 +891,30 @@ mod tests {
         // Pure resolution: unset env falls back to the flag / available
         // parallelism; agreeing values pass; disagreeing or malformed
         // combinations are loud errors, never a silent preference.
-        assert_eq!(resolve_threads(None, None).unwrap(), 0);
-        assert_eq!(resolve_threads(Some(3), None).unwrap(), 3);
-        assert_eq!(resolve_threads(None, Some("4")).unwrap(), 4);
-        assert_eq!(resolve_threads(Some(4), Some("4")).unwrap(), 4);
-        let conflict = resolve_threads(Some(4), Some("2")).unwrap_err();
+        assert_eq!(resolve_width(&THREADS, None, None).unwrap(), 0);
+        assert_eq!(resolve_width(&THREADS, Some(3), None).unwrap(), 3);
+        assert_eq!(resolve_width(&THREADS, None, Some("4")).unwrap(), 4);
+        assert_eq!(resolve_width(&THREADS, Some(4), Some("4")).unwrap(), 4);
+        let conflict = resolve_width(&THREADS, Some(4), Some("2")).unwrap_err();
         assert!(conflict.to_string().contains("conflicting thread counts"), "{conflict}");
         assert!(conflict.to_string().contains("unset one"), "{conflict}");
-        let bad_env = resolve_threads(Some(4), Some("zero")).unwrap_err();
+        let bad_env = resolve_width(&THREADS, Some(4), Some("zero")).unwrap_err();
         assert!(bad_env.to_string().contains("conflicts with the environment"), "{bad_env}");
-        let bad_env_alone = resolve_threads(None, Some("0")).unwrap_err();
+        let bad_env_alone = resolve_width(&THREADS, None, Some("0")).unwrap_err();
         assert!(bad_env_alone.to_string().contains("positive integer"), "{bad_env_alone}");
     }
 
     #[test]
     fn executor_resolution_mirrors_the_thread_rules() {
-        assert_eq!(resolve_executors(None, None).unwrap(), 0);
-        assert_eq!(resolve_executors(Some(4), None).unwrap(), 4);
-        assert_eq!(resolve_executors(None, Some("4")).unwrap(), 4);
-        assert_eq!(resolve_executors(Some(2), Some("2")).unwrap(), 2);
-        let conflict = resolve_executors(Some(4), Some("2")).unwrap_err();
+        assert_eq!(resolve_width(&EXECUTORS, None, None).unwrap(), 0);
+        assert_eq!(resolve_width(&EXECUTORS, Some(4), None).unwrap(), 4);
+        assert_eq!(resolve_width(&EXECUTORS, None, Some("4")).unwrap(), 4);
+        assert_eq!(resolve_width(&EXECUTORS, Some(2), Some("2")).unwrap(), 2);
+        let conflict = resolve_width(&EXECUTORS, Some(4), Some("2")).unwrap_err();
         assert!(conflict.to_string().contains("conflicting executor counts"), "{conflict}");
-        let bad_env = resolve_executors(None, Some("0")).unwrap_err();
+        let bad_env = resolve_width(&EXECUTORS, None, Some("0")).unwrap_err();
         assert!(bad_env.to_string().contains("RELIM_EXECUTORS"), "{bad_env}");
-        let bad_combo = resolve_executors(Some(4), Some("none")).unwrap_err();
+        let bad_combo = resolve_width(&EXECUTORS, Some(4), Some("none")).unwrap_err();
         assert!(bad_combo.to_string().contains("conflicts with the environment"), "{bad_combo}");
     }
 
@@ -1008,6 +1000,18 @@ mod tests {
         let out = run_words(&["bistep", "--black", "O I I", "--white", "[O I] I I"]);
         assert!(out.contains("(3, 3)"), "{out}");
         assert!(out.contains("trivial for black nodes: false"), "{out}");
+    }
+
+    #[test]
+    fn bistep_bytes_do_not_depend_on_the_session_width() {
+        // Sessions are built directly, so an ambient RELIM_THREADS cannot
+        // conflict with the widths under test.
+        let words = ["bistep", "--black", "M M M;P O O", "--white", "M [P O];O O", "--steps", "2"];
+        let args = Args::parse(words.iter().map(|s| s.to_string()).collect::<Vec<_>>()).unwrap();
+        let one = cmd_bistep(&args, &Engine::builder().threads(1).build()).unwrap();
+        let two = cmd_bistep(&args, &Engine::builder().threads(2).build()).unwrap();
+        assert!(one.contains("=== after full step 2 ==="), "{one}");
+        assert_eq!(one, two);
     }
 
     #[test]

@@ -25,14 +25,13 @@
 
 use crate::config::{Config, SetConfig};
 use crate::constraint::Constraint;
+use crate::engine::Engine;
 use crate::error::{RelimError, Result};
 use crate::label::Alphabet;
 use crate::labelset::LabelSet;
 use crate::parse;
 use crate::problem::Problem;
-use crate::roundelim::{derive_sides, maximal_universal};
-use relim_pool::Pool;
-use std::sync::Arc;
+use crate::roundelim::derive_sides;
 
 /// A locally checkable problem on (δ_B, δ_W)-biregular trees.
 ///
@@ -179,7 +178,9 @@ pub struct BiStep {
 
 /// One half speedup step: maximal universal configurations (over
 /// right-closed sets, Observation 4) on `side`, existential replacement
-/// on the other side.
+/// on the other side. The universal enumeration and dominance filter run
+/// on `engine`'s pool, with the sub-multiset index from its cache, as
+/// [`Engine::rbar_step`] does; the result is byte-identical at any width.
 ///
 /// # Errors
 ///
@@ -188,14 +189,12 @@ pub struct BiStep {
 /// [`crate::roundelim::MAX_LABELS`] labels and
 /// [`RelimError::DegreeTooLarge`] when the universal side's degree
 /// exceeds [`crate::roundelim::MAX_DEGREE`].
-pub fn half_step(p: &BiregularProblem, side: Side) -> Result<BiStep> {
+pub fn half_step(p: &BiregularProblem, side: Side, engine: &Engine) -> Result<BiStep> {
     let (uni_src, exist_src) = match side {
         Side::Black => (&p.black, &p.white),
         Side::White => (&p.white, &p.black),
     };
-    let maximal = maximal_universal(uni_src, p.alphabet.len(), &Pool::sequential(), |c| {
-        Arc::new(c.sub_multiset_index())
-    })?;
+    let maximal = engine.maximal_universal(uni_src, p.alphabet.len())?;
     let derived = derive_sides(&p.alphabet, maximal, exist_src)?;
     let (black, white) = match side {
         Side::Black => (derived.universal, derived.existential),
@@ -212,9 +211,9 @@ pub fn half_step(p: &BiregularProblem, side: Side) -> Result<BiStep> {
 /// # Errors
 ///
 /// Same as [`half_step`].
-pub fn full_step(p: &BiregularProblem) -> Result<(BiStep, BiStep)> {
-    let w = half_step(p, Side::White)?;
-    let b = half_step(&w.problem, Side::Black)?;
+pub fn full_step(p: &BiregularProblem, engine: &Engine) -> Result<(BiStep, BiStep)> {
+    let w = half_step(p, Side::White, engine)?;
+    let b = half_step(&w.problem, Side::Black, engine)?;
     Ok((w, b))
 }
 
@@ -298,7 +297,7 @@ mod tests {
             let p = Problem::from_text(node, edge).unwrap();
             let (_, rr) = Engine::sequential().rr_step(&p).unwrap();
             let bi = BiregularProblem::from_problem(&p);
-            let (_, bb) = full_step(&bi).unwrap();
+            let (_, bb) = full_step(&bi, &Engine::sequential()).unwrap();
             let q = bb.problem.to_problem().unwrap();
             assert!(
                 iso::isomorphic(&q, &rr.problem),
@@ -313,7 +312,7 @@ mod tests {
         // the generalization of the STOC'16 fixed point. One full step
         // must reproduce the problem up to isomorphism.
         let hso = BiregularProblem::from_text("O I I", "[O I] I I").unwrap();
-        let (_, step) = full_step(&hso).unwrap();
+        let (_, step) = full_step(&hso, &Engine::sequential()).unwrap();
         let q = step.problem.clone();
         // Compare by rendering through Problem-style isomorphism: same
         // degrees, same alphabet size, and a label bijection matching
@@ -334,6 +333,23 @@ mod tests {
     }
 
     #[test]
+    fn full_steps_share_the_session() {
+        // The second step of the same problem reuses both half steps'
+        // sub-multiset indices, and wider sessions give the same problem.
+        let hso = BiregularProblem::from_text("O I I", "[O I] I I").unwrap();
+        let engine = Engine::sequential();
+        let (_, first) = full_step(&hso, &engine).unwrap();
+        assert_eq!(engine.report().cache_hits, 0);
+        let (_, second) = full_step(&hso, &engine).unwrap();
+        assert_eq!(engine.report().cache_hits, 2);
+        assert_eq!(first.problem, second.problem);
+        let wide = Engine::builder().threads(2).build();
+        let (_, parallel) = full_step(&hso, &wide).unwrap();
+        assert_eq!(parallel.problem, first.problem);
+        assert_eq!(parallel.provenance, first.provenance);
+    }
+
+    #[test]
     fn dual_swaps_sides() {
         let p = BiregularProblem::from_problem(&mis3());
         let d = p.dual();
@@ -348,8 +364,9 @@ mod tests {
         // Universal step on the white side of Π == universal step on the
         // black side of the dual, with the sides swapped.
         let p = BiregularProblem::from_problem(&mis3());
-        let via_white = half_step(&p, Side::White).unwrap();
-        let via_dual = half_step(&p.dual(), Side::Black).unwrap();
+        let engine = Engine::sequential();
+        let via_white = half_step(&p, Side::White, &engine).unwrap();
+        let via_dual = half_step(&p.dual(), Side::Black, &engine).unwrap();
         assert!(via_white.problem.semantically_equal(&via_dual.problem.dual()));
         assert_eq!(via_white.provenance, via_dual.provenance);
     }
@@ -386,7 +403,7 @@ mod tests {
     #[test]
     fn provenance_maps_back_to_old_labels() {
         let p = BiregularProblem::from_problem(&mis3());
-        let step = half_step(&p, Side::White).unwrap();
+        let step = half_step(&p, Side::White, &Engine::sequential()).unwrap();
         // Every universal-side configuration maps to sets of old labels
         // whose pairings are all in the old white constraint.
         let compat = mis3().edge_compat();
@@ -407,8 +424,9 @@ mod tests {
         let p = mis3();
         let r = crate::roundelim::r_step(&p).unwrap();
         let bi = BiregularProblem::from_problem(&r.problem);
-        let direct = Engine::sequential().rbar_step(&r.problem).unwrap();
-        let via_bi = half_step(&bi, Side::Black).unwrap();
+        let engine = Engine::sequential();
+        let direct = engine.rbar_step(&r.problem).unwrap();
+        let via_bi = half_step(&bi, Side::Black, &engine).unwrap();
         let q = via_bi.problem.to_problem().unwrap();
         assert!(iso::isomorphic(&q, &direct.problem));
     }

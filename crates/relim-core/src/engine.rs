@@ -475,6 +475,19 @@ impl Engine {
         self.shared.cache.get_or_build(constraint)
     }
 
+    /// The maximal universal configurations of `constraint` over `labels`
+    /// labels, on the session pool and with the session's cached index —
+    /// the universal half of [`crate::biregular::half_step`].
+    pub(crate) fn maximal_universal(
+        &self,
+        constraint: &Constraint,
+        labels: usize,
+    ) -> Result<Vec<SetConfig>> {
+        roundelim::maximal_universal(constraint, labels, &self.shared.pool, |c| {
+            self.cached_index(c)
+        })
+    }
+
     /// `R̄(·)` through the session cache, without the entry-point timer
     /// (shared by the step drivers so wall time is not double counted).
     /// The step is counted, and the index fetched, only for inputs within

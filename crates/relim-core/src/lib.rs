@@ -42,7 +42,8 @@
 //!   paper §2.3, Figures 1, 4, 5) and their Hasse edges.
 //! * [`rightclosed`] — enumeration of right-closed label sets.
 //! * [`relax`] — Definition 7 (relaxations of configurations) as executable
-//!   checks.
+//!   checks; line membership and the `R̄` dominance filter are the same
+//!   relation and share its subset-mask builder.
 //! * [`zeroround`] — 0-round solvability analysis: the identified-ports
 //!   gadget underlying Lemmas 12 and 15, the bare-PN "trivial problem"
 //!   criterion, and the c-vertex-coloring clique criterion.

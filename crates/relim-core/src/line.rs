@@ -7,11 +7,11 @@
 //! represents one such condensed configuration; a configuration is
 //! *contained* in a line if some choice of the disjunctions produces it.
 
-use crate::config::Config;
+use crate::config::{Config, SetConfig};
 use crate::error::{RelimError, Result};
 use crate::label::{Alphabet, Label};
 use crate::labelset::LabelSet;
-use crate::matching::transport_feasible;
+use crate::relax;
 use std::fmt;
 
 /// A condensed configuration: a multiset of `(label set, multiplicity)`
@@ -95,27 +95,15 @@ impl Line {
     }
 
     /// Whether `config` can be produced by choosing one label from each
-    /// position's disjunction (Hall's condition via a small max-flow).
+    /// position's disjunction: the singleton sets of `config` relax into
+    /// the line (Definition 7, [`crate::relax::config_relaxes_to_line`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the line has more than 64 groups.
     pub fn contains(&self, config: &Config) -> bool {
-        if config.degree() != self.degree() {
-            return false;
-        }
-        let counts = config.counts();
-        let supply: Vec<u32> = counts.iter().map(|&(_, c)| c).collect();
-        let options: Vec<u64> = counts
-            .iter()
-            .map(|&(label, _)| {
-                let mut mask = 0u64;
-                for (g, (set, _)) in self.groups.iter().enumerate() {
-                    if set.contains(label) {
-                        mask |= 1 << g;
-                    }
-                }
-                mask
-            })
-            .collect();
-        let caps: Vec<u32> = self.groups.iter().map(|&(_, m)| m).collect();
-        transport_feasible(&supply, &options, &caps)
+        let singletons: SetConfig = config.iter().map(LabelSet::singleton).collect();
+        relax::config_relaxes_to_line(&singletons, self)
     }
 
     /// Expands the line into every concrete configuration it contains.
@@ -315,6 +303,34 @@ mod tests {
         assert!(line.contains(&Config::new(vec![l(0), l(1)])));
         assert!(line.contains(&Config::new(vec![l(0), l(0)])));
         assert!(!line.contains(&Config::new(vec![l(1), l(1)])));
+    }
+
+    #[test]
+    fn contains_past_degree_64() {
+        // A^64 [AB] holds A^64 B: 65 positions, two groups.
+        let line = Line::new(vec![(ls(0b01), 64), (ls(0b11), 1)]).unwrap();
+        let mut labels = vec![l(0); 64];
+        labels.push(l(1));
+        assert!(line.contains(&Config::new(labels.clone())));
+        labels[0] = l(1);
+        assert!(!line.contains(&Config::new(labels)));
+    }
+
+    #[test]
+    fn contains_respects_group_capacities() {
+        // [A]^2 [B]^2: both A's must fit the A group, whatever B does.
+        let line = Line::new(vec![(ls(0b01), 2), (ls(0b10), 2)]).unwrap();
+        assert!(line.contains(&Config::new(vec![l(0), l(0), l(1), l(1)])));
+        assert!(!line.contains(&Config::new(vec![l(0), l(0), l(0), l(1)])));
+        // [AB]^1 [B]^2 holds A B B but not A A B: every position needs
+        // reachable capacity.
+        let line = Line::new(vec![(ls(0b11), 1), (ls(0b10), 2)]).unwrap();
+        assert!(line.contains(&Config::new(vec![l(0), l(1), l(1)])));
+        assert!(!line.contains(&Config::new(vec![l(0), l(0), l(1)])));
+        // Hall violation: A and B both need the single [AB] slot.
+        let line = Line::new(vec![(ls(0b011), 1), (ls(0b100), 1)]).unwrap();
+        assert!(!line.contains(&Config::new(vec![l(0), l(1)])));
+        assert!(line.contains(&Config::new(vec![l(1), l(2)])));
     }
 
     #[test]

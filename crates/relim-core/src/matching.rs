@@ -2,9 +2,17 @@
 //!
 //! Several engine operations reduce to the question *"can `n` positions be
 //! assigned to capacity-bounded groups, respecting per-position options?"* —
-//! e.g. membership of a configuration in a condensed line (Hall's condition)
-//! or the relaxation test of Definition 7. The instances are tiny (≤ 64
-//! positions, ≤ 32 groups), so a simple augmenting-path matching is ideal.
+//! the relaxation test of Definition 7, membership of a configuration in a
+//! condensed line, and the dominance test of `R̄`'s maximality filter. The
+//! options come from one builder in [`crate::relax`]: one `u64` mask per
+//! position, bit `g` set when the position fits group `g`, so there are at
+//! most 64 groups. There are two matchers, both augmenting-path (Kuhn)
+//! matchings:
+//!
+//! * [`unit_assignment_feasible`] — every group takes one position. It is
+//!   allocation-free and runs in the `R̄` hot loop.
+//! * [`assign_positions`] — group `g` takes up to `caps[g]` positions, and
+//!   the assignment itself is returned.
 
 /// Decides whether every position can be assigned to some allowed group
 /// without exceeding group capacities.
@@ -158,95 +166,6 @@ fn augment(
     false
 }
 
-/// Feasibility of a bipartite *transportation* instance: `supply[i]` units at
-/// each left node, `caps[g]` capacity at each right node, `options[i]` the
-/// right nodes reachable from left node `i`. Decides whether all supply can
-/// be shipped.
-///
-/// This is the multiplicity-aware version of [`assign_positions`], used for
-/// configuration-in-line membership where both the configuration labels and
-/// the line groups carry multiplicities.
-///
-/// # Example
-///
-/// ```
-/// use relim_core::matching::transport_feasible;
-///
-/// // 3 units at left node 0, which can reach groups 0 (cap 2) and 1 (cap 1).
-/// assert!(transport_feasible(&[3], &[0b11], &[2, 1]));
-/// assert!(!transport_feasible(&[4], &[0b11], &[2, 1]));
-/// ```
-pub fn transport_feasible(supply: &[u32], options: &[u64], caps: &[u32]) -> bool {
-    debug_assert_eq!(supply.len(), options.len());
-    let total: u32 = supply.iter().sum();
-    let reachable_cap: u64 = {
-        // Quick necessary check: total capacity of reachable groups.
-        let mut any: u64 = 0;
-        for &o in options {
-            any |= o;
-        }
-        caps.iter().enumerate().filter(|(g, _)| any & (1 << *g) != 0).map(|(_, &c)| c as u64).sum()
-    };
-    if (total as u64) > reachable_cap {
-        return false;
-    }
-    // Max-flow via repeated augmenting BFS on a tiny network.
-    // Nodes: 0 = source, 1..=L lefts, L+1..=L+G rights, L+G+1 = sink.
-    let l = supply.len();
-    let g = caps.len();
-    let n = l + g + 2;
-    let sink = n - 1;
-    // Capacity matrix (small sizes, dense is fine).
-    let mut cap = vec![vec![0i64; n]; n];
-    for i in 0..l {
-        cap[0][1 + i] = supply[i] as i64;
-        for grp in 0..g {
-            if options[i] & (1 << grp) != 0 {
-                cap[1 + i][1 + l + grp] = i64::MAX / 4;
-            }
-        }
-    }
-    for grp in 0..g {
-        cap[1 + l + grp][sink] = caps[grp] as i64;
-    }
-    let mut flow = 0i64;
-    loop {
-        // BFS for augmenting path.
-        let mut parent = vec![usize::MAX; n];
-        parent[0] = 0;
-        let mut queue = std::collections::VecDeque::new();
-        queue.push_back(0usize);
-        while let Some(u) = queue.pop_front() {
-            for v in 0..n {
-                if parent[v] == usize::MAX && cap[u][v] > 0 {
-                    parent[v] = u;
-                    queue.push_back(v);
-                }
-            }
-        }
-        if parent[sink] == usize::MAX {
-            break;
-        }
-        // Find bottleneck.
-        let mut bottleneck = i64::MAX;
-        let mut v = sink;
-        while v != 0 {
-            let u = parent[v];
-            bottleneck = bottleneck.min(cap[u][v]);
-            v = u;
-        }
-        let mut v = sink;
-        while v != 0 {
-            let u = parent[v];
-            cap[u][v] -= bottleneck;
-            cap[v][u] += bottleneck;
-            v = u;
-        }
-        flow += bottleneck;
-    }
-    flow == total as i64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,26 +218,5 @@ mod tests {
         assert!(unit_assignment_feasible(&[], 0));
         // More positions than groups can never match distinctly.
         assert!(!unit_assignment_feasible(&[0b1, 0b1], 1));
-    }
-
-    #[test]
-    fn transport_matches_assignment_semantics() {
-        // supply 2 of label A (reaches groups 0,1) and 1 of label B (group 1).
-        // caps: [1, 2] -> feasible (A->0, A->1, B->1).
-        assert!(transport_feasible(&[2, 1], &[0b11, 0b10], &[1, 2]));
-        // caps: [1, 1] -> infeasible (3 units, only 2 reachable capacity).
-        assert!(!transport_feasible(&[2, 1], &[0b11, 0b10], &[1, 1]));
-    }
-
-    #[test]
-    fn transport_hall_violation() {
-        // Two labels each supply 1, both only reach group 0 with cap 1.
-        assert!(!transport_feasible(&[1, 1], &[0b01, 0b01], &[1, 1]));
-    }
-
-    #[test]
-    fn transport_exact_capacity() {
-        assert!(transport_feasible(&[2, 2], &[0b01, 0b10], &[2, 2]));
-        assert!(!transport_feasible(&[3, 2], &[0b01, 0b10], &[2, 2]));
     }
 }

@@ -49,6 +49,7 @@ use crate::labelset::LabelSet;
 use crate::line::Line;
 use crate::matching::unit_assignment_feasible;
 use crate::problem::Problem;
+use crate::relax::subset_masks;
 use crate::rightclosed::right_closed_sets;
 use crate::scratch::{with_scratch, ScratchArena};
 use relim_pool::Pool;
@@ -544,7 +545,8 @@ pub fn dominance_filter_reference(configs: Vec<SetConfig>) -> Vec<SetConfig> {
 
 /// Whether `big` dominates `small`: `big ≠ small` and there is a perfect
 /// matching pairing every position of `small` with a distinct position of
-/// `big` such that `small_i ⊆ big_j`.
+/// `big` such that `small_i ⊆ big_j` — `small` relaxes to `big`
+/// (Definition 7, [`crate::relax::config_relaxes_to`]) and differs from it.
 ///
 /// # Panics
 ///
@@ -554,21 +556,9 @@ pub fn dominates(big: &SetConfig, small: &SetConfig) -> bool {
     if big == small || big.degree() != small.degree() {
         return false;
     }
-    assert!(big.degree() <= MAX_DEGREE, "degree {} exceeds MAX_DEGREE", big.degree());
     let big_sets = big.as_slice();
     let small_sets = small.as_slice();
-    let options: InlineVec<u64, INLINE_DEGREE> = small_sets
-        .iter()
-        .map(|&s| {
-            let mut mask = 0u64;
-            for (j, &b) in big_sets.iter().enumerate() {
-                if s.is_subset_of(b) {
-                    mask |= 1 << j;
-                }
-            }
-            mask
-        })
-        .collect();
+    let options = subset_masks(small_sets.iter().copied(), big_sets.iter().copied());
     let options = options.as_slice();
     // Hall-style pre-check before the matching: every run of equal sets in
     // `small` (they share one options mask, since `small` is sorted) needs
@@ -589,7 +579,8 @@ pub fn dominates(big: &SetConfig, small: &SetConfig) -> bool {
 
 /// Brute-force reference implementation of the universal edge side, without
 /// the right-closedness and Galois accelerations. Exposed for differential
-/// testing; exponential in `|Σ|`.
+/// testing; exponential in `|Σ|`. Filters with the quadratic
+/// [`dominance_filter_reference`], not the bucketed filter it checks.
 ///
 /// # Errors
 ///
@@ -613,11 +604,12 @@ pub fn r_step_edge_bruteforce(p: &Problem) -> Result<Vec<SetConfig>> {
             }
         }
     }
-    Ok(dominance_filter(all, &Pool::sequential()))
+    Ok(dominance_filter_reference(all))
 }
 
 /// Brute-force reference implementation of the universal node side.
-/// Exponential; only usable for tiny alphabets and degrees.
+/// Exponential; only usable for tiny alphabets and degrees. Filters with
+/// [`dominance_filter_reference`], like [`r_step_edge_bruteforce`].
 ///
 /// # Errors
 ///
@@ -630,9 +622,9 @@ pub fn rbar_step_node_bruteforce(p: &Problem) -> Result<Vec<SetConfig>> {
     let universe = LabelSet::full(n);
     let all_sets: Vec<LabelSet> = crate::labelset::subsets_nonempty(universe).collect();
     let sub_index = Arc::new(p.node().sub_multiset_index());
-    let pool = Pool::sequential();
-    let raw = forall_multisets(&all_sets_sorted(all_sets), p.delta(), &sub_index, &pool);
-    Ok(dominance_filter(raw, &pool))
+    let raw =
+        forall_multisets(&all_sets_sorted(all_sets), p.delta(), &sub_index, &Pool::sequential());
+    Ok(dominance_filter_reference(raw))
 }
 
 fn all_sets_sorted(mut sets: Vec<LabelSet>) -> Vec<LabelSet> {
@@ -829,7 +821,8 @@ mod tests {
         assert_eq!(err, RelimError::DegreeTooLarge { degree: MAX_DEGREE + 1 });
         assert_eq!(engine.report().rbar_steps, 1, "a refused input counts no step");
         let bi = crate::biregular::BiregularProblem::from_problem(&r.problem);
-        let err = crate::biregular::half_step(&bi, crate::biregular::Side::Black).unwrap_err();
+        let err =
+            crate::biregular::half_step(&bi, crate::biregular::Side::Black, &engine).unwrap_err();
         assert_eq!(err, RelimError::DegreeTooLarge { degree: MAX_DEGREE + 1 });
     }
 }

@@ -12,8 +12,13 @@ use mis_domset_lb::relim::autolb::{self, AutoLbOptions, Triviality};
 use mis_domset_lb::relim::biregular::{self, BiregularProblem};
 use mis_domset_lb::relim::zeroround;
 use mis_domset_lb::sim::{checkers, trees};
+use mis_domset_lb::Engine;
 
 fn main() {
+    // One session for the whole tour: half steps and the bound search
+    // share its pool and sub-multiset index cache.
+    let engine = Engine::from_env();
+
     // ---------------------------------------------------------------
     // 1. Hypergraph sinkless orientation: the STOC'16 fixed point,
     //    generalized to rank-r hyperedges. One full biregular step
@@ -25,7 +30,7 @@ fn main() {
         let black = format!("O{}", " I".repeat(db as usize - 1));
         let white = format!("[O I]{}", " I".repeat(dw as usize - 1));
         let hso = BiregularProblem::from_text(&black, &white).expect("valid");
-        let (_, step) = biregular::full_step(&hso).expect("engine");
+        let (_, step) = biregular::full_step(&hso, &engine).expect("engine");
         let q = &step.problem;
         println!(
             "(δ_B, δ_W) = ({db},{dw}): |Σ| {} → {}, |B| {} → {}, |W| {} → {}, trivial: {}",
@@ -48,8 +53,8 @@ fn main() {
     let dual = bi.dual();
     println!("=== maximal matching (Δ = 3) and its dual view ===");
     println!("primal degrees {:?}, dual degrees {:?}", bi.degrees(), dual.degrees());
-    let via_white = biregular::half_step(&bi, biregular::Side::White).expect("engine");
-    let via_dual = biregular::half_step(&dual, biregular::Side::Black).expect("engine");
+    let via_white = biregular::half_step(&bi, biregular::Side::White, &engine).expect("engine");
+    let via_dual = biregular::half_step(&dual, biregular::Side::Black, &engine).expect("engine");
     println!(
         "half step from either view agrees: {}\n",
         via_white.problem.semantically_equal(&via_dual.problem.dual())
@@ -81,7 +86,6 @@ fn main() {
     //    bound for maximal matching — with a replayable certificate.
     // ---------------------------------------------------------------
     let opts = AutoLbOptions { max_steps: 2, label_budget: 6, triviality: Triviality::Universal };
-    let engine = mis_domset_lb::Engine::from_env();
     let outcome = engine.auto_lower_bound(&mm, &opts);
     autolb::verify_chain(&outcome, &engine).expect("certificate replays");
     println!(

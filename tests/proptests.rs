@@ -296,8 +296,9 @@ proptest! {
                                       node_mask in 1u64..2000, edge_mask in 1u64..2000) {
         use mis_domset_lb::relim::{biregular, iso};
         if let Some(p) = random_problem(num_labels, delta, node_mask, edge_mask) {
-            let rr = Engine::sequential().rr_step(&p);
-            let bi = biregular::full_step(&biregular::BiregularProblem::from_problem(&p));
+            let engine = Engine::sequential();
+            let rr = engine.rr_step(&p);
+            let bi = biregular::full_step(&biregular::BiregularProblem::from_problem(&p), &engine);
             match (rr, bi) {
                 (Ok((_, rr)), Ok((_, bi))) => {
                     let q = bi.problem.to_problem().unwrap();
@@ -330,6 +331,44 @@ proptest! {
             prop_assert_eq!(replay.unwrap(), outcome.bound.map(|b| b.rounds));
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Definition 7 and the `R̄` dominance order are one relation: `a`
+    /// relaxes to `b` exactly when `a == b` or `b` dominates `a`. The two
+    /// sides run on different matchers (capacities over `b`'s runs of
+    /// equal sets against one slot per position of `b`), so each is the
+    /// other's oracle. Sets range over three labels, the empty set
+    /// included; half the cases grow `a` into `b`, so both answers occur.
+    #[test]
+    fn relaxation_is_dominance_or_equality(degree in 1u32..=6, seed in 0u64..u64::MAX,
+                                           grow in 0u8..2) {
+        use mis_domset_lb::relim::{relax, LabelSet, SetConfig};
+        let mut state = seed;
+        let mut next_set = || LabelSet::from_bits((splitmix(&mut state) % 8) as u32);
+        let a: SetConfig = (0..degree).map(|_| next_set()).collect();
+        let b: SetConfig = if grow == 1 {
+            a.iter().map(|set| set.union(next_set())).collect()
+        } else {
+            (0..degree).map(|_| next_set()).collect()
+        };
+        prop_assert_eq!(relax::config_relaxes_to(&a, &b), a == b || dominates(&b, &a),
+                        "{:?} -> {:?}", a, b);
+        prop_assert_eq!(relax::config_relaxes_to(&b, &a), a == b || dominates(&a, &b),
+                        "{:?} -> {:?}", b, a);
+    }
+}
+
+/// Splitmix64 step: the vendored proptest shim has no collection
+/// strategies, so variable-length inputs come from one seed.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E3779B97F4A7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+    z ^ (z >> 31)
 }
 
 /// Builds a small random problem by selecting node/edge configurations via
