@@ -580,12 +580,12 @@ fn service_concurrent_throughput_entry(quick: bool) -> Entry {
 }
 
 /// The `trace_overhead` kernel: the same warm `zero-round` submission
-/// batch against a fresh in-memory daemon with tracing off (run 1,
-/// the default configuration) and on (run 2). The served bytes must be
+/// batch against one fresh in-memory default daemon, untraced (run 1)
+/// and carrying a trace context (run 2). The served bytes must be
 /// identical in every sample of both runs — tracing is observability,
-/// never behavior — and the traced daemon must actually hold spans for
-/// the measured trace id, so the "on" timing is honest. The off run is
-/// the shipping default: its entire cost is one `None` branch per
+/// never behavior — and the daemon must actually hold spans for the
+/// measured trace id, so the "on" timing is honest. The untraced run is
+/// what every request without a context costs: one `None` branch per
 /// recording site, and this entry pins that claim with a number.
 fn trace_overhead_entry(quick: bool) -> Entry {
     let op = OpRequest::zero_round("M M M;P O O", "M [P O];O O").expect("valid op");
@@ -594,13 +594,13 @@ fn trace_overhead_entry(quick: bool) -> Entry {
     let batch: usize = if quick { 16 } else { 64 };
     let trace_id: u64 = 0xbe7c;
 
-    let run_daemon = |trace: bool| -> (u64, u64, u64) {
-        let config = ServerConfig { threads: 1, executors: 1, trace, ..ServerConfig::default() };
-        let handle = Server::spawn("127.0.0.1:0", config).expect("spawn daemon");
-        let client = Client::new(handle.local_addr().to_string());
-        let cold = client.submit(&op, None).expect("cold submission");
-        assert!(!cold.cached, "first submission cannot be cached");
-        assert_eq!(cold.result, reference, "served must equal in-process bytes");
+    let config = ServerConfig { threads: 1, executors: 1, ..ServerConfig::default() };
+    let handle = Server::spawn("127.0.0.1:0", config).expect("spawn daemon");
+    let client = Client::new(handle.local_addr().to_string());
+    let cold = client.submit(&op, None).expect("cold submission");
+    assert!(!cold.cached, "first submission cannot be cached");
+    assert_eq!(cold.result, reference, "served must equal in-process bytes");
+    let run_batch = |trace: bool| -> (u64, u64, u64) {
         let ctx = trace.then_some(relim_service::trace::TraceContext { trace_id, parent: None });
         let (all_identical, med, min, max) = time_median(samples, || {
             (0..batch).all(|_| {
@@ -609,17 +609,16 @@ fn trace_overhead_entry(quick: bool) -> Entry {
             })
         });
         assert!(all_identical, "served bytes must not depend on tracing");
-        if trace {
-            let dump = client.trace_dump(Some(trace_id)).expect("trace dump");
-            assert!(!dump.spans.is_empty(), "the traced daemon must hold spans");
-        }
-        client.shutdown().expect("graceful shutdown");
-        handle.join();
         (med, min, max)
     };
 
-    let (off_med, off_min, off_max) = run_daemon(false);
-    let (on_med, on_min, on_max) = run_daemon(true);
+    let (off_med, off_min, off_max) = run_batch(false);
+    assert!(client.trace_dump(None).expect("trace dump").spans.is_empty(), "untraced is silent");
+    let (on_med, on_min, on_max) = run_batch(true);
+    let dump = client.trace_dump(Some(trace_id)).expect("trace dump");
+    assert!(!dump.spans.is_empty(), "the traced requests must hold spans");
+    client.shutdown().expect("graceful shutdown");
+    handle.join();
     Entry {
         id: "trace_overhead".into(),
         params: vec![

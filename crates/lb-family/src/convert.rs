@@ -32,7 +32,7 @@ use relim_core::{Config, Label, Problem};
 pub fn to_lcl(problem: &Problem, leaf_policy: LeafPolicy) -> Result<LclInstance> {
     let n = problem.alphabet().len();
     if n > 32 {
-        return Err(RelimError::TooManyLabels { requested: n });
+        return Err(RelimError::TooManyLabels { requested: n, limit: 32 });
     }
     let configs: Vec<Vec<u8>> =
         problem.node().iter().map(|c| c.iter().map(|l| l.raw()).collect()).collect();

@@ -178,11 +178,6 @@ impl Lemma8Machinery {
         Ok(Lemma8Machinery { params: *params, r, rr, rel_lines })
     }
 
-    /// The problem `R̄(R(Π))`.
-    pub fn pi_pp(&self) -> &Problem {
-        &self.rr.problem
-    }
-
     /// Runs the full verification. Lemma 6 is checked on the machinery's
     /// own `R(Π)`, so the point computes `R` once.
     pub fn verify(&self) -> Lemma8Report {

@@ -211,8 +211,8 @@ mod tests {
 
     #[test]
     fn trace_options_take_values_and_trace_is_a_flag() {
-        // `--trace-id`/`--format` take values; `--trace` (on submit and
-        // serve) is a boolean switch.
+        // `--trace-id`/`--format` take values; `--trace` (on submit) is
+        // a boolean switch.
         let a = parse(&[
             "trace",
             "--trace-id",

@@ -12,7 +12,7 @@
 //! relim [--threads T] chain       --delta D [--k K] [--exact]
 //! relim [--threads T] bounds      --n N --delta D [--k K]
 //! relim [--threads T] serve       [--addr A] [--store DIR] [--store-capacity N] [--aging-limit N]
-//!                                 [--peers host:port,…] [--peer-timeout-ms N] [--trace]
+//!                                 [--peers host:port,…] [--peer-timeout-ms N]
 //! relim submit      [--addr A] --op OP <op options> [--priority interactive|bulk] [--trace]
 //! relim status      [--addr A]
 //! relim ping        [--addr A]
@@ -145,7 +145,7 @@ USAGE: relim [--threads T] <command> ...
   relim bounds      --n N --delta D [--k K]
   relim serve       [--addr A] [--store DIR] [--store-capacity N]
                     [--store-budget-bytes N] [--aging-limit N] [--executors N]
-                    [--peers host:port,…] [--peer-timeout-ms N] [--trace]
+                    [--peers host:port,…] [--peer-timeout-ms N]
   relim submit      [--addr A] --op autolb|autoub|iterate|sweep|zero-round
                     <op options> [--priority interactive|bulk] [--trace]
   relim status      [--addr A]
@@ -197,11 +197,11 @@ queue and exit.
 `trace` collects the spans of one trace id from a daemon (--addr) and
 any number of its peers (--peers host:port,…), merges them, and
 renders a cross-daemon tree — or, with --format chrome, a Chrome
-trace-event JSON loadable in Perfetto / chrome://tracing. Daemons
-record spans only when started with `serve --trace`; a daemon that
-records none, or that dropped spans from its bounded window, is
-called out on stderr so an incomplete merge is never mistaken for a
-complete one.
+trace-event JSON loadable in Perfetto / chrome://tracing. A daemon
+records the spans of every request that carries a trace id (`submit
+--trace`) and of the peer fetches it triggers; a daemon that dropped
+spans from its bounded window is called out on stderr so an
+incomplete merge is never mistaken for a complete one.
 
 `viz` renders the round-elimination derivation DAG behind one
 certificate as Graphviz DOT: address a stored result by --digest D
@@ -546,7 +546,6 @@ fn cmd_serve(args: &Args) -> Result<String, Box<dyn std::error::Error>> {
         peers: peers_from(args)?,
         peer_timeout_ms: args
             .get_u64("peer-timeout-ms", relim_service::server::DEFAULT_PEER_TIMEOUT_MS)?,
-        trace: args.has_flag("trace"),
     };
     let store_desc = match &config.store_dir {
         Some(dir) => match config.store_budget_bytes {
@@ -560,13 +559,12 @@ fn cmd_serve(args: &Args) -> Result<String, Box<dyn std::error::Error>> {
     } else {
         format!(", fleet peers: {}", config.peers.join(" "))
     };
-    let trace_desc = if config.trace { ", tracing on" } else { "" };
     let handle = Server::spawn(addr, config)?;
     // Announce readiness immediately (scripts poll `relim status`, but a
     // human watching the terminal wants the bound address).
     println!(
         "relim-service listening on {} (store: {store_desc}, engine threads: {}, \
-         executors: {}{fleet_desc}{trace_desc})",
+         executors: {}{fleet_desc})",
         handle.local_addr(),
         if threads == 0 { Engine::available_parallelism() } else { threads },
         relim_service::server::resolve_executors(executors),
@@ -655,14 +653,15 @@ fn cmd_ping(args: &Args) -> Result<String, Box<dyn std::error::Error>> {
     // the client's bulk-job default for ten minutes.
     let client = Client::new(&*addr).with_timeout(std::time::Duration::from_secs(5));
     let info = client.ping_info()?;
-    let spans = if info.span_window == 0 {
-        "tracing off".to_owned()
-    } else {
-        format!("span window {} ({} dropped)", info.span_window, info.span_dropped)
-    };
     Ok(format!(
-        "pong from {addr}: uptime {} ms, {} store entries, timeline window {} ({} dropped), {spans}",
-        info.uptime_ms, info.store_entries, info.timeline_window, info.timeline_dropped
+        "pong from {addr}: uptime {} ms, {} store entries, timeline window {} ({} dropped), \
+         span window {} ({} dropped)",
+        info.uptime_ms,
+        info.store_entries,
+        info.timeline_window,
+        info.timeline_dropped,
+        info.span_window,
+        info.span_dropped
     ))
 }
 
@@ -686,10 +685,9 @@ fn cmd_timeline(args: &Args) -> Result<String, Box<dyn std::error::Error>> {
 /// loadable in Perfetto / chrome://tracing).
 ///
 /// Completeness warnings go to stderr, never into the rendering: a
-/// daemon whose span window is 0 runs without `serve --trace` and can
-/// contribute nothing, and a daemon that has dropped spans out of its
-/// bounded window may hold only part of the trace. Either way the merge
-/// still renders — but the operator is told it may be incomplete.
+/// daemon that has dropped spans out of its bounded window may hold
+/// only part of the trace. The merge still renders — but the operator
+/// is told it may be incomplete.
 fn cmd_trace(args: &Args) -> Result<String, Box<dyn std::error::Error>> {
     let raw_id = args.require("trace-id")?;
     let trace_id = trace::parse_id(raw_id)
@@ -708,12 +706,7 @@ fn cmd_trace(args: &Args) -> Result<String, Box<dyn std::error::Error>> {
     for addr in &addrs {
         let client = Client::new(&**addr).with_timeout(std::time::Duration::from_secs(5));
         let dump = client.trace_dump(Some(trace_id))?;
-        if dump.window == 0 {
-            eprintln!(
-                "warning: {addr} records no spans (started without `serve --trace`); \
-                 the merged trace may be incomplete"
-            );
-        } else if dump.dropped > 0 {
+        if dump.dropped > 0 {
             eprintln!(
                 "warning: {addr} dropped {} span(s) out of its window of {}; \
                  the merged trace may be incomplete",
@@ -950,6 +943,15 @@ mod tests {
     }
 
     #[test]
+    fn alphabets_past_the_step_limit_name_that_limit() {
+        let lines: Vec<String> = (0..23).map(|i| format!("L{i} L{i}")).collect();
+        let text = lines.join(";");
+        let err =
+            run(["step", "--node", &text, "--edge", &text].map(String::from).to_vec()).unwrap_err();
+        assert_eq!(err.to_string(), "alphabet of 23 labels exceeds the limit of 22");
+    }
+
+    #[test]
     fn trivial_reports_all_criteria() {
         // Perfect matching: solvable with the edge coloring, not bare.
         let out = run_words(&["trivial", "--node", "M O", "--edge", "M M;O O", "--coloring", "2"]);
@@ -1147,18 +1149,17 @@ mod tests {
         assert!(gantt.contains("zero-round"), "{gantt}");
         let json = run_words(&["timeline", "--addr", &addr, "--json"]);
         assert!(json.contains("\"relim-timeline/1\""), "{json}");
-        // This daemon runs without `--trace`: ping says so.
+        // Every daemon keeps its span window: ping reports it.
         let pong = run_words(&["ping", "--addr", &addr]);
         assert!(pong.contains("timeline window"), "{pong}");
-        assert!(pong.contains("tracing off"), "{pong}");
+        assert!(pong.contains("span window 4096 (0 dropped)"), "{pong}");
         run_words(&["shutdown", "--addr", &addr]);
         handle.join();
     }
 
     #[test]
     fn trace_verb_renders_a_tree_and_a_chrome_export() {
-        let config = ServerConfig { trace: true, ..ServerConfig::default() };
-        let handle = Server::spawn("127.0.0.1:0", config).unwrap();
+        let handle = Server::spawn("127.0.0.1:0", ServerConfig::default()).unwrap();
         let addr = handle.local_addr().to_string();
 
         // A traced submit serves byte-identical stdout: the trace id
@@ -1193,7 +1194,7 @@ mod tests {
         assert!(chrome.contains("\"ph\":\"X\""), "{chrome}");
         assert!(chrome.contains("traceEvents"), "{chrome}");
 
-        // A tracing daemon's ping reports its span window.
+        // The daemon's ping reports its span window.
         let pong = run_words(&["ping", "--addr", &addr]);
         assert!(pong.contains("span window"), "{pong}");
 

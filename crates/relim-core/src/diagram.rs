@@ -83,11 +83,6 @@ impl StrengthOrder {
         self.is_at_least_as_strong(a, b) && self.is_at_least_as_strong(b, a)
     }
 
-    /// The set of labels at least as strong as `b`, including `b`.
-    pub fn upward_of(&self, b: Label) -> LabelSet {
-        self.geq[b.index()]
-    }
-
     /// Upward closure of a set under "at least as strong".
     pub fn upward_closure(&self, set: LabelSet) -> LabelSet {
         set.iter().fold(LabelSet::EMPTY, |acc, l| acc.union(self.geq[l.index()]))

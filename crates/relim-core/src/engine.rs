@@ -529,12 +529,6 @@ impl Engine {
         }
     }
 
-    /// Whether this session records its derivation DAG (see
-    /// [`EngineBuilder::record_lineage`]).
-    pub fn recording_lineage(&self) -> bool {
-        self.shared.lineage.is_some()
-    }
-
     /// A snapshot of the recorded derivation DAG, or `None` when the
     /// session was built without [`EngineBuilder::record_lineage`].
     ///

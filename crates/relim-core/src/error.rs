@@ -16,10 +16,14 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum RelimError {
-    /// The alphabet would exceed the engine's limit of 31 labels.
+    /// An alphabet exceeds the label limit of the step that refused it:
+    /// 31 for any [`crate::label::Alphabet`], 22 for `R` and the
+    /// universal side ([`crate::roundelim::MAX_LABELS`]).
     TooManyLabels {
         /// Number of labels that was requested.
         requested: usize,
+        /// The limit that refused it.
+        limit: usize,
     },
     /// A label name appears twice in an alphabet.
     DuplicateLabel {
@@ -75,8 +79,8 @@ pub enum RelimError {
 impl fmt::Display for RelimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            RelimError::TooManyLabels { requested } => {
-                write!(f, "alphabet of {requested} labels exceeds the limit of 31")
+            RelimError::TooManyLabels { requested, limit } => {
+                write!(f, "alphabet of {requested} labels exceeds the limit of {limit}")
             }
             RelimError::DuplicateLabel { name } => {
                 write!(f, "duplicate label name `{name}` in alphabet")

@@ -250,7 +250,7 @@ pub(crate) fn iterate_with_step(
                     return IterationOutcome { stats, problems, stopped: StopReason::FixedPoint };
                 }
             }
-            Err(crate::error::RelimError::TooManyLabels { requested }) => {
+            Err(crate::error::RelimError::TooManyLabels { requested, .. }) => {
                 return IterationOutcome {
                     stats,
                     problems,

@@ -94,7 +94,7 @@ impl Alphabet {
     /// and [`RelimError::DuplicateLabel`] if a name repeats.
     pub fn new<S: AsRef<str>>(names: &[S]) -> Result<Self> {
         if names.len() > MAX_LABELS {
-            return Err(RelimError::TooManyLabels { requested: names.len() });
+            return Err(RelimError::TooManyLabels { requested: names.len(), limit: MAX_LABELS });
         }
         // At most 31 names: a linear duplicate scan beats hashing a copy
         // of every name.
@@ -181,7 +181,8 @@ mod tests {
     fn too_many_rejected() {
         let names: Vec<String> = (0..32).map(|i| format!("L{i}")).collect();
         let err = Alphabet::new(&names).unwrap_err();
-        assert!(matches!(err, RelimError::TooManyLabels { requested: 32 }));
+        assert!(matches!(err, RelimError::TooManyLabels { requested: 32, limit: 31 }));
+        assert_eq!(err.to_string(), "alphabet of 32 labels exceeds the limit of 31");
     }
 
     #[test]

@@ -103,11 +103,6 @@ impl LabelSet {
         self != other && self.is_subset_of(other)
     }
 
-    /// Whether the two sets share at least one label.
-    pub fn intersects(self, other: LabelSet) -> bool {
-        self.0 & other.0 != 0
-    }
-
     /// Number of labels in the set.
     pub fn len(self) -> usize {
         self.0.count_ones() as usize

@@ -26,7 +26,7 @@ use crate::labelset::LabelSet;
 /// ```
 pub fn right_closed_sets(order: &StrengthOrder) -> Vec<LabelSet> {
     let n = order.len();
-    assert!(n <= 22, "right-closed enumeration limited to 22 labels (2^22 subsets)");
+    assert!(n <= crate::roundelim::MAX_LABELS, "right-closed enumeration past MAX_LABELS");
     let mut out = Vec::new();
     for bits in 1u32..(1u32 << n) {
         let set = LabelSet::from_bits(bits);

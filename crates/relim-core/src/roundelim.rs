@@ -83,11 +83,6 @@ pub struct Step {
 }
 
 impl Step {
-    /// Looks up the new label corresponding to a given set of old labels.
-    pub fn label_of_set(&self, set: LabelSet) -> Option<Label> {
-        self.provenance.iter().position(|&s| s == set).map(|i| Label::new(i as u8))
-    }
-
     /// Views a configuration of the derived problem as a [`SetConfig`] over
     /// the old alphabet.
     pub fn as_set_config(&self, config: &Config) -> SetConfig {
@@ -119,7 +114,7 @@ impl Step {
 pub fn r_step(p: &Problem) -> Result<Step> {
     let n = p.alphabet().len();
     if n > MAX_LABELS {
-        return Err(RelimError::TooManyLabels { requested: n });
+        return Err(RelimError::TooManyLabels { requested: n, limit: MAX_LABELS });
     }
     let order = StrengthOrder::of_constraint(p.edge(), n);
     let compat = p.edge_compat();
@@ -186,7 +181,7 @@ pub(crate) fn maximal_universal(
     sub_index: impl FnOnce(&Constraint) -> Arc<SubMultisetIndex>,
 ) -> Result<Vec<SetConfig>> {
     if labels > MAX_LABELS {
-        return Err(RelimError::TooManyLabels { requested: labels });
+        return Err(RelimError::TooManyLabels { requested: labels, limit: MAX_LABELS });
     }
     let degree = constraint.degree();
     if degree > MAX_DEGREE {
@@ -259,8 +254,10 @@ pub(crate) fn derive_sides(
     sets.dedup();
 
     let names: Vec<String> = sets.iter().map(|s| s.display(old_alphabet)).collect();
-    let alphabet =
-        Alphabet::new(&names).map_err(|_| RelimError::TooManyLabels { requested: names.len() })?;
+    let alphabet = Alphabet::new(&names).map_err(|_| RelimError::TooManyLabels {
+        requested: names.len(),
+        limit: crate::label::MAX_LABELS,
+    })?;
     let label_of: std::collections::HashMap<LabelSet, Label> =
         sets.iter().enumerate().map(|(i, &s)| (s, Label::new(i as u8))).collect();
 
@@ -588,7 +585,7 @@ pub fn dominates(big: &SetConfig, small: &SetConfig) -> bool {
 pub fn r_step_edge_bruteforce(p: &Problem) -> Result<Vec<SetConfig>> {
     let n = p.alphabet().len();
     if n > 16 {
-        return Err(RelimError::TooManyLabels { requested: n });
+        return Err(RelimError::TooManyLabels { requested: n, limit: 16 });
     }
     let compat = p.edge_compat();
     let universe = LabelSet::full(n);
@@ -617,7 +614,7 @@ pub fn r_step_edge_bruteforce(p: &Problem) -> Result<Vec<SetConfig>> {
 pub fn rbar_step_node_bruteforce(p: &Problem) -> Result<Vec<SetConfig>> {
     let n = p.alphabet().len();
     if n > 8 {
-        return Err(RelimError::TooManyLabels { requested: n });
+        return Err(RelimError::TooManyLabels { requested: n, limit: 8 });
     }
     let universe = LabelSet::full(n);
     let all_sets: Vec<LabelSet> = crate::labelset::subsets_nonempty(universe).collect();
@@ -773,9 +770,7 @@ mod tests {
     fn r_step_rejects_alphabets_past_the_enumeration_limit() {
         assert!(r_step(&diagonal(MAX_LABELS)).is_ok());
         let err = r_step(&diagonal(MAX_LABELS + 1)).unwrap_err();
-        assert!(
-            matches!(err, RelimError::TooManyLabels { requested } if requested == MAX_LABELS + 1)
-        );
+        assert_eq!(err, RelimError::TooManyLabels { requested: MAX_LABELS + 1, limit: MAX_LABELS });
         // The session driver turns the error into a label-limit stop even
         // when its own limit is larger, instead of panicking.
         let outcome = Engine::builder().threads(1).build().iterate_with_limits(

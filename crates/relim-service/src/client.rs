@@ -101,8 +101,9 @@ impl Client {
     }
 
     /// Like [`Client::submit`], optionally stamping the request with a
-    /// trace context (see [`crate::trace`]). The response — and the
-    /// served bytes — are identical with or without one.
+    /// trace context (see [`crate::trace`]): a stamped request has its
+    /// spans recorded on every daemon it reaches. The response — and
+    /// the served bytes — are identical with or without one.
     ///
     /// # Errors
     ///
@@ -228,8 +229,8 @@ impl Client {
     }
 
     /// Dumps the daemon's recorded spans, optionally filtered to one
-    /// trace id. A daemon running without `--trace` answers with an
-    /// empty zero-window dump, not an error.
+    /// trace id. A daemon that holds no span of that trace answers
+    /// with an empty dump, not an error.
     ///
     /// # Errors
     ///

@@ -39,12 +39,12 @@
 //!
 //! ## Tracing
 //!
-//! When the requesting daemon traces (see [`crate::trace`]), each fetch
-//! attempt — and each breaker rejection — is recorded as a `peer-fetch`
-//! span carrying the attempt number and breaker state, and the outgoing
-//! fetch line carries the trace context with that attempt's span as the
-//! parent, so the owner's `fetch-serve` span links under it across the
-//! wire.
+//! When the triggering request is traced (see [`crate::trace`]), each
+//! fetch attempt — and each breaker rejection — is recorded as a
+//! `peer-fetch` span carrying the attempt number and breaker state, and
+//! the outgoing fetch line carries the trace context with that attempt's
+//! span as the parent, so the owner's `fetch-serve` span links under it
+//! across the wire.
 //!
 //! Determinism contract: a fleet with unreachable peers returns the
 //! same bytes as a fleet with none, which returns the same bytes as a
@@ -54,7 +54,7 @@ use crate::client::Client;
 use crate::protocol::{self, PingInfo};
 use crate::ring::Ring;
 use crate::store::digest_of;
-use crate::trace::{FetchTrace, TraceContext};
+use crate::trace::Tracer;
 use crate::wire;
 use relim_json::Json;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -209,17 +209,15 @@ impl PeerClient {
     /// Fetches the entry stored under `digest` from this peer and
     /// verifies it against the full canonical `key` before trusting it.
     /// With `trace` given, every attempt (and a breaker rejection)
-    /// becomes a `peer-fetch` span, and the outgoing line carries the
-    /// propagated context — with tracing off, each site is one branch
-    /// on the `None`.
-    pub fn fetch(&self, digest: &str, key: &str, trace: Option<&FetchTrace<'_>>) -> FetchOutcome {
+    /// becomes a `peer-fetch` span there, and the outgoing line carries
+    /// the propagated context — untraced, each site is one branch on
+    /// the `None`.
+    pub fn fetch(&self, digest: &str, key: &str, trace: Option<Tracer<'_>>) -> FetchOutcome {
         if !self.admit() {
             if let Some(t) = trace {
-                t.log.record_since(
-                    t.ctx,
-                    t.log.next_span_id(),
+                t.record(
                     "peer-fetch",
-                    t.log.now_ns(),
+                    t.now_ns(),
                     vec![
                         ("peer".to_owned(), self.addr.clone()),
                         ("breaker".to_owned(), "open".to_owned()),
@@ -235,18 +233,14 @@ impl PeerClient {
             }
             // Each attempt gets its own span id *before* the roundtrip,
             // so the owner's `fetch-serve` span can name it as parent.
-            let (span_id, start_ns) = match trace {
-                Some(t) => (t.log.next_span_id(), t.log.now_ns()),
-                None => (0, 0),
-            };
-            let ctx = trace.map(|t| TraceContext { parent: Some(span_id), ..t.ctx });
+            let attempt_trace = trace.map(|t| (t, t.child(), t.now_ns()));
+            let ctx = attempt_trace.map(|(_, child, _)| child.context());
             let line = protocol::render_fetch_request_traced(digest, None, ctx.as_ref());
             let record_attempt = |result: &str| {
-                if let Some(t) = trace {
+                if let Some((t, child, start_ns)) = attempt_trace {
                     let breaker = if self.breaker_is_open() { "open" } else { "closed" };
-                    t.log.record_since(
-                        t.ctx,
-                        span_id,
+                    t.record_child(
+                        child,
                         "peer-fetch",
                         start_ns,
                         vec![
@@ -450,12 +444,7 @@ impl Fleet {
     /// this daemon owns the address itself. `trace` threads the
     /// requester's span recording through the fetch (see
     /// [`PeerClient::fetch`]).
-    pub fn read_through(
-        &self,
-        digest: &str,
-        key: &str,
-        trace: Option<&FetchTrace<'_>>,
-    ) -> FetchOutcome {
+    pub fn read_through(&self, digest: &str, key: &str, trace: Option<Tracer<'_>>) -> FetchOutcome {
         let Route::Remote(peer) = self.route(digest) else {
             return FetchOutcome::Miss;
         };
@@ -630,9 +619,9 @@ mod tests {
             .find(|d| matches!(fleet.route(d), Route::Remote(_)))
             .expect("a two-member ring gives the peer some share");
         let log = crate::trace::SpanLog::new(64);
-        let ctx = TraceContext { trace_id: 42, parent: Some(7) };
-        let ft = FetchTrace { log: &log, ctx };
-        assert_eq!(fleet.read_through(&digest, "key", Some(&ft)), FetchOutcome::Unavailable);
+        let ctx = crate::trace::TraceContext { trace_id: 42, parent: Some(7) };
+        let ft = Tracer::new(&log, ctx);
+        assert_eq!(fleet.read_through(&digest, "key", Some(ft)), FetchOutcome::Unavailable);
         let spans = log.snapshot(Some(42)).spans;
         assert_eq!(spans.len(), 3, "one span per attempt");
         for (i, s) in spans.iter().enumerate() {
@@ -647,7 +636,7 @@ mod tests {
             spans[2].attrs
         );
         // A breaker rejection is also visible in the trace.
-        assert_eq!(fleet.read_through(&digest, "key", Some(&ft)), FetchOutcome::Unavailable);
+        assert_eq!(fleet.read_through(&digest, "key", Some(ft)), FetchOutcome::Unavailable);
         let spans = log.snapshot(Some(42)).spans;
         assert_eq!(spans.len(), 4);
         assert!(

@@ -66,12 +66,13 @@
 //!   as JSON plus a text gantt). The event log and the span log of
 //!   [`trace`] are two instances of one bounded window.
 //! * [`trace`] — request-scoped **distributed tracing**: a trace
-//!   context minted at ingress rides `submit`/`fetch` requests across
-//!   the fleet, each daemon records its spans (parse, queue-wait,
-//!   compute, store and peer I/O) into a bounded span log served by
+//!   context minted by the client rides `submit`/`fetch` requests
+//!   across the fleet and is the one switch: each daemon records the
+//!   spans of a request that carries one (parse, queue-wait, compute,
+//!   store and peer I/O) into its bounded span log served by
 //!   `{"op": "trace"}`, and `relim trace` merges the per-daemon dumps
-//!   into one cross-daemon tree. Responses never change: tracing on or
-//!   off, the served bytes are identical.
+//!   into one cross-daemon tree. Responses never change: traced or
+//!   not, the served bytes are identical.
 //!
 //! ## Example
 //!

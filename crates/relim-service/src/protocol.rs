@@ -26,11 +26,13 @@
 //!
 //! **Trace propagation.** Job and fetch requests carry two further
 //! optional envelope fields: `trace_id` and `parent_span`, both 16-digit
-//! hex (see [`crate::trace`]). Absent fields mean "fresh trace" — a
-//! daemon with tracing enabled mints its own context — so old clients
-//! keep working unchanged; present-but-malformed ids are refused like
-//! any other protocol error. Responses never grow trace fields: served
-//! bytes stay byte-identical with tracing on or off.
+//! hex (see [`crate::trace`]). They are the one tracing switch: a
+//! request that carries them has its spans recorded on every daemon it
+//! reaches, a request without them records nothing, and no daemon
+//! mints a context of its own, so old clients keep working unchanged.
+//! Present-but-malformed ids are refused like any other protocol error.
+//! Responses never grow trace fields: served bytes stay byte-identical
+//! traced or not.
 //!
 //! **Responses.** Every response carries `ok` (bool) and the echoed
 //! `id` when one was given. Successful job responses add `cached`
@@ -330,9 +332,8 @@ pub fn render_fetch_response(id: Option<i64>, digest: &str, entry: Option<(&str,
 /// The payload of a ping response: liveness plus the cheap health
 /// readings a prober (or `relim trace --peers`) wants — uptime, store
 /// entry count, and the capacities and dropped counts of the daemon's
-/// bounded observability windows. A zero `span_window` means tracing is
-/// disabled on that daemon; a nonzero dropped count means dumps from
-/// that window are known-incomplete.
+/// bounded observability windows. A nonzero dropped count means dumps
+/// from that window are known-incomplete.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PingInfo {
     /// Milliseconds since the daemon started.
@@ -343,7 +344,7 @@ pub struct PingInfo {
     pub timeline_window: u64,
     /// Timeline events dropped out of the window.
     pub timeline_dropped: u64,
-    /// The span-log capacity (0 when tracing is disabled).
+    /// The span-log capacity.
     pub span_window: u64,
     /// Spans dropped out of the window.
     pub span_dropped: u64,
@@ -583,7 +584,7 @@ mod tests {
             render_trace_request(Some(0xfeed), Some(8)),
             render_trace_response(
                 None,
-                crate::trace::TraceSnapshot::disabled().to_json("127.0.0.1:7341"),
+                crate::trace::SpanLog::new(1).snapshot(None).to_json("127.0.0.1:7341"),
             ),
             render_shutdown_response(Some(2)),
             render_error_response(None, "boom"),

@@ -57,15 +57,15 @@
 //! **latency histogram** (power-of-two buckets, see
 //! [`crate::metrics::LatencyHistogram`]) exposed under
 //! `counters.latency.<op>.<outcome>` and derived into a Prometheus
-//! histogram family by the metrics endpoint. With
-//! [`ServerConfig::trace`] the daemon additionally records **request
-//! spans** — parse, store-read, queue-wait, compute (with engine
-//! counter deltas attached), store-write, peer-fetch attempts and
-//! fetch serves — into a bounded [`SpanLog`] served by the `trace` op
-//! (see [`crate::trace`]). Tracing never changes a served byte: trace
-//! context rides in requests only, responses are identical with the
-//! flag on or off, and with it off every recording site is one branch
-//! on a `None`.
+//! histogram family by the metrics endpoint. A job or fetch request
+//! that carries a trace context additionally records **request spans**
+//! — parse, store-read, queue-wait, compute (with engine counter deltas
+//! attached), store-write, peer-fetch attempts and fetch serves — into
+//! the daemon's bounded [`SpanLog`], served by the `trace` op (see
+//! [`crate::trace`]). Tracing never changes a served byte: trace context
+//! rides in requests only, responses are identical traced or not, and
+//! for an untraced request every recording site is one branch on a
+//! `None`.
 
 use crate::fleet::{self, FetchOutcome, Fleet, FleetConfig};
 use crate::metrics::LatencyHistogram;
@@ -74,7 +74,7 @@ use crate::protocol::{self, PingInfo, Request, RequestBody};
 use crate::queue::{Class, JobQueue, DEFAULT_AGING_LIMIT};
 use crate::store::{InflightClaim, ResultStore};
 use crate::timeline::{EventKind, EventLog, DEFAULT_EVENT_CAPACITY};
-use crate::trace::{FetchTrace, SpanLog, TraceContext, TraceSnapshot, DEFAULT_SPAN_CAPACITY};
+use crate::trace::{SpanLog, TraceContext, Tracer, DEFAULT_SPAN_CAPACITY};
 use crate::wire;
 use relim_core::Engine;
 use relim_json::Json;
@@ -116,10 +116,6 @@ pub struct ServerConfig {
     /// Per-attempt connect/read/write timeout of peer calls, in
     /// milliseconds.
     pub peer_timeout_ms: u64,
-    /// Record request spans into a bounded [`SpanLog`] served by the
-    /// `trace` op. Served bytes are byte-identical with this on or
-    /// off; off, every recording site is one branch on a `None`.
-    pub trace: bool,
 }
 
 /// The default per-attempt peer-call timeout (`--peer-timeout-ms`).
@@ -136,7 +132,6 @@ impl Default for ServerConfig {
             aging_limit: DEFAULT_AGING_LIMIT,
             peers: Vec::new(),
             peer_timeout_ms: DEFAULT_PEER_TIMEOUT_MS,
-            trace: false,
         }
     }
 }
@@ -158,20 +153,10 @@ struct Job {
     /// The request's parsed problem, key and digest, from the wire parse.
     prepared: Prepared,
     reply: mpsc::Sender<Result<String, String>>,
-    /// Trace context of the owning request, when it was traced: the
-    /// executor records queue-wait / compute / store-write spans under
-    /// the request's root span.
-    trace: Option<JobTrace>,
-}
-
-/// What the executor needs to attach its spans to the owning request.
-struct JobTrace {
-    /// The request's trace, with its root span as the parent of the
-    /// executor spans.
-    ctx: TraceContext,
-    /// When the job entered the queue (span-log clock): the queue-wait
-    /// span runs from here to the executor's pop.
-    enqueued_ns: u64,
+    /// When the owning request was traced: the position under its root
+    /// span, and when the job entered the queue on the span-log clock.
+    /// The executor records queue-wait, compute and store-write there.
+    trace: Option<(TraceContext, u64)>,
 }
 
 /// The counted request kinds in counters-tree spelling and key order:
@@ -289,10 +274,8 @@ struct Shared {
     /// The address this daemon bound — stamps trace dumps so a merged
     /// cross-daemon tree can attribute every span.
     self_addr: String,
-    /// The span log, when [`ServerConfig::trace`] was set. `None` is
-    /// the off switch: every recording site branches on it and does
-    /// nothing else.
-    spans: Option<SpanLog>,
+    /// The span log traced requests record into.
+    spans: SpanLog,
     /// The fleet tier, when `--peers` was given: remote owners are read
     /// through before local compute (see [`crate::fleet`]).
     fleet: Option<Fleet>,
@@ -385,16 +368,8 @@ impl Shared {
                     ("timeline".into(), window_json(recorded, dropped, self.events.capacity()))
                 },
                 {
-                    // Always present, zeros with tracing off: the
-                    // scrape surface is identical either way.
-                    let (recorded, dropped, window) = match &self.spans {
-                        Some(log) => {
-                            let (recorded, dropped) = log.stats();
-                            (recorded, dropped, log.capacity())
-                        }
-                        None => (0, 0, 0),
-                    };
-                    ("trace".into(), window_json(recorded, dropped, window))
+                    let (recorded, dropped) = self.spans.stats();
+                    ("trace".into(), window_json(recorded, dropped, self.spans.capacity()))
                 },
                 (
                     // Always present, zeros without a fleet: the scrape
@@ -468,7 +443,7 @@ impl Server {
             engine: Engine::builder().threads(config.threads).build(),
             store,
             self_addr: addr.to_string(),
-            spans: config.trace.then(|| SpanLog::new(DEFAULT_SPAN_CAPACITY)),
+            spans: SpanLog::new(DEFAULT_SPAN_CAPACITY),
             fleet,
             queue: Mutex::new(JobQueue::new(config.aging_limit)),
             cv: Condvar::new(),
@@ -695,19 +670,15 @@ fn executor_loop(shared: &Arc<Shared>) {
                 );
             }
             shared.events.record(EventKind::Start, job.prepared.digest(), job.op.name(), class);
-            // Traced only when the owning request carried a context
-            // *and* this daemon records spans; `None` otherwise — the
-            // untraced path pays these branches and nothing else.
-            let traced = match (&job.trace, &shared.spans) {
-                (Some(jt), Some(log)) => Some((jt, log)),
-                _ => None,
-            };
-            if let Some((jt, log)) = traced {
+            // Traced only when the owning request carried a context;
+            // `None` otherwise — the untraced path pays these branches
+            // and nothing else.
+            let traced = job.trace.map(|(ctx, enqueued_ns)| {
+                let tracer = Tracer::new(&shared.spans, ctx);
                 let attrs = vec![("class".to_owned(), class.as_str().to_owned())];
-                log.record_since(jt.ctx, log.next_span_id(), "queue-wait", jt.enqueued_ns, attrs);
-            }
-            let report_before = traced.map(|_| shared.engine.report());
-            let compute_start = traced.map(|(_, log)| log.now_ns());
+                tracer.record("queue-wait", enqueued_ns, attrs);
+                (tracer, shared.engine.report(), tracer.now_ns())
+            });
             // A panicking op must never kill this thread with the job's
             // in-flight entry still claimed: coalesced waiters would
             // block forever on their receivers and every future
@@ -724,31 +695,28 @@ fn executor_loop(shared: &Arc<Shared>) {
                 Ok(r) => r.map_err(|e| e.to_string()),
                 Err(payload) => Err(format!("job panicked: {}", panic_message(&payload))),
             };
-            if let Some((jt, log)) = traced {
+            let tracer = traced.map(|(tracer, before, start)| {
                 // Engine counter deltas ride on the compute span. With
                 // a shared engine concurrent jobs can bleed into each
                 // other's deltas — attribution, not exact accounting.
                 let mut attrs = vec![("ok".to_owned(), result.is_ok().to_string())];
-                if let Some(before) = &report_before {
-                    for (k, v) in shared.engine.report().delta_pairs(before) {
-                        if v != 0 {
-                            attrs.push((k.to_owned(), v.to_string()));
-                        }
+                for (k, v) in shared.engine.report().delta_pairs(&before) {
+                    if v != 0 {
+                        attrs.push((k.to_owned(), v.to_string()));
                     }
                 }
-                let start = compute_start.unwrap_or(0);
-                log.record_since(jt.ctx, log.next_span_id(), "compute", start, attrs);
-            }
+                tracer.record("compute", start, attrs);
+                tracer
+            });
             if let Ok(result_text) = &result {
-                let write_start = traced.map(|(_, log)| log.now_ns());
+                let write_start = tracer.map(|t| t.now_ns());
                 let (digest, key) = (job.prepared.digest(), job.prepared.key());
                 if let Err(e) = shared.store.put(digest, key, result_text) {
                     eprintln!("relim-service: store write failed for {digest}: {e}");
                 }
-                if let Some((jt, log)) = traced {
-                    let start = write_start.unwrap_or(0);
+                if let (Some(t), Some(start)) = (tracer, write_start) {
                     let attrs = vec![("bytes".to_owned(), result_text.len().to_string())];
-                    log.record_since(jt.ctx, log.next_span_id(), "store-write", start, attrs);
+                    t.record("store-write", start, attrs);
                 }
             }
             // Store first, complete second: a request that misses the
@@ -842,79 +810,13 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>, addr: SocketAddr) {
     }
 }
 
-/// Records the spans of one traced job request. Constructed only when
-/// the daemon records spans *and* the request carried a trace context;
-/// every recording site on the untraced path is one `Option` branch.
-///
-/// The root `request` span is recorded last (at [`RequestTracer::finish`],
-/// with the outcome attached); child spans reference its pre-allocated
-/// id, so the tree is well-formed regardless of recording order.
-struct RequestTracer<'a> {
-    log: &'a SpanLog,
-    /// The context from the wire: the trace id, and the requester's span
-    /// on traced cross-daemon hops (no parent at a fresh ingress).
-    wire: TraceContext,
-    root_id: u64,
-    root_start_ns: u64,
-    op: &'static str,
-}
-
-impl<'a> RequestTracer<'a> {
-    /// Allocates the root span and records the `parse` child covering
-    /// `parse_start_ns`..now (the request line was parsed just before
-    /// this tracer could exist).
-    fn begin(
-        log: &'a SpanLog,
-        wire: TraceContext,
-        op: &'static str,
-        parse_start_ns: u64,
-    ) -> RequestTracer<'a> {
-        let root_id = log.next_span_id();
-        let tracer = RequestTracer { log, wire, root_id, root_start_ns: parse_start_ns, op };
-        tracer.child("parse", parse_start_ns, Vec::new());
-        tracer
-    }
-
-    fn now_ns(&self) -> u64 {
-        self.log.now_ns()
-    }
-
-    /// The context of this request's child spans: its trace, under its
-    /// root span.
-    fn under_root(&self) -> TraceContext {
-        TraceContext { trace_id: self.wire.trace_id, parent: Some(self.root_id) }
-    }
-
-    /// Records a child of the root span, `start_ns`..now.
-    fn child(&self, name: &str, start_ns: u64, attrs: Vec<(String, String)>) {
-        self.log.record_since(self.under_root(), self.log.next_span_id(), name, start_ns, attrs);
-    }
-
-    /// The context peer fetches run under: their spans parent onto this
-    /// request's root (see [`crate::fleet`]).
-    fn fetch_trace(&self) -> FetchTrace<'a> {
-        FetchTrace { log: self.log, ctx: self.under_root() }
-    }
-
-    /// Records the root `request` span with the outcome attached.
-    fn finish(self, outcome: Outcome) {
-        let attrs = vec![
-            ("op".to_owned(), self.op.to_owned()),
-            ("outcome".to_owned(), outcome.as_str().to_owned()),
-        ];
-        self.log.record_since(self.wire, self.root_id, "request", self.root_start_ns, attrs);
-    }
-}
-
 /// Handles one request line; returns the response line and whether a
 /// graceful shutdown must be triggered *after* the response is sent.
 fn handle_line(line: &str, shared: &Arc<Shared>) -> (String, bool) {
     // A job's latency cell covers its parse: preparing the request (the
-    // one parse of its problem, its key and digest) happens there.
+    // one parse of its problem, its key and digest) happens there. A
+    // traced request's spans start here too, on the span-log clock.
     let received = Instant::now();
-    // Span-log timestamp of the parse start; `None` with tracing off
-    // (whether the *request* is traced is only known after parsing).
-    let parse_start = shared.spans.as_ref().map(SpanLog::now_ns);
     let Request { id, body } = match protocol::parse_request(line) {
         Ok(r) => r,
         Err(e) => {
@@ -953,53 +855,47 @@ fn handle_line(line: &str, shared: &Arc<Shared>) -> (String, bool) {
                 .store
                 .lookup_digest(&digest)
                 .filter(|(key, _)| crate::store::digest_of(key) == digest);
-            if let (Some(log), Some(ctx)) = (&shared.spans, trace) {
+            if let Some(ctx) = trace {
                 // The serving half of a traced cross-daemon fetch: its
                 // parent is the requester's peer-fetch attempt span, so
                 // the merged tree hangs this daemon's work under it.
-                let start = parse_start.unwrap_or_else(|| log.now_ns());
+                let tracer = Tracer::new(&shared.spans, ctx);
                 let attrs = vec![("found".to_owned(), entry.is_some().to_string())];
-                log.record_since(ctx, log.next_span_id(), "fetch-serve", start, attrs);
+                tracer.record("fetch-serve", tracer.ns_at(received), attrs);
             }
             let entry = entry.as_ref().map(|(key, result)| (key.as_str(), result.as_str()));
             protocol::render_fetch_response(id, &digest, entry)
         }
         RequestBody::Ping => {
-            let timeline_dropped = shared.events.stats().1;
-            let (span_window, span_dropped) = match &shared.spans {
-                Some(log) => (log.capacity() as u64, log.stats().1),
-                None => (0, 0),
-            };
             let info = PingInfo {
                 uptime_ms: shared.started.elapsed().as_millis() as u64,
                 store_entries: shared.store.stats().mem_entries as u64,
                 timeline_window: shared.events.capacity() as u64,
-                timeline_dropped,
-                span_window,
-                span_dropped,
+                timeline_dropped: shared.events.stats().1,
+                span_window: shared.spans.capacity() as u64,
+                span_dropped: shared.spans.stats().1,
             };
             protocol::render_ping_response(id, &info)
         }
         RequestBody::Trace { trace_id } => {
-            let snapshot = match &shared.spans {
-                Some(log) => log.snapshot(trace_id),
-                None => TraceSnapshot::disabled(),
-            };
+            let snapshot = shared.spans.snapshot(trace_id);
             protocol::render_trace_response(id, snapshot.to_json(&shared.self_addr))
         }
         RequestBody::Shutdown => return (protocol::render_shutdown_response(id), true),
         RequestBody::Job { op, prepared, class, trace } => {
-            let slot = op.slot();
-            // Traced only when the daemon records spans *and* the
-            // request carried a context — `None` (one branch per site)
-            // otherwise.
-            let tracer = match (&shared.spans, trace) {
-                (Some(log), Some(ctx)) => {
-                    Some(RequestTracer::begin(log, ctx, op.name(), parse_start.unwrap_or(0)))
-                }
-                _ => None,
-            };
-            let (response, outcome) = serve_job(shared, id, op, prepared, class, tracer.as_ref());
+            let (slot, name) = (op.slot(), op.name());
+            // Traced only when the request carried a context — `None`
+            // (one branch per site) otherwise. The root `request` span's
+            // id is allocated here and the span recorded last, with the
+            // outcome attached; its children hang under the id.
+            let traced = trace.map(|ctx| {
+                let wire = Tracer::new(&shared.spans, ctx);
+                let (root, start) = (wire.child(), wire.ns_at(received));
+                root.record("parse", start, Vec::new());
+                (wire, root, start)
+            });
+            let root = traced.map(|(_, root, _)| root);
+            let (response, outcome) = serve_job(shared, id, op, prepared, class, root);
             // The one place a job request's outcome is recorded: every
             // exit of `serve_job` lands in exactly one latency cell.
             let counter = match outcome {
@@ -1011,8 +907,12 @@ fn handle_line(line: &str, shared: &Arc<Shared>) -> (String, bool) {
                 counter.fetch_add(1, Ordering::Relaxed);
             }
             shared.latency.record(slot, outcome, received.elapsed().as_nanos() as u64);
-            if let Some(tracer) = tracer {
-                tracer.finish(outcome);
+            if let Some((wire, root, start)) = traced {
+                let attrs = vec![
+                    ("op".to_owned(), name.to_owned()),
+                    ("outcome".to_owned(), outcome.as_str().to_owned()),
+                ];
+                wire.record_child(root, "request", start, attrs);
             }
             response
         }
@@ -1030,16 +930,16 @@ fn serve_job(
     op: OpRequest,
     prepared: Prepared,
     class: Class,
-    tracer: Option<&RequestTracer<'_>>,
+    tracer: Option<Tracer<'_>>,
 ) -> (String, Outcome) {
     let error = |e: &str| (protocol::render_error_response(id, e), Outcome::Error);
     let (key, digest) = (prepared.key(), prepared.digest());
     let hit =
         |result: &str| (protocol::render_job_response(id, true, digest, result), Outcome::Hit);
-    let read_start = tracer.map(RequestTracer::now_ns);
+    let read_start = tracer.map(|t| t.now_ns());
     let cached = shared.store.get(digest, key);
     if let (Some(t), Some(start_ns)) = (tracer, read_start) {
-        t.child("store-read", start_ns, vec![("hit".to_owned(), cached.is_some().to_string())]);
+        t.record("store-read", start_ns, vec![("hit".to_owned(), cached.is_some().to_string())]);
     }
     if let Some(result) = cached {
         return hit(&result);
@@ -1058,8 +958,7 @@ fn serve_job(
             // the local queue — same bytes either way, by the canonical
             // determinism of every op.
             if let Some(fleet) = &shared.fleet {
-                let fetch_trace = tracer.map(RequestTracer::fetch_trace);
-                let outcome = fleet.read_through(digest, key, fetch_trace.as_ref());
+                let outcome = fleet.read_through(digest, key, tracer);
                 if let FetchOutcome::Hit(result) = outcome {
                     if let Err(e) = shared.store.put(digest, key, &result) {
                         eprintln!("relim-service: store write-through failed for {digest}: {e}");
@@ -1072,7 +971,7 @@ fn serve_job(
                 }
             }
             let (tx, rx) = mpsc::channel();
-            let trace = tracer.map(|t| JobTrace { ctx: t.under_root(), enqueued_ns: t.now_ns() });
+            let trace = tracer.map(|t| (t.context(), t.now_ns()));
             let job = Job { op, prepared: prepared.clone(), reply: tx, trace };
             if let Err(e) = enqueue(shared, class, job) {
                 // Unblock any waiter that already attached.
@@ -1239,7 +1138,7 @@ mod tests {
             "relim_engine_cache_entries",
             "relim_timeline_recorded",
             "relim_timeline_dropped 0",
-            "relim_trace_window 0",
+            "relim_trace_window 4096",
         ] {
             assert!(text.contains(name), "missing {name} in:\n{text}");
         }
@@ -1285,9 +1184,8 @@ mod tests {
     }
 
     #[test]
-    fn traced_requests_record_spans_and_trace_off_daemons_stay_silent() {
-        let config = ServerConfig { trace: true, ..ServerConfig::default() };
-        let handle = Server::spawn("127.0.0.1:0", config).unwrap();
+    fn traced_requests_record_spans_and_untraced_requests_stay_silent() {
+        let handle = Server::spawn("127.0.0.1:0", ServerConfig::default()).unwrap();
         let client = Client::new(handle.local_addr().to_string());
         let op = OpRequest::zero_round("M M M;P O O", "M [P O];O O").unwrap();
         let ctx = TraceContext { trace_id: 0xabc, parent: None };
@@ -1297,7 +1195,7 @@ mod tests {
         let hit = client.submit_traced(&op, None, Some(&ctx)).unwrap();
         assert!(hit.cached);
         assert_eq!(computed.result, hit.result, "tracing never changes served bytes");
-        // An untraced submit on a tracing daemon records nothing.
+        // An untraced submit records nothing.
         let before = client.trace_dump(None).unwrap().spans.len();
         client.submit(&op, None).unwrap();
         assert_eq!(client.trace_dump(None).unwrap().spans.len(), before);
@@ -1337,16 +1235,18 @@ mod tests {
         client.shutdown().unwrap();
         handle.join();
 
-        // With tracing off (the default config) the trace op serves the
-        // zero-window placeholder and records nothing.
-        let off = Server::spawn("127.0.0.1:0", ServerConfig::default()).unwrap();
-        let client = Client::new(off.local_addr().to_string());
+        // A fresh default-config daemon records a traced submit's spans:
+        // the request's context is the only switch.
+        let fresh = Server::spawn("127.0.0.1:0", ServerConfig::default()).unwrap();
+        let client = Client::new(fresh.local_addr().to_string());
         client.submit_traced(&op, None, Some(&ctx)).unwrap();
         let dump = client.trace_dump(None).unwrap();
-        assert_eq!((dump.window, dump.recorded, dump.spans.len()), (0, 0, 0));
-        assert_eq!(client.ping_info().unwrap().span_window, 0);
+        let names: Vec<&str> = dump.spans.iter().map(|s| s.name.as_str()).collect();
+        for name in ["request", "parse", "store-read", "queue-wait", "compute", "store-write"] {
+            assert!(names.contains(&name), "missing {name} span in {names:?}");
+        }
         client.shutdown().unwrap();
-        off.join();
+        fresh.join();
     }
 
     #[test]

@@ -1,23 +1,26 @@
 //! Request-scoped distributed tracing across the fleet.
 //!
 //! A **trace context** — a `trace_id` plus the parent span id, both
-//! 64-bit values spelled as 16-digit lowercase hex on the wire — is
-//! minted at daemon ingress for every job request when tracing is
-//! enabled (`relim serve --trace`), or adopted from the request's
-//! optional `trace_id`/`parent_span` fields when a client (or an
-//! upstream daemon) supplied one. The context is **propagated** on the
-//! wire by the fleet's `fetch` calls, so one trace id follows a request
-//! across daemons: the requester's per-attempt `peer-fetch` span is the
-//! parent of the owner's `fetch-serve` span.
+//! 64-bit values spelled as 16-digit lowercase hex on the wire — rides
+//! in a job or fetch request's optional `trace_id`/`parent_span`
+//! fields. It is the one switch: a request that carries a context has
+//! its spans recorded, a request without one records nothing. Daemons
+//! never mint a context; a client does (`relim submit --trace`,
+//! [`crate::client::Client::submit_traced`]), and a daemon propagates
+//! the one it was handed on the wire of the fleet's `fetch` calls, so
+//! one trace id follows a request across daemons: the requester's
+//! per-attempt `peer-fetch` span is the parent of the owner's
+//! `fetch-serve` span.
 //!
-//! Each daemon records its spans into a bounded, thread-safe
+//! Every daemon records its spans into one bounded, thread-safe
 //! [`SpanLog`] built on the same bounded window as
 //! [`crate::timeline::EventLog`]: a fixed capacity, the oldest spans
 //! dropped **and counted** beyond it, so a long-lived daemon pays a
-//! fixed memory cost. Spans carry a name, a start offset and duration
-//! in nanoseconds **on the recording daemon's own monotonic clock**,
-//! and a flat list of string attributes (retry numbers, breaker state,
-//! engine counter deltas).
+//! fixed memory cost whatever its clients send. Every span is recorded
+//! through a [`Tracer`], the log plus a position in a trace. Spans
+//! carry a name, a start offset and duration in nanoseconds **on the
+//! recording daemon's own monotonic clock**, and a flat list of string
+//! attributes (retry numbers, breaker state, engine counter deltas).
 //!
 //! ## Clock model
 //!
@@ -42,11 +45,12 @@
 use crate::window::Window;
 use relim_json::Json;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 /// The schema tag of the trace-dump JSON rendering.
 pub const TRACE_SCHEMA: &str = "relim-trace/1";
 
-/// The span window the server keeps by default.
+/// The span window every daemon keeps.
 pub const DEFAULT_SPAN_CAPACITY: usize = 4096;
 
 /// A trace id or span id as its wire spelling: 16 lowercase hex digits.
@@ -119,10 +123,8 @@ pub struct Span {
     pub attrs: Vec<(String, String)>,
 }
 
-/// A bounded, thread-safe span log (see the module docs). The daemon
-/// owns one of these only when tracing is enabled — every recording
-/// site is one branch on that `Option`, so the tracing-off path costs
-/// nothing.
+/// A bounded, thread-safe span log (see the module docs). Every daemon
+/// owns one; spans reach it only through a [`Tracer`].
 #[derive(Debug)]
 pub struct SpanLog {
     window: Window<Span>,
@@ -146,15 +148,9 @@ impl SpanLog {
         self.window.capacity()
     }
 
-    /// Nanoseconds since the log's epoch — the clock every span of this
-    /// daemon is stamped on.
-    pub fn now_ns(&self) -> u64 {
-        self.window.now_ns()
-    }
-
     /// Allocates a fresh span id (never zero, monotone per daemon,
     /// fleet-unique whp thanks to the random base).
-    pub fn next_span_id(&self) -> u64 {
+    fn next_span_id(&self) -> u64 {
         loop {
             let id = self.next_id.fetch_add(1, Ordering::Relaxed);
             if id != 0 {
@@ -165,13 +161,13 @@ impl SpanLog {
 
     /// Appends one span, dropping (and counting) the oldest beyond the
     /// window.
-    pub fn record(&self, span: Span) {
+    fn record(&self, span: Span) {
         self.window.push(|_| span);
     }
 
     /// Records span `span_id`, named `name`, covering `start_ns`..now
     /// under `ctx`: its trace id and its parent span.
-    pub fn record_since(
+    fn record_since(
         &self,
         ctx: TraceContext,
         span_id: u64,
@@ -185,7 +181,7 @@ impl SpanLog {
             parent: ctx.parent,
             name: name.to_owned(),
             start_ns,
-            dur_ns: self.now_ns().saturating_sub(start_ns),
+            dur_ns: self.window.now_ns().saturating_sub(start_ns),
             attrs,
         });
     }
@@ -205,23 +201,78 @@ impl SpanLog {
     }
 }
 
-/// The recording hook the fleet layer threads through a peer fetch so
-/// each attempt becomes a span and the outgoing wire request carries
-/// the propagated context.
-pub struct FetchTrace<'log> {
-    /// The requester daemon's span log.
-    pub log: &'log SpanLog,
-    /// The trace the triggering request belongs to, with the
-    /// requester-side parent (the request's root span).
-    pub ctx: TraceContext,
+/// The one handle every span is recorded through: a daemon's span log
+/// plus a position in a trace. A span recorded through a tracer belongs
+/// to its context's trace and hangs under its context's parent span.
+///
+/// A span that has children is recorded after them: [`Tracer::child`]
+/// allocates its id up front and hands out the position under it, and
+/// [`Tracer::record_child`] records it once its extent is known. A
+/// request's root span is recorded last, with the outcome attached, and
+/// a peer-fetch attempt's id rides the wire before its span exists.
+#[derive(Debug, Clone, Copy)]
+pub struct Tracer<'log> {
+    log: &'log SpanLog,
+    ctx: TraceContext,
+}
+
+impl<'log> Tracer<'log> {
+    /// Spans recorded into `log` at position `ctx`.
+    pub fn new(log: &'log SpanLog, ctx: TraceContext) -> Tracer<'log> {
+        Tracer { log, ctx }
+    }
+
+    /// The position: what a queued job carries and a peer fetch sends.
+    pub fn context(&self) -> TraceContext {
+        self.ctx
+    }
+
+    /// Nanoseconds on the span log's clock.
+    pub fn now_ns(&self) -> u64 {
+        self.log.window.now_ns()
+    }
+
+    /// `at` on the span log's clock, without reading the clock.
+    pub fn ns_at(&self, at: Instant) -> u64 {
+        self.log.window.ns_at(at)
+    }
+
+    /// Records a span named `name` covering `start_ns`..now here.
+    pub fn record(&self, name: &str, start_ns: u64, attrs: Vec<(String, String)>) {
+        self.log.record_since(self.ctx, self.log.next_span_id(), name, start_ns, attrs);
+    }
+
+    /// The position under a fresh span id, which [`Tracer::record_child`]
+    /// records later.
+    pub fn child(&self) -> Tracer<'log> {
+        let parent = Some(self.log.next_span_id());
+        Tracer { log: self.log, ctx: TraceContext { parent, ..self.ctx } }
+    }
+
+    /// Records the span `child` positions under — the id
+    /// [`Tracer::child`] allocated — here, covering `start_ns`..now.
+    ///
+    /// # Panics
+    ///
+    /// If `child` hangs under no span, so did not come from
+    /// [`Tracer::child`].
+    pub fn record_child(
+        &self,
+        child: Tracer<'log>,
+        name: &str,
+        start_ns: u64,
+        attrs: Vec<(String, String)>,
+    ) {
+        let id = child.ctx.parent.expect("a child position hangs under its span");
+        self.log.record_since(self.ctx, id, name, start_ns, attrs);
+    }
 }
 
 /// A point-in-time copy of a span window (the server side of a trace
 /// dump).
 #[derive(Debug, Clone)]
 pub struct TraceSnapshot {
-    /// The window size the log was configured with (0 only in the
-    /// tracing-disabled placeholder, see [`TraceSnapshot::disabled`]).
+    /// The window size the log was configured with.
     pub window: usize,
     /// Spans ever recorded (including dropped ones).
     pub recorded: u64,
@@ -232,13 +283,6 @@ pub struct TraceSnapshot {
 }
 
 impl TraceSnapshot {
-    /// The dump a daemon with tracing disabled serves: window 0, no
-    /// spans — `relim trace` reads the zero window as "this daemon
-    /// records nothing", distinct from "recorded nothing yet".
-    pub fn disabled() -> TraceSnapshot {
-        TraceSnapshot { window: 0, recorded: 0, dropped: 0, spans: Vec::new() }
-    }
-
     /// The JSON rendering (schema [`TRACE_SCHEMA`]); `daemon` is the
     /// serving daemon's address, so merged dumps stay attributable.
     pub fn to_json(&self, daemon: &str) -> Json {
@@ -319,7 +363,7 @@ fn span_from_json(doc: &Json) -> Result<Span, String> {
 pub struct TraceDump {
     /// The serving daemon's address.
     pub daemon: String,
-    /// The daemon's span window (0 means tracing is disabled there).
+    /// The daemon's span window.
     pub window: u64,
     /// Spans ever recorded on that daemon.
     pub recorded: u64,
@@ -681,6 +725,33 @@ mod tests {
         assert_ne!(idb, 0);
         assert_ne!(ida, idb, "two logs must not both count from the same base");
         assert_eq!(a.next_span_id(), ida.wrapping_add(1), "monotone per daemon");
+    }
+
+    #[test]
+    fn child_tracers_record_under_their_parents_span_id() {
+        let log = SpanLog::new(8);
+        let wire = Tracer::new(&log, TraceContext { trace_id: 9, parent: Some(3) });
+        // The order a traced request records in: a root allocated
+        // first, its children recorded under it, the root itself last.
+        let root = wire.child();
+        let root_id = root.context().parent.expect("a child hangs under a span");
+        assert_eq!(root.context().trace_id, 9);
+        root.record("parse", 0, Vec::new());
+        let fetch = root.child();
+        root.record_child(fetch, "peer-fetch", 1, Vec::new());
+        wire.record_child(root, "request", 0, Vec::new());
+        let spans = log.snapshot(Some(9)).spans;
+        let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["parse", "peer-fetch", "request"]);
+        assert_eq!(spans[0].parent, Some(root_id), "a child records under its parent's id");
+        assert_eq!(spans[1].span_id, fetch.context().parent.unwrap());
+        assert_eq!(spans[1].parent, Some(root_id));
+        assert_eq!(spans[2].span_id, root_id, "the root keeps its pre-allocated id");
+        assert_eq!(spans[2].parent, Some(3), "and hangs under the wire's parent");
+        let dump = TraceDump { daemon: "d".into(), window: 8, recorded: 3, dropped: 0, spans };
+        let tree = render_tree(&[dump]);
+        assert!(tree.lines().nth(1).unwrap().starts_with("  request"), "{tree}");
+        assert!(tree.contains("    parse"), "{tree}");
     }
 
     #[test]

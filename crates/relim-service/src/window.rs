@@ -42,6 +42,11 @@ impl<T: Clone> Window<T> {
         self.epoch.elapsed().as_nanos() as u64
     }
 
+    /// Nanoseconds from the window's creation to `at` (0 before it).
+    pub(crate) fn ns_at(&self, at: Instant) -> u64 {
+        at.saturating_duration_since(self.epoch).as_nanos() as u64
+    }
+
     /// Appends the item `make` builds from its position in the full
     /// stream (0 for the first item ever recorded), dropping and
     /// counting the oldest item beyond the window.

@@ -1,4 +1,4 @@
-//! Distributed-tracing integration: three tracing daemons wired as a
+//! Distributed-tracing integration: three default daemons wired as a
 //! fleet, one trace id following a request across two of them.
 //!
 //! The scenario is the fleet's read-through path: a non-owner receives
@@ -33,7 +33,6 @@ fn spawn_tracing_member(addr: &str, peers: Vec<String>) -> ServerHandle {
         executors: 1,
         peers,
         peer_timeout_ms: 500,
-        trace: true,
         ..ServerConfig::default()
     };
     Server::spawn(addr, config).expect("spawn fleet member")
