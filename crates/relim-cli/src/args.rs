@@ -1,15 +1,14 @@
 //! Minimal dependency-free argument parsing for the `relim` CLI.
 
-use std::collections::HashMap;
-
 /// Parsed command line: a subcommand plus `--key value` options and
 /// `--flag` switches.
 #[derive(Debug, Clone, Default)]
 pub struct Args {
     /// The subcommand (first non-flag argument).
     pub command: Option<String>,
-    options: HashMap<String, String>,
-    flags: Vec<String>,
+    /// Every `--key` in command-line order, with its value if it is an
+    /// option and `None` if it is a flag.
+    keys: Vec<(String, Option<String>)>,
 }
 
 /// A human-readable argument error.
@@ -23,6 +22,24 @@ impl std::fmt::Display for ArgError {
 }
 
 impl std::error::Error for ArgError {}
+
+/// A `--key` the command does not read. The CLI exits with status 2 on
+/// it, so a mistyped or retired flag is never silently ignored.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UnknownOption {
+    /// The key, without its leading `--`.
+    pub key: String,
+    /// The command it was given to.
+    pub command: String,
+}
+
+impl std::fmt::Display for UnknownOption {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "unknown option --{} for '{}'", self.key, self.command)
+    }
+}
+
+impl std::error::Error for UnknownOption {}
 
 /// Option keys that take a value; everything else starting with `--` is a
 /// boolean flag.
@@ -73,13 +90,12 @@ impl Args {
         let mut iter = raw.into_iter().peekable();
         while let Some(tok) = iter.next() {
             if let Some(key) = tok.strip_prefix("--") {
-                if VALUE_KEYS.contains(&key) {
-                    let value =
-                        iter.next().ok_or_else(|| ArgError(format!("--{key} requires a value")))?;
-                    args.options.insert(key.to_owned(), value);
+                let value = if VALUE_KEYS.contains(&key) {
+                    Some(iter.next().ok_or_else(|| ArgError(format!("--{key} requires a value")))?)
                 } else {
-                    args.flags.push(key.to_owned());
-                }
+                    None
+                };
+                args.keys.push((key.to_owned(), value));
             } else if args.command.is_none() {
                 args.command = Some(tok);
             } else {
@@ -89,9 +105,9 @@ impl Args {
         Ok(args)
     }
 
-    /// A string option.
+    /// A string option (its last value, if given more than once).
     pub fn get(&self, key: &str) -> Option<&str> {
-        self.options.get(key).map(String::as_str)
+        self.keys.iter().rev().find(|(k, _)| k == key).and_then(|(_, v)| v.as_deref())
     }
 
     /// A required string option.
@@ -143,7 +159,24 @@ impl Args {
 
     /// Whether a boolean flag is present.
     pub fn has_flag(&self, name: &str) -> bool {
-        self.flags.iter().any(|f| f == name)
+        self.keys.iter().any(|(k, v)| k == name && v.is_none())
+    }
+
+    /// Refuses the first key, in command-line order, that `command`
+    /// does not read.
+    ///
+    /// # Errors
+    ///
+    /// Names the key and the command.
+    pub fn reject_unknown<S: AsRef<str>>(
+        &self,
+        command: &str,
+        known: &[S],
+    ) -> Result<(), UnknownOption> {
+        match self.keys.iter().find(|(k, _)| !known.iter().any(|known| known.as_ref() == k)) {
+            None => Ok(()),
+            Some((key, _)) => Err(UnknownOption { key: key.clone(), command: command.to_owned() }),
+        }
     }
 }
 
@@ -241,6 +274,21 @@ mod tests {
         .unwrap();
         assert_eq!(a.get("peers"), Some("127.0.0.1:7402,127.0.0.1:7403"));
         assert_eq!(a.get_u64("peer-timeout-ms", 2000).unwrap(), 500);
+    }
+
+    #[test]
+    fn keys_a_command_does_not_read_are_refused_in_order() {
+        let a =
+            parse(&["bounds", "--n", "1000", "--bogus-flag", "--delta", "4", "--k", "1"]).unwrap();
+        let err = a.reject_unknown("bounds", &["n", "delta"]).unwrap_err();
+        assert_eq!(err.to_string(), "unknown option --bogus-flag for 'bounds'");
+        assert!(a.reject_unknown("bounds", &["n", "delta", "k", "bogus-flag"]).is_ok());
+    }
+
+    #[test]
+    fn a_repeated_option_keeps_its_last_value() {
+        let a = parse(&["bounds", "--delta", "4", "--delta", "5"]).unwrap();
+        assert_eq!(a.get("delta"), Some("5"));
     }
 
     #[test]

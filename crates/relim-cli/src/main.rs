@@ -25,7 +25,8 @@
 //! ```
 //!
 //! Constraint strings use the engine's text format; `;` or a literal `\n`
-//! separates configuration lines.
+//! separates configuration lines. A `--key` the command does not read is
+//! refused before the command acts, with exit status 2.
 //!
 //! The `autolb`, `autoub`, `fixed-point`, `zeroround` and `sweep`
 //! subcommands render through `relim_service::ops` — the same functions
@@ -33,23 +34,25 @@
 //! to the local run of the same query.
 //!
 //! `--threads T` is a **global** flag (valid before or after the
-//! subcommand): one round-elimination [`Engine`] session is built from it
-//! (default: available parallelism, or the `RELIM_THREADS` environment
-//! variable) and flows through every subcommand, so sweeps, repeated
-//! steps and bound searches within one invocation share the session's
-//! worker pool and sub-multiset index cache. Setting both `--threads` and
-//! `RELIM_THREADS` to different values is an error, not a silent
-//! preference. Output is byte-identical at any thread count.
+//! subcommand) of every command that builds an engine, `serve` included;
+//! the daemon clients refuse it. One round-elimination [`Engine`] session
+//! is built from it (default: available parallelism, or the
+//! `RELIM_THREADS` environment variable) and flows through every
+//! subcommand, so sweeps, repeated steps and bound searches within one
+//! invocation share the session's worker pool and sub-multiset index
+//! cache. Setting both `--threads` and `RELIM_THREADS` to different
+//! values is an error, not a silent preference. Output is byte-identical
+//! at any thread count.
 
 mod args;
 
-use args::{constraint_text, ArgError, Args};
+use args::{constraint_text, ArgError, Args, UnknownOption};
 use lb_family::family::{self, PiParams};
 use lb_family::{bounds, lemma6, lemma8, sequence};
 use relim_core::diagram::StrengthOrder;
 use relim_core::engine::parse_threads;
 use relim_core::{condense, zeroround, Engine, Problem};
-use relim_service::ops::{self, Criterion, Kind, OpRequest, Value, OPS};
+use relim_service::ops::{self, Criterion, Kind, OpRequest, OpSpec, Value, OPS};
 use relim_service::queue::Class;
 use relim_service::server::{Server, ServerConfig};
 use relim_service::trace;
@@ -71,7 +74,7 @@ fn main() {
         Err(e) => {
             eprintln!("error: {e}");
             eprintln!("run `relim help` for usage");
-            std::process::exit(1);
+            std::process::exit(if e.is::<UnknownOption>() { 2 } else { 1 });
         }
     }
 }
@@ -83,6 +86,9 @@ fn run(raw: Vec<String>) -> Result<String, Box<dyn std::error::Error>> {
         Some("help") | None => return Ok(usage()),
         Some(command) => command,
     };
+    if let Some(known) = command_keys(command, &args) {
+        args.reject_unknown(command, &known)?;
+    }
     // The service subcommands do not compute in this process: the
     // clients talk to a daemon, and `serve` hands the (resolved) thread
     // count to the daemon's own engine — so no CLI engine session is
@@ -124,6 +130,59 @@ fn run(raw: Vec<String>) -> Result<String, Box<dyn std::error::Error>> {
     }
 }
 
+/// The options and flags `command` reads (`--threads` where it sizes an
+/// engine); `None` for an unknown command.
+fn command_keys(command: &str, args: &Args) -> Option<Vec<String>> {
+    let (fixed, op): (&[&str], _) = match command {
+        "step" => (&["threads", "node", "edge", "steps", "condense"], None),
+        "bistep" => (&["threads", "black", "white", "steps"], None),
+        "diagram" => (&["threads", "node", "edge", "side", "dot"], None),
+        "trivial" => (&["threads", "node", "edge", "coloring"], None),
+        "autolb" | "autoub" | "fixed-point" | "sweep" | "zeroround" => {
+            (&["threads"], Some(command))
+        }
+        "family" => (&["threads", "delta", "a", "x", "plus"], None),
+        "lemma6" | "lemma8" => (&["threads", "delta", "a", "x"], None),
+        "chain" => (&["threads", "delta", "k", "exact", "certify"], None),
+        "bounds" => (&["threads", "n", "delta", "k"], None),
+        "serve" => (
+            &[
+                "threads",
+                "executors",
+                "addr",
+                "store",
+                "store-capacity",
+                "store-budget-bytes",
+                "aging-limit",
+                "peers",
+                "peer-timeout-ms",
+            ],
+            None,
+        ),
+        "submit" => (&["addr", "op", "priority", "trace"], args.get("op")),
+        "status" | "ping" | "metrics" | "shutdown" => (&["addr"], None),
+        "timeline" => (&["addr", "json"], None),
+        "trace" => (&["addr", "trace-id", "peers", "format"], None),
+        "viz" => (&["threads", "digest", "addr", "store", "op", "full", "json"], args.get("op")),
+        _ => return None,
+    };
+    // A misspelled `--op` is refused by `op_from`, with the op names;
+    // until then every op's options count as read.
+    let rows: Vec<&OpSpec> = match op {
+        None => Vec::new(),
+        Some(name) => match ops::op_row(name) {
+            Some(row) => vec![&OPS[row]],
+            None => OPS.iter().collect(),
+        },
+    };
+    let op_keys = rows.into_iter().flat_map(|spec| {
+        let problem = if spec.problem { ["node", "edge"].as_slice() } else { &[] };
+        let params = spec.params.iter().map(|p| p.name.replace('_', "-"));
+        problem.iter().map(|k| (*k).to_owned()).chain(params)
+    });
+    Some(fixed.iter().map(|k| (*k).to_owned()).chain(op_keys).collect())
+}
+
 fn usage() -> String {
     "relim — a command-line round eliminator (BBKO PODC 2021 reproduction)
 
@@ -163,7 +222,9 @@ Constraints use the text format: one condensed configuration per line
 --edge 'M [P O];O O'. `--threads T` is a global flag (before or after
 the subcommand; also: RELIM_THREADS — setting both to different values
 is an error): one engine session sized from it runs the whole
-invocation, and output is byte-identical at any thread count.
+invocation, and output is byte-identical at any thread count. An
+option or flag the command does not read (`--threads` on a daemon
+client, too) is refused with exit status 2.
 
 `serve` runs the relim-service daemon (JSON-lines over TCP, default
 addr 127.0.0.1:7341): jobs are scheduled interactive-before-bulk with

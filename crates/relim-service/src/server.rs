@@ -3,21 +3,22 @@
 //!
 //! ## Concurrency architecture
 //!
-//! * An **accept thread** owns the listener and gives each connection a
-//!   thread of its own (the protocol is blocking line-at-a-time, so a
-//!   thread per connection is the simplest correct shape; the expensive
-//!   work never happens on these threads).
-//! * Connection threads are **reused**. A thread that finishes its
-//!   connection parks on a handoff in `Shared` (a mutex and a condvar)
-//!   unless `IDLE_CONNECTION_THREADS` (4) are parked already, in
-//!   which case it exits. The accept loop hands the next stream to a
-//!   parked thread and spawns a new one only when none is free, so a
-//!   client that connects once per request (the shipped `Client`, the
-//!   fleet's peer calls) does not pay a thread create and exit per
-//!   request. A parked thread takes every stream handed to it, even
-//!   during shutdown, so an accepted connection is never lost. If the
-//!   OS refuses a new thread, that one connection is dropped and
-//!   counted in `errors`; the accept loop keeps running.
+//! * Every **connection thread** accepts its own connection: idle
+//!   threads block in `accept` on the shared listener, and the one the
+//!   kernel wakes serves the connection it accepted (the protocol is
+//!   blocking line-at-a-time, so a thread per connection is the simplest
+//!   correct shape; the expensive work never happens on these threads).
+//!   No thread stands between the listener and the reader of a request,
+//!   so a connection costs one wake-up.
+//! * One atomic counts the threads in `accept`. A thread whose accept
+//!   leaves none accepting spawns a successor before it serves. After
+//!   serving, a thread accepts again unless `IDLE_CONNECTION_THREADS` (4)
+//!   are accepting already, in which case it exits. So a client that
+//!   connects once per request (the shipped `Client`, the fleet's peer
+//!   calls) does not pay a thread create and exit per request. If the OS
+//!   refuses the successor, the refusal is counted in `errors` and the
+//!   accepted connection is still served; its thread accepts again
+//!   afterwards.
 //! * Connection threads parse requests. A job request is **prepared**
 //!   by that parse ([`crate::ops::Prepared`]): its problem text is
 //!   parsed once, and the resulting key and digest drive the store
@@ -38,9 +39,11 @@
 //!   because every cache hit is byte-identical to a rebuild and every
 //!   result is canonical.
 //! * **Graceful shutdown**: a `shutdown` request flips the flag, wakes
-//!   the executors and the parked connection threads (which exit) and
-//!   unblocks the accept loop. New jobs are refused (checked under the
-//!   queue lock, so no job is ever lost in the race), already-queued
+//!   the executors, takes the listener from the shared state and wakes
+//!   every thread counted in `accept` with a throwaway connection; each
+//!   closes what it accepted unserved and exits, and the listener
+//!   closes with the last of them. New jobs are refused (checked under
+//!   the queue lock, so no job is ever lost in the race), already-queued
 //!   jobs are drained and answered — waiters included — then every
 //!   thread exits and [`ServerHandle::join`] returns.
 //!
@@ -78,11 +81,10 @@ use crate::trace::{SpanLog, TraceContext, Tracer, DEFAULT_SPAN_CAPACITY};
 use crate::wire;
 use relim_core::Engine;
 use relim_json::Json;
-use std::collections::VecDeque;
 use std::io::{BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -272,8 +274,20 @@ struct Shared {
     engine: Engine,
     store: ResultStore,
     /// The address this daemon bound — stamps trace dumps so a merged
-    /// cross-daemon tree can attribute every span.
-    self_addr: String,
+    /// cross-daemon tree can attribute every span, and is where shutdown
+    /// sends the connections that wake threads blocked in `accept`.
+    addr: SocketAddr,
+    /// The listener, until shutdown takes it. Connection threads clone it
+    /// for each `accept`, so it closes once the last of them returns.
+    listener: Mutex<Option<Arc<TcpListener>>>,
+    /// Connection threads registered to accept (see
+    /// [`connection_thread`]). A thread holds a clone of the listener
+    /// only while registered.
+    acceptors: AtomicUsize,
+    /// Signalled under the `listener` lock when shutdown takes the
+    /// listener and when `acceptors` drops to zero: with both, the
+    /// listener is closed ([`ServerHandle::join_and_report`] waits on it).
+    acceptors_drained: Condvar,
     /// The span log traced requests record into.
     spans: SpanLog,
     /// The fleet tier, when `--peers` was given: remote owners are read
@@ -286,15 +300,9 @@ struct Shared {
     started: Instant,
     /// Resolved executor-pool width (for the status response).
     executors: usize,
-    /// Accepted connections not yet closed, including streams waiting
-    /// in the handoff — waited for (bounded) at shutdown so a response
-    /// write never races process exit.
+    /// Accepted connections not yet closed — waited for (bounded) at
+    /// shutdown so a response write never races process exit.
     active_connections: AtomicU64,
-    /// Connection threads parked between connections (see [`park`]).
-    parked: Mutex<Parked>,
-    /// Wakes parked connection threads: a handed-off stream, or
-    /// shutdown.
-    parked_cv: Condvar,
     requests_total: AtomicU64,
     /// Requests by kind, indexed like [`OP_NAMES`].
     ops: [AtomicU64; OP_NAMES.len()],
@@ -400,9 +408,7 @@ pub struct Server;
 /// A handle on a running daemon: its bound address, a shutdown trigger
 /// and the join point.
 pub struct ServerHandle {
-    addr: SocketAddr,
     shared: Arc<Shared>,
-    accept: JoinHandle<()>,
     executors: Vec<JoinHandle<()>>,
     /// The breaker-recovery prober — spawned only with a fleet.
     prober: Option<JoinHandle<()>>,
@@ -410,11 +416,11 @@ pub struct ServerHandle {
 
 impl Server {
     /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and
-    /// spawns the accept thread and the executor pool.
+    /// spawns the first connection thread and the executor pool.
     ///
     /// # Errors
     ///
-    /// Propagates bind and store-directory failures.
+    /// Propagates bind, store-directory and thread-spawn failures.
     pub fn spawn(addr: &str, config: ServerConfig) -> std::io::Result<ServerHandle> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
@@ -442,7 +448,10 @@ impl Server {
         let shared = Arc::new(Shared {
             engine: Engine::builder().threads(config.threads).build(),
             store,
-            self_addr: addr.to_string(),
+            addr,
+            listener: Mutex::new(Some(Arc::new(listener))),
+            acceptors: AtomicUsize::new(0),
+            acceptors_drained: Condvar::new(),
             spans: SpanLog::new(DEFAULT_SPAN_CAPACITY),
             fleet,
             queue: Mutex::new(JobQueue::new(config.aging_limit)),
@@ -451,8 +460,6 @@ impl Server {
             started: Instant::now(),
             executors,
             active_connections: AtomicU64::new(0),
-            parked: Mutex::new(Parked::default()),
-            parked_cv: Condvar::new(),
             requests_total: AtomicU64::new(0),
             ops: Default::default(),
             errors: AtomicU64::new(0),
@@ -462,16 +469,14 @@ impl Server {
             events: EventLog::new(DEFAULT_EVENT_CAPACITY),
         });
 
+        // First, so a refused spawn leaves no other thread behind.
+        spawn_connection_thread(&shared)?;
         let executors = (0..executors)
             .map(|_| {
                 let shared = Arc::clone(&shared);
                 std::thread::spawn(move || executor_loop(&shared))
             })
             .collect();
-        let accept = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || accept_loop(&listener, &shared))
-        };
         // A fleet gets a background prober: Open breakers are re-dialed
         // from here once their cooldown elapses, so recovery never rides
         // on (or delays) a live request — see `Fleet::probe_open_breakers`.
@@ -479,7 +484,7 @@ impl Server {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || prober_loop(&shared))
         });
-        Ok(ServerHandle { addr, shared, accept, executors, prober })
+        Ok(ServerHandle { shared, executors, prober })
     }
 }
 
@@ -499,13 +504,13 @@ fn prober_loop(shared: &Arc<Shared>) {
 impl ServerHandle {
     /// The address the daemon actually bound (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.shared.addr
     }
 
     /// Triggers a graceful shutdown from the hosting process (the wire
     /// `shutdown` request does the same).
     pub fn shutdown(&self) {
-        trigger_shutdown(&self.shared, self.addr);
+        trigger_shutdown(&self.shared);
     }
 
     /// The current counters (same content as a `status` response).
@@ -513,8 +518,8 @@ impl ServerHandle {
         self.shared.counters_json()
     }
 
-    /// Waits for the accept thread and every executor to exit (after a
-    /// shutdown trigger; the queue is drained first).
+    /// Waits for every executor to exit and the listener to close (after
+    /// a shutdown trigger; the queue is drained first).
     pub fn join(self) {
         let _ = self.join_and_report();
     }
@@ -524,18 +529,25 @@ impl ServerHandle {
     /// served job.
     pub fn join_and_report(self) -> Json {
         let shared = Arc::clone(&self.shared);
-        let _ = self.accept.join();
         for executor in self.executors {
             let _ = executor.join();
         }
         if let Some(prober) = self.prober {
             let _ = prober.join();
         }
+        // Once shutdown took the listener and no thread is registered to
+        // accept, no clone of it is left: it is closed, and new clients
+        // are refused outright instead of hanging on an unserved
+        // connection.
+        let mut listener = shared.listener.lock().expect("listener lock poisoned");
+        while listener.is_some() || shared.acceptors.load(Ordering::SeqCst) > 0 {
+            listener = shared.acceptors_drained.wait(listener).expect("listener lock poisoned");
+        }
+        drop(listener);
         // Give open connections a bounded window to finish writing their
         // final responses (their threads are detached; without this the
-        // hosting process could exit mid-write). Parked threads hold no
-        // connection and are not waited for: the shutdown woke them to
-        // exit.
+        // hosting process could exit mid-write). Every connection
+        // accepted for serving is counted by now.
         for _ in 0..500 {
             if shared.active_connections.load(Ordering::SeqCst) == 0 {
                 break;
@@ -546,111 +558,84 @@ impl ServerHandle {
     }
 }
 
-fn trigger_shutdown(shared: &Arc<Shared>, addr: SocketAddr) {
+fn trigger_shutdown(shared: &Shared) {
     shared.shutdown.store(true, Ordering::SeqCst);
     shared.cv.notify_all();
+    // A connection thread registers in `acceptors` before it clones the
+    // listener under this lock. So one that cloned it is counted by the
+    // load below, and one that looks after the take finds it gone.
     {
-        // Under the handoff lock, so a thread between its flag check and
-        // its wait cannot miss the wake-up.
-        let _parked = shared.parked.lock().expect("parked lock poisoned");
-        shared.parked_cv.notify_all();
+        let mut listener = shared.listener.lock().expect("listener lock poisoned");
+        *listener = None;
+        shared.acceptors_drained.notify_all();
     }
-    // Unblock the accept loop: a throwaway connection makes `incoming`
-    // yield once more, after which the loop observes the flag.
-    let _ = TcpStream::connect(addr);
+    // One throwaway connection per counted thread: each `accept`
+    // returns, and its thread exits on finding the listener gone.
+    for _ in 0..shared.acceptors.load(Ordering::SeqCst) {
+        let _ = TcpStream::connect(shared.addr);
+    }
 }
 
-/// How many connection threads may park between connections. The
-/// steady load of a daemon is a few clients, each holding one
-/// connection at a time, plus the fleet's peer reads; four parked
-/// threads cover that (the benchmark's fleet runs two clients against
-/// two daemons). A parked thread costs its stack's touched pages, so
-/// the cap keeps idle memory fixed: a burst beyond it spawns threads as
-/// before, and they exit instead of parking.
+/// How many connection threads may wait in `accept` between
+/// connections. The steady load of a daemon is a few clients, each
+/// holding one connection at a time, plus the fleet's peer reads; four
+/// waiting threads cover that (the benchmark's fleet runs two clients
+/// against two daemons). A waiting thread costs its stack's touched
+/// pages, so the cap keeps idle memory fixed: a burst beyond it spawns
+/// a thread each time an accept leaves nobody accepting, and a thread
+/// that finishes while the cap is full exits instead of accepting again.
 const IDLE_CONNECTION_THREADS: usize = 4;
 
-/// How long the accept loop sleeps after a failed `accept`, so a
+/// How long a connection thread sleeps after a failed `accept`, so a
 /// persistent error (such as running out of file descriptors) does not
 /// spin a CPU.
 const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
 
-/// Connection threads parked between connections, and the streams the
-/// accept loop handed to them. Every handed stream has a parked thread
-/// to take it: the accept loop hands off only while
-/// `threads > streams.len()`.
-#[derive(Default)]
-struct Parked {
-    threads: usize,
-    streams: VecDeque<TcpStream>,
+fn spawn_connection_thread(shared: &Arc<Shared>) -> std::io::Result<()> {
+    let shared = Arc::clone(shared);
+    std::thread::Builder::new().spawn(move || connection_thread(&shared)).map(drop)
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    let addr = listener.local_addr().expect("bound listener has an address");
-    for stream in listener.incoming() {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
+/// A connection thread: accepts a connection on the shared listener and
+/// serves it, then accepts again — unless [`IDLE_CONNECTION_THREADS`]
+/// are accepting already, or shutdown took the listener.
+fn connection_thread(shared: &Arc<Shared>) {
+    // Registering checks the cap and counts this thread in one step, and
+    // comes before the listener lookup that `trigger_shutdown` relies on.
+    let register = |n: usize| (n < IDLE_CONNECTION_THREADS).then_some(n + 1);
+    while shared.acceptors.fetch_update(Ordering::SeqCst, Ordering::SeqCst, register).is_ok() {
+        let listener = shared.listener.lock().expect("listener lock poisoned").clone();
+        let accepted = listener.as_deref().map(TcpListener::accept);
+        drop(listener);
+        // A connection accepted after shutdown (a wake-up, or a client
+        // racing it) is closed unserved. One accepted before is counted
+        // while this thread is still registered, so `join_and_report`,
+        // which waits for `acceptors` to drain first, covers it.
+        let serve = matches!(accepted, Some(Ok(_))) && !shared.shutdown.load(Ordering::SeqCst);
+        if serve {
+            shared.active_connections.fetch_add(1, Ordering::SeqCst);
         }
-        let Ok(stream) = stream else {
-            std::thread::sleep(ACCEPT_ERROR_BACKOFF);
-            continue;
-        };
-        // Counted from here, not from the thread: a stream waiting in
-        // the handoff is one the shutdown wait must cover.
-        shared.active_connections.fetch_add(1, Ordering::SeqCst);
-        let Some(stream) = hand_off(shared, stream) else { continue };
-        let thread_shared = Arc::clone(shared);
-        let spawned = std::thread::Builder::new()
-            .spawn(move || connection_thread(stream, &thread_shared, addr));
-        if spawned.is_err() {
-            // The OS refused a thread. The failed spawn dropped the
-            // closure, closing this one connection; the loop keeps
-            // accepting.
-            shared.active_connections.fetch_sub(1, Ordering::SeqCst);
-            shared.errors.fetch_add(1, Ordering::Relaxed);
+        let nobody_accepting = shared.acceptors.fetch_sub(1, Ordering::SeqCst) == 1;
+        if nobody_accepting {
+            let _listener = shared.listener.lock().expect("listener lock poisoned");
+            shared.acceptors_drained.notify_all();
         }
-    }
-}
-
-/// Hands `stream` to a parked connection thread, or gives it back when
-/// none is free so the caller spawns one.
-fn hand_off(shared: &Shared, stream: TcpStream) -> Option<TcpStream> {
-    let mut parked = shared.parked.lock().expect("parked lock poisoned");
-    if parked.threads == parked.streams.len() {
-        return Some(stream);
-    }
-    parked.streams.push_back(stream);
-    shared.parked_cv.notify_one();
-    None
-}
-
-/// Parks a connection thread until the accept loop hands it a stream.
-/// `None` tells the thread to exit: [`IDLE_CONNECTION_THREADS`] are
-/// parked already, or the daemon is shutting down.
-fn park(shared: &Shared) -> Option<TcpStream> {
-    let mut parked = shared.parked.lock().expect("parked lock poisoned");
-    if parked.threads == IDLE_CONNECTION_THREADS {
-        return None;
-    }
-    parked.threads += 1;
-    loop {
-        // A handed stream is served even during shutdown: it was
-        // accepted before the accept loop saw the flag.
-        let next = parked.streams.pop_front();
-        if next.is_some() || shared.shutdown.load(Ordering::SeqCst) {
-            parked.threads -= 1;
-            return next;
+        match accepted {
+            None => return,
+            Some(Err(_)) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
+            Some(Ok((stream, _))) if serve => {
+                // Start a successor before serving, so the next
+                // connection does not wait for this one. If the OS
+                // refuses a thread, this connection is still served and
+                // this thread accepts again after.
+                if nobody_accepting && spawn_connection_thread(shared).is_err() {
+                    shared.errors.fetch_add(1, Ordering::Relaxed);
+                }
+                serve_connection(stream, shared);
+                shared.active_connections.fetch_sub(1, Ordering::SeqCst);
+            }
+            Some(Ok(_)) => {}
         }
-        parked = shared.parked_cv.wait(parked).expect("parked lock poisoned");
-    }
-}
-
-/// A connection thread: serves its stream, then parks for the next one.
-fn connection_thread(first: TcpStream, shared: &Arc<Shared>, addr: SocketAddr) {
-    let mut next = Some(first);
-    while let Some(stream) = next {
-        serve_connection(stream, shared, addr);
-        shared.active_connections.fetch_sub(1, Ordering::SeqCst);
-        next = park(shared);
     }
 }
 
@@ -762,7 +747,7 @@ fn enqueue(shared: &Shared, class: Class, job: Job) -> Result<(), String> {
     Ok(())
 }
 
-fn serve_connection(stream: TcpStream, shared: &Arc<Shared>, addr: SocketAddr) {
+fn serve_connection(stream: TcpStream, shared: &Shared) {
     let mut writer = match stream.try_clone() {
         Ok(w) => w,
         Err(_) => return,
@@ -802,7 +787,7 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>, addr: SocketAddr) {
             // The acknowledgement is on the wire (or the peer is gone)
             // before the teardown starts, so the requester always hears
             // back.
-            trigger_shutdown(shared, addr);
+            trigger_shutdown(shared);
         }
         if !sent {
             break;
@@ -812,7 +797,7 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>, addr: SocketAddr) {
 
 /// Handles one request line; returns the response line and whether a
 /// graceful shutdown must be triggered *after* the response is sent.
-fn handle_line(line: &str, shared: &Arc<Shared>) -> (String, bool) {
+fn handle_line(line: &str, shared: &Shared) -> (String, bool) {
     // A job's latency cell covers its parse: preparing the request (the
     // one parse of its problem, its key and digest) happens there. A
     // traced request's spans start here too, on the span-log clock.
@@ -879,7 +864,7 @@ fn handle_line(line: &str, shared: &Arc<Shared>) -> (String, bool) {
         }
         RequestBody::Trace { trace_id } => {
             let snapshot = shared.spans.snapshot(trace_id);
-            protocol::render_trace_response(id, snapshot.to_json(&shared.self_addr))
+            protocol::render_trace_response(id, snapshot.to_json(&shared.addr.to_string()))
         }
         RequestBody::Shutdown => return (protocol::render_shutdown_response(id), true),
         RequestBody::Job { op, prepared, class, trace } => {
@@ -1265,15 +1250,16 @@ mod tests {
         }
     }
 
-    /// Polls `shared`'s parked-thread count until it equals `want`.
-    fn await_parked(shared: &Shared, want: usize) {
+    /// Polls `shared`'s count of threads in `accept` until it equals
+    /// `want`.
+    fn await_acceptors(shared: &Shared, want: usize) {
         for _ in 0..400 {
-            if shared.parked.lock().unwrap().threads == want {
+            if shared.acceptors.load(Ordering::SeqCst) == want {
                 return;
             }
             std::thread::sleep(Duration::from_millis(5));
         }
-        panic!("parked threads never reached {want}");
+        panic!("accepting threads never reached {want}");
     }
 
     #[test]
@@ -1283,7 +1269,7 @@ mod tests {
         let shared = Arc::clone(&handle.shared);
         // Twice the cap of connections, each answered once so each is
         // known to hold a thread of its own, then all closed together:
-        // the cap parks, the rest exit.
+        // the cap goes back to `accept`, the rest exit.
         let open: Vec<TcpStream> = (0..2 * IDLE_CONNECTION_THREADS)
             .map(|_| {
                 let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
@@ -1294,21 +1280,22 @@ mod tests {
                 stream
             })
             .collect();
-        assert_eq!(shared.parked.lock().unwrap().threads, 0);
+        // Every connection is held, so exactly the successor the last
+        // accept spawned is accepting.
+        await_acceptors(&shared, 1);
         drop(open);
-        await_parked(&shared, IDLE_CONNECTION_THREADS);
-        // Sequential connections reuse the parked threads and leave the
-        // count at the cap; no stream is left waiting in the handoff.
+        await_acceptors(&shared, IDLE_CONNECTION_THREADS);
+        // Sequential connections reuse the waiting threads and leave
+        // the count at the cap.
         let client = Client::new(handle.local_addr().to_string());
         for _ in 0..20 {
             client.ping().unwrap();
         }
-        await_parked(&shared, IDLE_CONNECTION_THREADS);
-        assert!(shared.parked.lock().unwrap().streams.is_empty());
-        // Shutdown wakes every parked thread, and each exits.
+        await_acceptors(&shared, IDLE_CONNECTION_THREADS);
+        // Shutdown wakes every accepting thread, and each exits.
         handle.shutdown();
         handle.join();
-        await_parked(&shared, 0);
+        await_acceptors(&shared, 0);
         assert_eq!(shared.active_connections.load(Ordering::SeqCst), 0);
     }
 }

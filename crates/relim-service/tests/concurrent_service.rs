@@ -2,8 +2,9 @@
 //! 4-executor pool must serve bytes identical to local in-process runs,
 //! a burst of identical cold queries must coalesce onto one
 //! computation, graceful shutdown must drain every accepted job, an
-//! adversarial interactive-vs-bulk mix must starve nothing, and reused
-//! connection threads must answer every connection.
+//! adversarial interactive-vs-bulk mix must starve nothing, reused
+//! connection threads must answer every connection, and a shutdown
+//! racing a burst of connections must still join promptly.
 
 use relim_core::Engine;
 use relim_json::Json;
@@ -414,14 +415,15 @@ fn bulk_jobs_survive_adversarial_interactive_pressure() {
     assert_eq!(int_at(&report, "ops", "iterate"), 6 * 12);
 }
 
-/// Connection threads are reused: a finished one parks for the next
-/// connection (up to a small cap) instead of exiting. Hundreds of
-/// one-request connections, sequential and in bursts wider than the
-/// cap, must all be answered with the in-process bytes: a connection
-/// that arrives while the cap is full (it gets a fresh thread) or just
-/// as a parked thread wakes (it is handed over) is never lost. With
-/// threads parked, shutdown and `join_and_report` must still return
-/// promptly, and the final report must count every request.
+/// Connection threads are reused: a finished one goes back to `accept`
+/// for the next connection (up to a small cap) instead of exiting.
+/// Hundreds of one-request connections, sequential and in bursts wider
+/// than the cap, must all be answered with the in-process bytes: a
+/// connection that arrives while every thread is busy (it waits for the
+/// successor the last accept spawned) or just as a thread returns to
+/// `accept` is never lost. With threads waiting in `accept`, shutdown
+/// and `join_and_report` must still return promptly, and the final
+/// report must count every request.
 #[test]
 fn reused_connection_threads_answer_every_connection_and_shut_down_promptly() {
     let ops = [
@@ -435,7 +437,7 @@ fn reused_connection_threads_answer_every_connection_and_shut_down_promptly() {
     // Each `Client` call is one connection carrying one request.
     let mut requests = 0i64;
 
-    // Sequential: every connection after the first finds a parked thread.
+    // Sequential: every connection after the first finds a waiting thread.
     let client = Client::new(addr.clone());
     for i in 0..300 {
         if i % 5 == 4 {
@@ -447,9 +449,10 @@ fn reused_connection_threads_answer_every_connection_and_shut_down_promptly() {
         requests += 1;
     }
 
-    // Bursts of 16 simultaneous connections: a few are handed to parked
-    // threads, the rest spawn threads that exit afterwards because the
-    // cap is full. Repeated rounds race handoffs against threads parking.
+    // Bursts of 16 simultaneous connections: a few are accepted by
+    // waiting threads, the rest by successors spawned as each accept
+    // leaves nobody accepting, which exit afterwards because the cap is
+    // full. Repeated rounds race accepts against threads returning.
     let threads = 16usize;
     let rounds = 20usize;
     let barrier = Arc::new(Barrier::new(threads));
@@ -475,7 +478,8 @@ fn reused_connection_threads_answer_every_connection_and_shut_down_promptly() {
     }
     requests += (threads * rounds) as i64;
 
-    // The burst's threads park (or exit) as their connections close.
+    // The burst's threads wait in `accept` (or exit) as their
+    // connections close.
     // Compare a live status with the report taken after shutdown.
     let before = client.status().unwrap();
     requests += 1;
@@ -484,11 +488,55 @@ fn reused_connection_threads_answer_every_connection_and_shut_down_promptly() {
     client.shutdown().unwrap();
     let report = handle.join_and_report();
     let took = started.elapsed();
-    assert!(took < std::time::Duration::from_secs(2), "shutdown with parked threads took {took:?}");
+    assert!(
+        took < std::time::Duration::from_secs(2),
+        "shutdown with waiting threads took {took:?}"
+    );
     // The shutdown request is the one request the report adds.
     assert_eq!(report.get("requests_total").and_then(Json::as_i64), Some(requests + 1));
     assert_eq!(report.get("errors").and_then(Json::as_i64), Some(0), "{report:?}");
     for key in ["ops", "store_hits", "store"] {
         assert_eq!(report.get(key), before.get(key), "{key} moved across shutdown");
+    }
+}
+
+/// Shutdown racing a burst: each of 50 cycles spawns a daemon, fires 8
+/// simultaneous pings and shuts it down as they land. Shutdown counts the
+/// threads in `accept` and wakes each, so a thread must be counted before
+/// it can block there; one that slipped past would hold the listener and
+/// `join_and_report` would never return. After join the listener is
+/// gone, so a later connect is refused.
+#[test]
+fn shutdown_racing_a_ping_burst_joins_promptly_and_closes_the_listener() {
+    let clients = 8usize;
+    for cycle in 0..50 {
+        let handle = Server::spawn("127.0.0.1:0", ServerConfig::default()).unwrap();
+        let addr = handle.local_addr();
+        let barrier = Arc::new(Barrier::new(clients + 1));
+        let pings: Vec<_> = (0..clients)
+            .map(|_| {
+                let barrier = Arc::clone(&barrier);
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    // Refused or unanswered once shutdown won the race.
+                    let _ = Client::new(addr.to_string()).ping();
+                })
+            })
+            .collect();
+        barrier.wait();
+        handle.shutdown();
+        // Joined on a thread of its own, so a join that never returns
+        // fails the test instead of hanging it.
+        let (joined, join) = std::sync::mpsc::channel();
+        std::thread::spawn(move || joined.send(handle.join_and_report()));
+        let limit = std::time::Duration::from_secs(2);
+        assert!(join.recv_timeout(limit).is_ok(), "cycle {cycle}: join took over {limit:?}");
+        for ping in pings {
+            ping.join().expect("ping thread panicked");
+        }
+        assert!(
+            std::net::TcpStream::connect(addr).is_err(),
+            "cycle {cycle}: connect accepted after join"
+        );
     }
 }
