@@ -313,5 +313,14 @@ mod tests {
         // Degenerate: x = Δ makes X^Δ a valid all-self-compatible config.
         let p = pi(&PiParams { delta: 3, a: 1, x: 3 }).unwrap();
         assert!(relim_core::zeroround::solvable_deterministically(&p));
+        // The fast check agrees with the full report, both ways.
+        for (delta, a, x) in [(3, 1, 0), (4, 3, 1), (6, 4, 2), (8, 8, 0), (3, 1, 3)] {
+            let p = pi(&PiParams { delta, a, x }).unwrap();
+            assert_eq!(
+                relim_core::zeroround::solvable_deterministically(&p),
+                relim_core::zeroround::analyze(&p).deterministically_solvable,
+                "delta={delta}, a={a}, x={x}"
+            );
+        }
     }
 }

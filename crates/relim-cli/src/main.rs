@@ -808,8 +808,13 @@ fn cmd_viz(args: &Args) -> Result<String, Box<dyn std::error::Error>> {
                         .0
                 }
                 None => {
-                    let client = Client::new(args.get("addr").unwrap_or(DEFAULT_ADDR));
-                    client.lookup(digest)?.0
+                    let addr = args.get("addr").unwrap_or(DEFAULT_ADDR);
+                    Client::new(addr)
+                        .fetch(digest)?
+                        .ok_or_else(|| {
+                            ArgError(format!("no stored entry for digest {digest} at {addr}"))
+                        })?
+                        .0
                 }
             };
             OpRequest::from_canonical_key(&key)?
@@ -1127,7 +1132,7 @@ mod tests {
         // --json swaps the rendering, same replay.
         let json = run_words(&["viz", "--addr", &addr, "--digest", &digest, "--json"]);
         assert!(json.contains("\"relim-lineage/1\""), "{json}");
-        // An unknown digest is a clean error from the daemon.
+        // An unknown digest is a clean miss, reported as an error.
         let err = run(vec![
             "viz".into(),
             "--addr".into(),
@@ -1136,7 +1141,7 @@ mod tests {
             "f00d".into(),
         ])
         .unwrap_err();
-        assert!(err.to_string().contains("no stored entry"), "{err}");
+        assert_eq!(err.to_string(), format!("no stored entry for digest f00d at {addr}"));
         run_words(&["shutdown", "--addr", &addr]);
         handle.join();
     }

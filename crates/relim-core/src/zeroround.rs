@@ -49,12 +49,7 @@ pub struct ZeroRoundReport {
 /// assert!(report.randomized_failure_lower_bound > 0.0);
 /// ```
 pub fn analyze(p: &Problem) -> ZeroRoundReport {
-    let self_compat: Vec<bool> = (0..p.alphabet().len())
-        .map(|i| {
-            let l = Label::new(i as u8);
-            p.edge().contains(&Config::new(vec![l, l]))
-        })
-        .collect();
+    let self_compat = self_compatible(p);
 
     let mut witness = None;
     let mut bad_labels = Vec::new();
@@ -238,13 +233,18 @@ pub fn max_coloring_solvable(p: &Problem, cap: usize) -> Option<usize> {
 /// Equivalent to `analyze(p).deterministically_solvable`, without building
 /// the full report.
 pub fn solvable_deterministically(p: &Problem) -> bool {
-    let self_compat: Vec<bool> = (0..p.alphabet().len())
+    let self_compat = self_compatible(p);
+    p.node().iter().any(|cfg| cfg.iter().all(|l| self_compat[l.index()]))
+}
+
+/// Per label index: whether the edge configuration `l l` is allowed.
+fn self_compatible(p: &Problem) -> Vec<bool> {
+    (0..p.alphabet().len())
         .map(|i| {
             let l = Label::new(i as u8);
             p.edge().contains(&Config::new(vec![l, l]))
         })
-        .collect();
-    p.node().iter().any(|cfg| cfg.iter().all(|l| self_compat[l.index()]))
+        .collect()
 }
 
 #[cfg(test)]

@@ -166,24 +166,10 @@ impl Client {
         Ok((timeline, str_field(&doc, "timeline response", "gantt")?))
     }
 
-    /// Fetches one stored entry by content address: its canonical key
-    /// and result text. Errors when nothing is stored under `digest`.
-    ///
-    /// # Errors
-    ///
-    /// Connection/protocol failures and unknown digests.
-    pub fn lookup(&self, digest: &str) -> Result<(String, String), ClientError> {
-        let doc = self.raw_roundtrip(&protocol::render_lookup_request(digest, None))?;
-        require_ok(&doc, "lookup failed")?;
-        Ok((
-            str_field(&doc, "lookup response", "key")?,
-            str_field(&doc, "lookup response", "result")?,
-        ))
-    }
-
-    /// Fetches one stored entry the fleet way: `Some((key, result))`
-    /// when the daemon has the digest, `None` for a clean miss (the
-    /// `fetch` op never treats a cold cache as an error).
+    /// Fetches one stored entry by content address: `Some((key,
+    /// result))` when the daemon holds the digest under a key that
+    /// re-digests to it, `None` for a clean miss (the `fetch` op never
+    /// treats a cold cache as an error).
     ///
     /// # Errors
     ///

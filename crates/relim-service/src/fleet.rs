@@ -22,15 +22,15 @@
 //! ## Failure: timeouts, retries, the breaker
 //!
 //! Every peer call runs under a connect/read/write timeout and is
-//! retried a bounded number of times with doubling backoff. Each
-//! *consecutive* failure feeds the peer's **circuit breaker**; at
-//! [`FleetConfig::breaker_threshold`] failures the breaker opens and
-//! the peer is skipped outright — requests degrade to local compute
-//! immediately (counted, so the scrape shows the degradation) instead
-//! of stalling every cold query on a dead host. Recovery is **not paid
-//! by live requests**: the daemon's background prober thread calls
-//! [`Fleet::probe_open_breakers`], which — once
-//! [`FleetConfig::breaker_cooldown`] has elapsed — probes each Open
+//! retried `RETRIES` (2) times, waiting `BACKOFF` (50 ms) before the
+//! first retry and doubling per retry. Each *consecutive* failure feeds
+//! the peer's **circuit breaker**; at `BREAKER_THRESHOLD` (3) failures
+//! the breaker opens and the peer is skipped outright — requests
+//! degrade to local compute immediately (counted, so the scrape shows
+//! the degradation) instead of stalling every cold query on a dead
+//! host. Recovery is **not paid by live requests**: the daemon's
+//! background prober thread calls [`Fleet::probe_open_breakers`],
+//! which — once `BREAKER_COOLDOWN` (5 s) has elapsed — probes each Open
 //! peer with the same `{"op": "ping"}` the CLI's `relim ping` sends
 //! (liveness probing and breaker recovery are one code path). A pong
 //! closes the breaker, a failure re-arms the cooldown; both outcomes
@@ -61,50 +61,18 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Fleet configuration carried by `ServerConfig` when `--peers` is
-/// given.
-#[derive(Debug, Clone)]
-pub struct FleetConfig {
-    /// The peer daemon addresses (`host:port`), *excluding* this
-    /// daemon. Every fleet member must be configured with the same
-    /// total member set (its peers plus itself), spelled identically —
-    /// the ring is the agreement, there is no membership protocol.
-    pub peers: Vec<String>,
-    /// This daemon's own address as the other members spell it — its
-    /// ring name.
-    pub self_addr: String,
-    /// Per-attempt connect/read/write timeout.
-    pub timeout: Duration,
-    /// Extra attempts after the first failed one.
-    pub retries: u32,
-    /// Base backoff between attempts (doubles per retry).
-    pub backoff: Duration,
-    /// Consecutive failures that open a peer's breaker. The default
-    /// equals `retries + 1`, so one fully failed fetch against a dead
-    /// owner trips it — the second request already degrades instantly.
-    pub breaker_threshold: u32,
-    /// How long an open breaker rejects outright before the background
-    /// prober is allowed to probe the peer with a ping.
-    pub breaker_cooldown: Duration,
-}
-
-impl FleetConfig {
-    /// The standard knobs for a fleet with the given members and
-    /// per-attempt timeout: 2 retries with 50 ms doubling backoff, a
-    /// breaker that trips after one fully failed fetch (3 consecutive
-    /// attempt failures) and probes again after 5 s.
-    pub fn new(peers: Vec<String>, self_addr: String, timeout: Duration) -> FleetConfig {
-        FleetConfig {
-            peers,
-            self_addr,
-            timeout,
-            retries: 2,
-            backoff: Duration::from_millis(50),
-            breaker_threshold: 3,
-            breaker_cooldown: Duration::from_secs(5),
-        }
-    }
-}
+/// Extra fetch attempts after the first failed one.
+const RETRIES: u32 = 2;
+/// The wait before the first retry; each later retry waits twice as
+/// long as the one before.
+const BACKOFF: Duration = Duration::from_millis(50);
+/// Consecutive failures that open a peer's breaker: `RETRIES + 1`, so
+/// one fully failed fetch against a dead owner trips it and the next
+/// request already degrades instantly.
+const BREAKER_THRESHOLD: u32 = RETRIES + 1;
+/// How long an open breaker rejects outright before the background
+/// prober pings the peer.
+const BREAKER_COOLDOWN: Duration = Duration::from_secs(5);
 
 /// The outcome of a remote fetch against an address's owner.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -128,7 +96,7 @@ enum BreakerState {
         consecutive_failures: u32,
     },
     /// Tripped: requests are rejected without touching the network
-    /// until `since` is `breaker_cooldown` old, then one probe runs.
+    /// until `since` is `BREAKER_COOLDOWN` old, then one probe runs.
     Open {
         /// When the breaker tripped (or last re-tripped on a failed
         /// probe).
@@ -159,10 +127,6 @@ const FLEET_COUNTERS: [&str; 3] = ["remote_hits", "remote_misses", "degraded_loc
 pub struct PeerClient {
     addr: String,
     timeout: Duration,
-    retries: u32,
-    backoff: Duration,
-    breaker_threshold: u32,
-    breaker_cooldown: Duration,
     /// Indexed like [`PEER_COUNTERS`].
     counts: [AtomicU64; PEER_COUNTERS.len()],
     breaker: Mutex<BreakerState>,
@@ -175,14 +139,10 @@ impl std::fmt::Debug for PeerClient {
 }
 
 impl PeerClient {
-    fn new(addr: String, config: &FleetConfig) -> PeerClient {
+    fn new(addr: String, timeout: Duration) -> PeerClient {
         PeerClient {
             addr,
-            timeout: config.timeout,
-            retries: config.retries,
-            backoff: config.backoff,
-            breaker_threshold: config.breaker_threshold.max(1),
-            breaker_cooldown: config.breaker_cooldown,
+            timeout,
             counts: Default::default(),
             breaker: Mutex::new(BreakerState::Closed { consecutive_failures: 0 }),
         }
@@ -227,9 +187,9 @@ impl PeerClient {
             }
             return FetchOutcome::Unavailable;
         }
-        for attempt in 0..=self.retries {
+        for attempt in 0..=RETRIES {
             if attempt > 0 {
-                std::thread::sleep(self.backoff * 2u32.pow(attempt - 1));
+                std::thread::sleep(BACKOFF * 2u32.pow(attempt - 1));
             }
             // Each attempt gets its own span id *before* the roundtrip,
             // so the owner's `fetch-serve` span can name it as parent.
@@ -306,7 +266,7 @@ impl PeerClient {
                 BreakerState::Open { since } => since,
             }
         };
-        if since.elapsed() < self.breaker_cooldown {
+        if since.elapsed() < BREAKER_COOLDOWN {
             return false;
         }
         match self.ping() {
@@ -334,7 +294,7 @@ impl PeerClient {
         match *breaker {
             BreakerState::Closed { consecutive_failures } => {
                 let failures = consecutive_failures + 1;
-                if failures >= self.breaker_threshold {
+                if failures >= BREAKER_THRESHOLD {
                     *breaker = BreakerState::Open { since: Instant::now() };
                     self.bump(BREAKER_OPEN);
                 } else {
@@ -398,21 +358,26 @@ impl std::fmt::Debug for Fleet {
 }
 
 impl Fleet {
-    /// Builds the fleet: a ring over the peers plus `self_addr`, and a
-    /// client per remote peer.
-    pub fn new(config: &FleetConfig) -> Fleet {
-        let mut members = config.peers.clone();
-        members.push(config.self_addr.clone());
+    /// Builds the fleet: a ring over `peers` plus `self_addr`, and a
+    /// client per remote peer whose every attempt runs under `timeout`.
+    ///
+    /// `peers` are the other daemons' addresses (`host:port`). Every
+    /// fleet member must be configured with the same total member set
+    /// (its peers plus itself), spelled identically — the ring is the
+    /// agreement, there is no membership protocol. `self_addr` is this
+    /// daemon's address as the other members spell it: its ring name.
+    pub fn new(peers: &[String], self_addr: String, timeout: Duration) -> Fleet {
+        let mut members = peers.to_vec();
+        members.push(self_addr.clone());
         let ring = Ring::new(members);
-        let mut peers: Vec<PeerClient> = config
-            .peers
+        let mut peers: Vec<PeerClient> = peers
             .iter()
-            .filter(|addr| **addr != config.self_addr)
-            .map(|addr| PeerClient::new(addr.clone(), config))
+            .filter(|addr| **addr != self_addr)
+            .map(|addr| PeerClient::new(addr.clone(), timeout))
             .collect();
         peers.sort_by(|a, b| a.addr.cmp(&b.addr));
         peers.dedup_by(|a, b| a.addr == b.addr);
-        Fleet { ring, self_addr: config.self_addr.clone(), peers, outcomes: Default::default() }
+        Fleet { ring, self_addr, peers, outcomes: Default::default() }
     }
 
     /// This daemon's own ring name.
@@ -516,11 +481,15 @@ fn sanitize_addr(addr: &str) -> String {
 mod tests {
     use super::*;
 
-    fn test_config(peers: Vec<String>) -> FleetConfig {
-        let mut config =
-            FleetConfig::new(peers, "127.0.0.1:1".to_owned(), Duration::from_millis(200));
-        config.backoff = Duration::from_millis(1);
-        config
+    fn test_fleet(peer: &str) -> Fleet {
+        Fleet::new(&[peer.to_owned()], "127.0.0.1:1".to_owned(), Duration::from_millis(200))
+    }
+
+    /// Backdates an open breaker by the full cooldown, so the next
+    /// prober pass finds its probe due.
+    fn age_breaker(peer: &PeerClient) {
+        *peer.breaker.lock().unwrap() =
+            BreakerState::Open { since: Instant::now() - BREAKER_COOLDOWN };
     }
 
     /// A port nothing listens on (bind-then-drop frees it; the race
@@ -533,7 +502,7 @@ mod tests {
     #[test]
     fn fetch_against_a_dead_peer_trips_the_breaker_and_degrades() {
         let dead = dead_addr();
-        let fleet = Fleet::new(&test_config(vec![dead.clone()]));
+        let fleet = test_fleet(&dead);
         // Find a digest the dead peer owns.
         let digest = (0..10_000)
             .map(|i| format!("digest-{i}"))
@@ -560,7 +529,7 @@ mod tests {
 
     #[test]
     fn self_owned_addresses_never_leave_the_daemon() {
-        let fleet = Fleet::new(&test_config(vec!["127.0.0.1:2".to_owned()]));
+        let fleet = test_fleet("127.0.0.1:2");
         let digest = (0..10_000)
             .map(|i| format!("digest-{i}"))
             .find(|d| matches!(fleet.route(d), Route::Local))
@@ -572,9 +541,7 @@ mod tests {
     #[test]
     fn background_probe_recovers_a_tripped_breaker() {
         let dead = dead_addr();
-        let mut config = test_config(vec![dead.clone()]);
-        config.breaker_cooldown = Duration::from_millis(1);
-        let fleet = Fleet::new(&config);
+        let fleet = test_fleet(&dead);
         let digest = (0..10_000)
             .map(|i| format!("digest-{i}"))
             .find(|d| matches!(fleet.route(d), Route::Remote(_)))
@@ -583,10 +550,14 @@ mod tests {
         let peer = &fleet.peers()[0];
         assert!(peer.breaker_is_open());
 
+        // A freshly tripped breaker waits out its cooldown.
+        fleet.probe_open_breakers();
+        assert_eq!(peer.count(PROBE_ERR), 0, "no probe before the cooldown");
+
         // While the peer is still dead, a due probe fails and re-arms
         // the cooldown; live requests stay rejected without paying for
         // any network attempt.
-        std::thread::sleep(Duration::from_millis(5));
+        age_breaker(peer);
         fleet.probe_open_breakers();
         assert!(peer.breaker_is_open(), "a failed probe re-arms the breaker");
         assert_eq!(peer.count(PROBE_ERR), 1);
@@ -597,7 +568,7 @@ mod tests {
         // and closes the breaker — no live request involved.
         let handle = crate::server::Server::spawn(&dead, crate::server::ServerConfig::default())
             .expect("rebind the reserved address");
-        std::thread::sleep(Duration::from_millis(5));
+        age_breaker(peer);
         fleet.probe_open_breakers();
         assert!(!peer.breaker_is_open(), "a pong closes the breaker");
         assert_eq!(peer.count(PROBE_OK), 1);
@@ -613,7 +584,7 @@ mod tests {
     #[test]
     fn traced_fetch_records_per_attempt_spans_with_breaker_state() {
         let dead = dead_addr();
-        let fleet = Fleet::new(&test_config(vec![dead.clone()]));
+        let fleet = test_fleet(&dead);
         let digest = (0..10_000)
             .map(|i| format!("digest-{i}"))
             .find(|d| matches!(fleet.route(d), Route::Remote(_)))
@@ -675,7 +646,7 @@ mod tests {
 
     #[test]
     fn fleetless_and_fleet_counter_shapes_agree() {
-        let fleet = Fleet::new(&test_config(vec!["127.0.0.1:2".to_owned()]));
+        let fleet = test_fleet("127.0.0.1:2");
         let keys = |json: &Json| -> Vec<String> {
             let Json::Obj(fields) = json else { panic!("not an object") };
             fields.iter().map(|(k, _)| k.clone()).collect()

@@ -113,7 +113,7 @@ mod window;
 pub mod wire;
 
 pub use client::Client;
-pub use fleet::{Fleet, FleetConfig};
+pub use fleet::Fleet;
 pub use ops::OpRequest;
 pub use ring::Ring;
 pub use server::{Server, ServerConfig, ServerHandle};

@@ -14,11 +14,11 @@
 //! (`interactive` / `bulk`, defaulting per operation — sweeps are bulk).
 //! The admin requests are `{"op": "status"}`, `{"op": "metrics"}`
 //! (Prometheus text exposition of the same counters), `{"op":
-//! "timeline"}` (the scheduler event log), `{"op": "lookup", "digest":
-//! …}` (a read-only fetch of one stored entry by content address),
-//! `{"op": "fetch", "digest": …}` (the fleet's peer-to-peer store read
-//! — like `lookup`, but a miss is an `ok` response with `found: false`
-//! rather than an error, so a remote cold cache is not a fault),
+//! "timeline"}` (the scheduler event log), `{"op": "fetch", "digest":
+//! …}` (the one read of a stored entry by content address, used by
+//! fleet peers and `relim viz` alike: the entry's key must re-digest
+//! to the address, and a miss is an `ok` response with `found: false`
+//! rather than an error, so a cold cache is not a fault),
 //! `{"op": "ping"}` (liveness: uptime, store entry count and the
 //! observability-window health a fleet prober wants — see [`PingInfo`]),
 //! `{"op": "trace", "trace_id": …}` (a span dump, optionally filtered
@@ -40,9 +40,10 @@
 //! address) and `result` (the canonical text — byte-identical to the
 //! same query run in-process). Status responses carry a `counters`
 //! object; metrics responses a `metrics` string (the exposition text);
-//! timeline responses a `timeline` object plus a `gantt` string; lookup
-//! responses `digest`/`key`/`result`; shutdown responses
-//! `{"shutting_down": true}`. Failures carry `error`.
+//! timeline responses a `timeline` object plus a `gantt` string; fetch
+//! responses `digest`, `found` and, when found, `key`/`result`;
+//! shutdown responses `{"shutting_down": true}`. Failures carry
+//! `error`.
 
 use crate::ops::{OpRequest, Prepared};
 use crate::queue::Class;
@@ -80,13 +81,9 @@ pub enum RequestBody {
     Metrics,
     /// Scheduler event-log dump (JSON + text gantt).
     Timeline,
-    /// Read-only fetch of one stored entry by content address.
-    Lookup {
-        /// The content address to look up.
-        digest: String,
-    },
-    /// The fleet's peer-to-peer store read: the stored entry under a
-    /// content address, or a non-error miss (`found: false`).
+    /// The verified read of one stored entry by content address (a
+    /// fleet peer's read-through, `relim viz --addr`): the entry, or a
+    /// non-error miss (`found: false`).
     Fetch {
         /// The content address to fetch.
         digest: String,
@@ -122,13 +119,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         "status" => RequestBody::Status,
         "metrics" => RequestBody::Metrics,
         "timeline" => RequestBody::Timeline,
-        "lookup" => {
-            let digest = doc
-                .get("digest")
-                .and_then(Json::as_str)
-                .ok_or_else(|| "lookup requires a string field `digest`".to_owned())?;
-            RequestBody::Lookup { digest: digest.to_owned() }
-        }
         "fetch" => {
             let digest = doc
                 .get("digest")
@@ -254,11 +244,6 @@ pub fn render_job_response(id: Option<i64>, cached: bool, digest: &str, result: 
     )
 }
 
-/// Renders a lookup request line (the client side of the `lookup` op).
-pub fn render_lookup_request(digest: &str, id: Option<i64>) -> String {
-    message(id, [("op", Json::str("lookup")), ("digest", Json::str(digest))])
-}
-
 /// Renders a metrics response line around the exposition text.
 pub fn render_metrics_response(id: Option<i64>, metrics: &str) -> String {
     message(id, [("ok", Json::Bool(true)), ("metrics", Json::str(metrics))])
@@ -268,19 +253,6 @@ pub fn render_metrics_response(id: Option<i64>, metrics: &str) -> String {
 /// gantt rendering.
 pub fn render_timeline_response(id: Option<i64>, timeline: Json, gantt: &str) -> String {
     message(id, [("ok", Json::Bool(true)), ("timeline", timeline), ("gantt", Json::str(gantt))])
-}
-
-/// Renders a successful lookup response line.
-pub fn render_lookup_response(id: Option<i64>, digest: &str, key: &str, result: &str) -> String {
-    message(
-        id,
-        [
-            ("ok", Json::Bool(true)),
-            ("digest", Json::str(digest)),
-            ("key", Json::str(key)),
-            ("result", Json::str(result)),
-        ],
-    )
 }
 
 /// Renders a fetch request line (the client side of the `fetch` op).
@@ -451,14 +423,10 @@ mod tests {
             parse_request(&render_admin_request("timeline", None)).unwrap().body,
             RequestBody::Timeline
         );
-        assert_eq!(
-            parse_request(&render_lookup_request("abc123", Some(9))).unwrap(),
-            Request { id: Some(9), body: RequestBody::Lookup { digest: "abc123".into() } }
-        );
-        assert!(
-            parse_request(&render_admin_request("lookup", None)).unwrap_err().contains("digest"),
-            "lookup without a digest is refused"
-        );
+        // The retired `lookup` op reads as any other unknown op.
+        let line = "{\"op\": \"lookup\", \"digest\": \"abc123\"}";
+        let err = parse_request(line).unwrap_err();
+        assert!(err.contains("unknown op `lookup`"), "{err}");
         assert_eq!(
             parse_request(&render_admin_request("shutdown", Some(3))).unwrap(),
             Request { id: Some(3), body: RequestBody::Shutdown }
@@ -574,7 +542,6 @@ mod tests {
             render_status_response(None, Json::Obj(vec![("x".into(), Json::Int(1))])),
             render_metrics_response(Some(4), "# TYPE relim_x counter\nrelim_x 1\n"),
             render_timeline_response(None, Json::Obj(vec![]), "timeline: 0 events\n"),
-            render_lookup_response(Some(5), "abc", "key\ntext", "result\ntext"),
             render_fetch_response(Some(6), "abc", Some(("key\ntext", "result\ntext"))),
             render_fetch_response(None, "abc", None),
             render_ping_response(

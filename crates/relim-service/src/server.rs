@@ -70,7 +70,7 @@
 //! for an untraced request every recording site is one branch on a
 //! `None`.
 
-use crate::fleet::{self, FetchOutcome, Fleet, FleetConfig};
+use crate::fleet::{self, FetchOutcome, Fleet};
 use crate::metrics::LatencyHistogram;
 use crate::ops::{OpRequest, Prepared};
 use crate::protocol::{self, PingInfo, Request, RequestBody};
@@ -166,7 +166,7 @@ struct Job {
 /// (`shutdown` is not counted).
 /// The job ops are also the rows of `store_hits` and of the latency
 /// grid, so exposition names line up.
-const OP_NAMES: [&str; 12] = [
+const OP_NAMES: [&str; 11] = [
     "autolb",
     "autoub",
     "iterate",
@@ -175,7 +175,6 @@ const OP_NAMES: [&str; 12] = [
     "status",
     "metrics",
     "timeline",
-    "lookup",
     "fetch",
     "ping",
     "trace",
@@ -191,10 +190,9 @@ fn op_slot(body: &RequestBody) -> Option<usize> {
         RequestBody::Status => 5,
         RequestBody::Metrics => 6,
         RequestBody::Timeline => 7,
-        RequestBody::Lookup { .. } => 8,
-        RequestBody::Fetch { .. } => 9,
-        RequestBody::Ping => 10,
-        RequestBody::Trace { .. } => 11,
+        RequestBody::Fetch { .. } => 8,
+        RequestBody::Ping => 9,
+        RequestBody::Trace { .. } => 10,
         RequestBody::Shutdown => return None,
     })
 }
@@ -439,11 +437,11 @@ impl Server {
         let fleet = if config.peers.is_empty() {
             None
         } else {
-            Some(Fleet::new(&FleetConfig::new(
-                config.peers.clone(),
+            Some(Fleet::new(
+                &config.peers,
                 addr.to_string(),
                 Duration::from_millis(config.peer_timeout_ms.max(1)),
-            )))
+            ))
         };
         let shared = Arc::new(Shared {
             engine: Engine::builder().threads(config.threads).build(),
@@ -823,23 +821,13 @@ fn handle_line(line: &str, shared: &Shared) -> (String, bool) {
             let gantt = snapshot.render_gantt();
             protocol::render_timeline_response(id, snapshot.to_json(), &gantt)
         }
-        RequestBody::Lookup { digest } => match shared.store.lookup_digest(&digest) {
-            Some((key, result)) => protocol::render_lookup_response(id, &digest, &key, &result),
-            None => {
-                shared.errors.fetch_add(1, Ordering::Relaxed);
-                let error = format!("no stored entry for digest {digest}");
-                protocol::render_error_response(id, &error)
-            }
-        },
         RequestBody::Fetch { digest, trace } => {
-            // A read-only peer read: never counted as store traffic
-            // (the hits+misses↔submits reconciliation stays intact on
-            // both sides of the wire). The stored key is re-digested so
-            // even a corrupted memory entry cannot cross the fleet.
-            let entry = shared
-                .store
-                .lookup_digest(&digest)
-                .filter(|(key, _)| crate::store::digest_of(key) == digest);
+            // A read-only read by content address: never counted as
+            // store traffic (the hits+misses↔submits reconciliation
+            // stays intact on both sides of the wire). The store
+            // re-digests the key, so even a corrupted memory entry
+            // cannot cross the fleet.
+            let entry = shared.store.lookup_digest(&digest);
             if let Some(ctx) = trace {
                 // The serving half of a traced cross-daemon fetch: its
                 // parent is the requester's peer-fetch attempt span, so
@@ -1102,7 +1090,7 @@ mod tests {
     }
 
     #[test]
-    fn metrics_timeline_and_lookup_ops_serve_the_observability_surfaces() {
+    fn metrics_timeline_and_fetch_ops_serve_the_observability_surfaces() {
         let handle = Server::spawn("127.0.0.1:0", ServerConfig::default()).unwrap();
         let client = Client::new(handle.local_addr().to_string());
         let op = OpRequest::zero_round("M M M;P O O", "M [P O];O O").unwrap();
@@ -1147,11 +1135,10 @@ mod tests {
         assert_eq!(kinds, vec!["enqueue", "start", "finish"], "{gantt}");
         assert!(gantt.contains(&reply.digest.chars().take(12).collect::<String>()), "{gantt}");
 
-        let (key, result) = client.lookup(&reply.digest).unwrap();
-        assert_eq!(result, reply.result, "lookup returns the stored bytes");
+        let (key, result) = client.fetch(&reply.digest).unwrap().expect("stored");
+        assert_eq!(result, reply.result, "fetch returns the stored bytes");
         assert!(key.contains("op=zero-round"), "{key}");
-        let err = client.lookup("not-a-digest").unwrap_err();
-        assert!(err.to_string().contains("no stored entry"), "{err}");
+        assert_eq!(client.fetch("not-a-digest").unwrap(), None, "a miss is not an error");
         client.shutdown().unwrap();
         handle.join();
     }

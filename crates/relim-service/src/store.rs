@@ -444,16 +444,17 @@ impl ResultStore {
 
     /// The stored `(key, result)` under a content address, from memory
     /// or disk. Unlike [`ResultStore::get`] the caller knows only the
-    /// digest, so no independent key verification is possible — the disk
-    /// path still runs the file's own digest/schema checks. Read-only:
-    /// never counted as a hit or a miss (it is an inspection, not
-    /// traffic). This is the lookup behind the daemon's `lookup` op and
-    /// `relim viz`.
+    /// digest, so both paths check that the stored key re-digests to it
+    /// (the disk path also runs the file's schema checks); an entry that
+    /// fails reads as `None`. Read-only: never counted as a hit or a
+    /// miss (it is an inspection, not traffic). This is the read behind
+    /// the daemon's `fetch` op.
     pub fn lookup_digest(&self, digest: &str) -> Option<(String, String)> {
         {
             let inner = self.inner.lock().expect("store lock poisoned");
             if let Some(entry) = inner.entries.get(digest) {
-                return Some((entry.key.clone(), entry.result.clone()));
+                return (digest_of(&entry.key) == digest)
+                    .then(|| (entry.key.clone(), entry.result.clone()));
             }
         }
         let dir = self.dir.as_ref()?;
@@ -732,6 +733,13 @@ mod tests {
         assert_eq!((stats.mem_hits, stats.disk_hits, stats.misses), (0, 0, 0), "{stats:?}");
         // The free-function form reads the same bytes with no store open.
         assert_eq!(read_stored_entry(&dir, &digest_of(k1)), Some((k1.to_owned(), "r1".to_owned())));
+        // A memory entry whose key does not re-digest to its address is
+        // never served by address.
+        let memory = ResultStore::in_memory(4);
+        let forged = digest_of(k1);
+        memory.put(&forged, k2, "poison").unwrap();
+        assert_eq!(memory.get(&forged, k2).as_deref(), Some("poison"), "the entry is resident");
+        assert_eq!(memory.lookup_digest(&forged), None, "memory path re-digests the key");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -551,33 +551,35 @@ fn format_duration(ns: u64) -> String {
 /// Perfetto or `chrome://tracing`): one process per daemon (named via a
 /// `"ph":"M"` `process_name` metadata event), one `"ph":"X"` complete
 /// event per span with microsecond `ts`/`dur` on the daemon's own
-/// clock. The format is built by hand (not via [`Json`]) so the output
+/// clock. The layout is built by hand (not via [`Json`]) so the output
 /// is byte-predictable — `"ph":"X"` with no spaces — for machine
-/// consumers and the CI grep.
+/// consumers and the CI grep; each string goes through the escaper of
+/// every wire message ([`Json::render_compact`]).
 pub fn render_chrome(dumps: &[TraceDump]) -> String {
+    let json_str = |s: &str| Json::str(s).render_compact();
     let mut events: Vec<String> = Vec::new();
     for (i, dump) in dumps.iter().enumerate() {
         let pid = i + 1;
         events.push(format!(
             "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
              \"args\":{{\"name\":{}}}}}",
-            escape_json(&dump.daemon)
+            json_str(&dump.daemon)
         ));
         for span in &dump.spans {
             let mut args = vec![
-                format!("\"trace_id\":{}", escape_json(&render_id(span.trace_id))),
-                format!("\"span_id\":{}", escape_json(&render_id(span.span_id))),
+                format!("\"trace_id\":{}", json_str(&render_id(span.trace_id))),
+                format!("\"span_id\":{}", json_str(&render_id(span.span_id))),
             ];
             if let Some(parent) = span.parent {
-                args.push(format!("\"parent\":{}", escape_json(&render_id(parent))));
+                args.push(format!("\"parent\":{}", json_str(&render_id(parent))));
             }
             for (k, v) in &span.attrs {
-                args.push(format!("{}:{}", escape_json(k), escape_json(v)));
+                args.push(format!("{}:{}", json_str(k), json_str(v)));
             }
             events.push(format!(
                 "{{\"name\":{},\"cat\":\"relim\",\"ph\":\"X\",\"pid\":{pid},\"tid\":1,\
                  \"ts\":{:.3},\"dur\":{:.3},\"args\":{{{}}}}}",
-                escape_json(&span.name),
+                json_str(&span.name),
                 span.start_ns as f64 / 1_000.0,
                 span.dur_ns as f64 / 1_000.0,
                 args.join(",")
@@ -585,26 +587,6 @@ pub fn render_chrome(dumps: &[TraceDump]) -> String {
         }
     }
     format!("{{\"traceEvents\":[{}]}}\n", events.join(","))
-}
-
-/// A JSON string literal (quotes included) for the hand-built Chrome
-/// export.
-fn escape_json(text: &str) -> String {
-    let mut out = String::with_capacity(text.len() + 2);
-    out.push('"');
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -840,7 +822,7 @@ mod tests {
     #[test]
     fn escaped_strings_stay_valid_json() {
         let dump = TraceDump {
-            daemon: "weird\"host\\name\n:1".into(),
+            daemon: "weird\"host\\name\n\u{1}:1".into(),
             window: 1,
             recorded: 0,
             dropped: 0,
@@ -848,5 +830,10 @@ mod tests {
         };
         let chrome = render_chrome(&[dump]);
         assert!(Json::parse(chrome.trim_end()).is_ok(), "{chrome}");
+        assert_eq!(
+            chrome,
+            "{\"traceEvents\":[{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
+             \"args\":{\"name\":\"weird\\\"host\\\\name\\n\\u0001:1\"}}]}\n"
+        );
     }
 }
