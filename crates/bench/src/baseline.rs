@@ -166,8 +166,7 @@ impl Baseline {
 /// null), never value-equal. `alloc_count`/`alloc_bytes` are deliberately
 /// **not** here: allocation counts are deterministic for a fixed
 /// workload, so they diff exactly like the cache counters.
-const TIMING_KEYS: [&str; 6] =
-    ["wall_ns", "min_ns", "max_ns", "speedup", "speedup_vs_reference", "available_parallelism"];
+const TIMING_KEYS: [&str; 5] = ["wall_ns", "min_ns", "max_ns", "speedup", "available_parallelism"];
 
 /// Kernels whose committed `engine_report.alloc_count` is the per-call
 /// allocation budget enforced by `bench-driver --alloc-gate` (the ROADMAP

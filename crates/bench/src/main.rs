@@ -48,11 +48,8 @@ use bench::json::Json;
 use bench::{time_median, Engine};
 use lb_family::family::{self, PiParams};
 use lb_family::{lemma8, zeroround_mc};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use relim_core::autolb::AutoLbOptions;
-use relim_core::roundelim::{dominance_filter_reference, r_step};
-use relim_core::{Label, LabelSet, SetConfig};
+use relim_core::roundelim::r_step;
 use relim_service::ops::OpRequest;
 use relim_service::ring::Ring;
 use relim_service::server::{Server, ServerConfig};
@@ -711,31 +708,6 @@ fn fleet_ring_assignment_entry(quick: bool) -> Entry {
     }
 }
 
-/// Deterministic synthetic dominance-filter workload: `n` random
-/// degree-`degree` set-configurations over `labels` labels.
-fn synthetic_configs(n: usize, degree: usize, labels: u8, seed: u64) -> Vec<SetConfig> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n)
-        .map(|_| {
-            SetConfig::new(
-                (0..degree)
-                    .map(|_| {
-                        let mut set = LabelSet::EMPTY;
-                        while set.is_empty() {
-                            for l in 0..labels {
-                                if rng.gen_range(0..3) == 0 {
-                                    set = set.with(Label::new(l));
-                                }
-                            }
-                        }
-                        set
-                    })
-                    .collect(),
-            )
-        })
-        .collect()
-}
-
 fn main() {
     let opts = match parse_args() {
         Ok(o) => o,
@@ -799,7 +771,7 @@ fn main() {
     entries.push(sweep_entry);
 
     // 2. One R̄ application on the family at the largest unit-suite point:
-    // the raw universal-side enumeration plus dominance filter. A fresh
+    // the raw universal-side enumeration plus the cover filter. A fresh
     // child session per sample keeps the index build inside the
     // measurement (the session cache would otherwise absorb it).
     let pi = family::pi(&PiParams { delta: 5, a: 4, x: 1 }).expect("valid");
@@ -924,49 +896,6 @@ fn main() {
     });
     entries.push(mc_entry);
 
-    // 5. The dominance-filter rewrite: seed's quadratic reference vs the
-    // bucketed pass, sequential and sharded.
-    let n_configs = if opts.quick { 400 } else { 1_500 };
-    let configs = synthetic_configs(n_configs, 4, 6, 2021);
-    let reference = dominance_filter_reference(configs.clone());
-    let (ref_out, ref_med, ref_min, ref_max) =
-        time_median(3, || dominance_filter_reference(configs.clone()));
-    assert_eq!(ref_out, reference);
-    entries.push(Entry {
-        id: "dominance_filter_reference".into(),
-        params: vec![
-            ("configs".into(), Json::Int(n_configs as i64)),
-            ("survivors".into(), Json::Int(reference.len() as i64)),
-        ],
-        runs: vec![Run {
-            threads: 1,
-            wall_ns: ref_med,
-            min_ns: ref_min,
-            max_ns: ref_max,
-            samples: 3,
-        }],
-        speedup: None,
-        byte_identical: None,
-        report: None,
-    });
-    let mut bucketed = compare(
-        "dominance_filter_bucketed",
-        vec![("configs".into(), Json::Int(n_configs as i64))],
-        threads,
-        3,
-        |engine| engine.dominance_filter(configs.clone()),
-        |survivors| format!("{survivors:?}"),
-    );
-    assert_eq!(bucketed.runs.len(), 2, "bucketed entry carries sequential + parallel runs");
-    let rewrite_speedup = ref_med as f64 / bucketed.runs[0].wall_ns.max(1) as f64;
-    bucketed.params.push(("speedup_vs_reference".into(), Json::Float(rewrite_speedup)));
-    let bucketed_out = Engine::sequential().dominance_filter(configs.clone());
-    assert_eq!(bucketed_out, reference, "bucketed filter must match the seed reference");
-    bucketed.report = probe_report(Engine::sequential(), |e| {
-        let _ = e.dominance_filter(configs.clone());
-    });
-    entries.push(bucketed);
-
     // 6. The serving layer: the content-addressed store's round-trip
     // cost, the daemon's cold-vs-warm latency on an autolb query (byte
     // identity against the in-process engine asserted inside), and the
@@ -983,7 +912,6 @@ fn main() {
     let baseline = Baseline { quick: opts.quick, threads, entries };
     println!("\n[BENCH_relim] parallel engine baseline (1 vs {} threads):", threads);
     print!("{}", baseline.render_table());
-    println!("dominance rewrite vs seed reference: {rewrite_speedup:.2}x (sequential)");
     match baseline.write(&opts.out) {
         Ok(()) => println!("wrote {}", opts.out.display()),
         Err(e) => {

@@ -162,8 +162,8 @@ impl Lemma8Report {
 
 impl Lemma8Machinery {
     /// Computes `R(Π)`, `R̄(R(Π))` and the `Π_rel` lines through `engine`
-    /// (the exponential `R̄` enumeration and dominance filter shard over
-    /// the session's workers; byte-identical at any thread count).
+    /// (the exponential `R̄` enumeration shards over the session's
+    /// workers; byte-identical at any thread count).
     ///
     /// The `R̄` step is exponential in general; keep `Δ ≤ 6` (the default
     /// tests use 3–5).

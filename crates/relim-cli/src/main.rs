@@ -26,7 +26,9 @@
 //!
 //! Constraint strings use the engine's text format; `;` or a literal `\n`
 //! separates configuration lines. A `--key` the command does not read is
-//! refused before the command acts, with exit status 2.
+//! refused before the command acts, with exit status 2. Every other error
+//! exits with status 1. Only argument errors (an unknown option, a missing
+//! or malformed value) are followed by the hint to run `relim help`.
 //!
 //! The `autolb`, `autoub`, `fixed-point`, `zeroround` and `sweep`
 //! subcommands render through `relim_service::ops` — the same functions
@@ -73,8 +75,11 @@ fn main() {
         }
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!("run `relim help` for usage");
-            std::process::exit(if e.is::<UnknownOption>() { 2 } else { 1 });
+            let unknown_option = e.is::<UnknownOption>();
+            if unknown_option || e.is::<ArgError>() {
+                eprintln!("run `relim help` for usage");
+            }
+            std::process::exit(if unknown_option { 2 } else { 1 });
         }
     }
 }
@@ -802,18 +807,14 @@ fn cmd_viz(args: &Args) -> Result<String, Box<dyn std::error::Error>> {
             let key = match args.get("store") {
                 Some(dir) => {
                     relim_service::store::read_stored_entry(std::path::Path::new(dir), digest)
-                        .ok_or_else(|| {
-                            ArgError(format!("no stored entry for digest {digest} in {dir}"))
-                        })?
+                        .ok_or_else(|| format!("no stored entry for digest {digest} in {dir}"))?
                         .0
                 }
                 None => {
                     let addr = args.get("addr").unwrap_or(DEFAULT_ADDR);
                     Client::new(addr)
                         .fetch(digest)?
-                        .ok_or_else(|| {
-                            ArgError(format!("no stored entry for digest {digest} at {addr}"))
-                        })?
+                        .ok_or_else(|| format!("no stored entry for digest {digest} at {addr}"))?
                         .0
                 }
             };

@@ -1,5 +1,6 @@
 //! The `relim` binary refuses a key its command does not read, with exit
-//! status 2 and before the command acts.
+//! status 2 and before the command acts, and points only argument errors
+//! at `relim help`.
 
 use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
@@ -49,4 +50,33 @@ fn serve_refuses_the_retired_trace_flag_without_starting_a_daemon() {
         &["serve", "--addr", "127.0.0.1:0", "--trace"],
         "unknown option --trace for 'serve'",
     );
+}
+
+const USAGE_HINT: &str = "run `relim help` for usage";
+
+#[test]
+fn only_argument_errors_print_the_usage_hint() {
+    // A digest miss is an answer about the store, not about the command
+    // line: exit 1 and no hint.
+    let store = std::env::temp_dir().join(format!("relim-empty-store-{}", std::process::id()));
+    std::fs::create_dir_all(&store).expect("empty store directory");
+    let digest = "0".repeat(32);
+    let out = relim(&["viz", "--store", store.to_str().expect("utf-8 path"), "--digest", &digest]);
+    let _ = std::fs::remove_dir_all(&store);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("error: no stored entry for digest"), "{stderr}");
+    assert!(!stderr.contains(USAGE_HINT), "{stderr}");
+
+    // An unknown option (exit 2) and a malformed value (exit 1) are
+    // argument errors and keep the hint.
+    for (args, code) in [
+        (&["bounds", "--n", "1000", "--delta", "4", "--bogus"][..], 2),
+        (&["chain", "--delta", "notanumber"][..], 1),
+    ] {
+        let out = relim(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(code), "{args:?}: {stderr}");
+        assert!(stderr.contains(USAGE_HINT), "{args:?}: {stderr}");
+    }
 }

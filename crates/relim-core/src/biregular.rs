@@ -178,8 +178,9 @@ pub struct BiStep {
 
 /// One half speedup step: maximal universal configurations (over
 /// right-closed sets, Observation 4) on `side`, existential replacement
-/// on the other side. The universal enumeration and dominance filter run
-/// on `engine`'s pool, with the sub-multiset index from its cache, as
+/// on the other side. The universal enumeration runs on `engine`'s pool,
+/// with the sub-multiset index from its cache, and keeps the maximal
+/// configurations by covers, as
 /// [`Engine::rbar_step`] does; the result is byte-identical at any width.
 ///
 /// # Errors

@@ -3,9 +3,9 @@
 //! The automatic lower-bound machinery of the paper is one long stateful
 //! computation — a round-elimination chain where every step reuses the
 //! alphabet, diagram and sub-multiset structure of the last. The
-//! [`Engine`] is the one surface for it: `R̄(·)`, `R̄(R(·))`, the
-//! dominance filter, iteration and the bound searches are reached only
-//! through a session, which owns:
+//! [`Engine`] is the one surface for it: `R̄(·)`, `R̄(R(·))`, iteration
+//! and the bound searches are reached only through a session, which
+//! owns:
 //!
 //! * a **persistent-pool handle** (a width policy over the process-wide
 //!   worker set of `relim-pool` — the `Engine` is the one component that
@@ -135,7 +135,6 @@ impl EngineBuilder {
                 uncached_builds: AtomicU64::new(0),
                 r_steps: AtomicU64::new(0),
                 rbar_steps: AtomicU64::new(0),
-                dominance_filters: AtomicU64::new(0),
                 iterate_runs: AtomicU64::new(0),
                 autolb_runs: AtomicU64::new(0),
                 autoub_runs: AtomicU64::new(0),
@@ -170,7 +169,6 @@ struct EngineShared {
     uncached_builds: AtomicU64,
     r_steps: AtomicU64,
     rbar_steps: AtomicU64,
-    dominance_filters: AtomicU64,
     iterate_runs: AtomicU64,
     autolb_runs: AtomicU64,
     autoub_runs: AtomicU64,
@@ -277,9 +275,9 @@ impl Engine {
     }
 
     /// Applies `R̄(·)` (universal step on the node constraint, existential
-    /// step on the edge constraint), sharding the enumeration and
-    /// dominance filter over the session pool and serving the sub-multiset
-    /// index from the session cache.
+    /// step on the edge constraint), sharding the enumeration over the
+    /// session pool and serving the sub-multiset index from the session
+    /// cache.
     ///
     /// # Errors
     ///
@@ -300,23 +298,6 @@ impl Engine {
     /// Those of [`crate::roundelim::r_step`] and [`Engine::rbar_step`].
     pub fn rr_step(&self, p: &Problem) -> Result<(Step, Step)> {
         self.timed(|| self.rr_step_inner(p))
-    }
-
-    /// Removes configurations dominated by another one (position-wise `⊆`
-    /// after the best permutation), keeping the survivors in input order,
-    /// with the maximality checks sharded over the session pool. Equals
-    /// [`crate::roundelim::dominance_filter_reference`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when two configurations of equal degree above
-    /// [`crate::roundelim::MAX_DEGREE`] are compared (see
-    /// [`crate::roundelim::dominates`]).
-    pub fn dominance_filter(&self, configs: Vec<SetConfig>) -> Vec<SetConfig> {
-        self.timed(|| {
-            self.shared.dominance_filters.fetch_add(1, Ordering::Relaxed);
-            roundelim::dominance_filter(configs, &self.shared.pool)
-        })
     }
 
     /// Iterates `R̄(R(·))` from `p`, up to `max_steps` applications,
@@ -443,7 +424,6 @@ impl Engine {
             cache_entries: cache.len(),
             r_steps: self.shared.r_steps.load(Ordering::Relaxed),
             rbar_steps: self.shared.rbar_steps.load(Ordering::Relaxed),
-            dominance_filters: self.shared.dominance_filters.load(Ordering::Relaxed),
             iterate_runs: self.shared.iterate_runs.load(Ordering::Relaxed),
             autolb_runs: self.shared.autolb_runs.load(Ordering::Relaxed),
             autoub_runs: self.shared.autoub_runs.load(Ordering::Relaxed),
@@ -556,7 +536,7 @@ impl Engine {
 /// memoization off, every build counts as a miss); the remaining counters
 /// record how many times each operator ran. `wall_ns` is the total wall
 /// time spent inside the session's round-elimination operators (steps,
-/// iterations, bound searches, dominance filters) — the generic
+/// iterations, bound searches) — the generic
 /// [`Engine::map_owned`] passthrough is *not* timed, because its tasks
 /// routinely call back into those operators and would double-count.
 /// Unlike every other field `wall_ns` is schedule-dependent, so tests
@@ -578,8 +558,6 @@ pub struct EngineReport {
     pub r_steps: u64,
     /// `R̄(·)` applications.
     pub rbar_steps: u64,
-    /// Stand-alone dominance filter calls.
-    pub dominance_filters: u64,
     /// [`Engine::iterate_with_limits`] runs.
     pub iterate_runs: u64,
     /// [`Engine::auto_lower_bound`] runs.
@@ -639,7 +617,6 @@ impl EngineReport {
             ("cache_entries", self.cache_entries as u64),
             ("r_steps", self.r_steps),
             ("rbar_steps", self.rbar_steps),
-            ("dominance_filters", self.dominance_filters),
             ("iterate_runs", self.iterate_runs),
             ("autolb_runs", self.autolb_runs),
             ("autoub_runs", self.autoub_runs),
@@ -720,11 +697,9 @@ mod tests {
         engine.r_step(&p).unwrap();
         engine.rbar_step(&p).unwrap();
         engine.rr_step(&p).unwrap();
-        engine.dominance_filter(Vec::new());
         let report = engine.report();
         assert_eq!(report.r_steps, 2); // r_step + the one inside rr_step
         assert_eq!(report.rbar_steps, 2);
-        assert_eq!(report.dominance_filters, 1);
         assert_eq!(report.threads, 1);
         assert!(report.memoize);
     }

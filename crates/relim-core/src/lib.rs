@@ -25,9 +25,9 @@
 //! * [`engine::Engine`] — **the entry point**: a builder-constructed
 //!   session that owns the worker-pool handle, a long-lived sub-multiset
 //!   index cache shared across all calls, and per-session statistics
-//!   ([`engine::EngineReport`]). `R̄(·)`, `R̄(R(·))`, the dominance filter,
-//!   iteration and the bound searches are reached only through it; no
-//!   public function of this crate takes a pool. A width-1 session with
+//!   ([`engine::EngineReport`]). `R̄(·)`, `R̄(R(·))`, iteration and the
+//!   bound searches are reached only through it; no public function of
+//!   this crate takes a pool. A width-1 session with
 //!   `memoize(false)` is the reference configuration.
 //! * [`digest`] — canonical content digests ([`Constraint`] /
 //!   [`Problem`]), the keying primitive of the `relim-service`
@@ -36,14 +36,15 @@
 //!   format ([`parse`]) compatible in spirit with the round-eliminator.
 //! * [`roundelim::r_step`] / [`Engine::rbar_step`] — the `R(·)` and
 //!   `R̄(·)` operators of the paper (maximal "for-all" side + "exists" side),
-//!   with the right-closedness pruning of Observation 4; `R(·)` is pure
-//!   and stays a free function.
+//!   with the right-closedness pruning of Observation 4 and, on `R̄`'s
+//!   universal side, maximality by covers; `R(·)` is pure and stays a
+//!   free function.
 //! * [`diagram`] — label strength orders ("edge diagram" / "node diagram",
 //!   paper §2.3, Figures 1, 4, 5) and their Hasse edges.
 //! * [`rightclosed`] — enumeration of right-closed label sets.
 //! * [`relax`] — Definition 7 (relaxations of configurations) as executable
-//!   checks; line membership and the `R̄` dominance filter are the same
-//!   relation and share its subset-mask builder.
+//!   checks; line membership and dominance are the same relation and
+//!   share its subset-mask builder.
 //! * [`zeroround`] — 0-round solvability analysis: the identified-ports
 //!   gadget underlying Lemmas 12 and 15, the bare-PN "trivial problem"
 //!   criterion, and the c-vertex-coloring clique criterion.

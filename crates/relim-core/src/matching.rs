@@ -3,7 +3,8 @@
 //! Several engine operations reduce to the question *"can `n` positions be
 //! assigned to capacity-bounded groups, respecting per-position options?"* —
 //! the relaxation test of Definition 7, membership of a configuration in a
-//! condensed line, and the dominance test of `R̄`'s maximality filter. The
+//! condensed line, and the dominance test of the quadratic maximality
+//! oracle. The
 //! options come from one builder in [`crate::relax`]: one `u64` mask per
 //! position, bit `g` set when the position fits group `g`, so there are at
 //! most 64 groups. There are two matchers, both augmenting-path (Kuhn)
@@ -106,10 +107,10 @@ fn try_place(
 /// [`assign_positions`]: can every position be matched to a *distinct*
 /// allowed group (a perfect matching on the position side)?
 ///
-/// This is the inner test of the dominance filter, called once per
-/// surviving candidate pair in the `R̄` hot loop — millions of times per
-/// step — so all state is stack-resident: the group→position matching in a
-/// fixed array, the per-augmentation visited set as a `u64` bitmask.
+/// This is the inner test of [`crate::roundelim::dominates`], which a
+/// quadratic filter calls once per pair of configurations, so all state
+/// is stack-resident: the group→position matching in a fixed array, the
+/// per-augmentation visited set as a `u64` bitmask.
 /// Equivalent to `assign_positions(options, &vec![1; groups]).is_some()`
 /// (pinned by a differential test below).
 ///

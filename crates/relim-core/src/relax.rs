@@ -8,9 +8,10 @@
 //!
 //! The same relation answers two more questions in the crate. A
 //! configuration lies in a condensed [`Line`] when its singleton sets
-//! relax into the line ([`Line::contains`]), and `R̄`'s maximality filter
-//! drops a configuration that relaxes to another one
-//! ([`crate::roundelim::dominates`]). Every one of these checks asks, per
+//! relax into the line ([`Line::contains`]), and one configuration
+//! dominates another when it differs from it and the other relaxes to it
+//! ([`crate::roundelim::dominates`], the order of the quadratic maximality
+//! oracle). Every one of these checks asks, per
 //! source position, which target slots hold a superset of it, and one
 //! crate-private builder answers that: a `u64` subset mask per source
 //! set, so at most 64 distinct targets (a wider target list panics). The

@@ -15,35 +15,38 @@
 //! trees of girth `≥ 2T+2`, `Π` is solvable in `T` rounds iff `R̄(R(Π))` is
 //! solvable in `max{T−1, 0}` rounds in the port numbering model.
 //!
-//! The universal ("for-all + maximality") sides use two exact accelerations:
+//! The universal ("for-all + maximality") sides use three exact
+//! accelerations:
 //!
 //! 1. **Observation 4** (right-closedness): maximal configurations only use
 //!    label sets that are upward-closed in the relevant strength order, so
 //!    candidates are enumerated over [`crate::rightclosed::right_closed_sets`].
 //! 2. For the degree-2 edge side, maximal pairs are exactly the fixed points
 //!    of the Galois connection `A ↦ ⋂_{a∈A} compat(a)`.
+//! 3. **Maximality by covers** wherever a side is enumerated: the DFS emits
+//!    *every* universal configuration over the candidates, and that family
+//!    is down-closed, so a configuration is dominated iff replacing one of
+//!    its sets by one cover of it (a next larger candidate) stays in the
+//!    family — one hash lookup per try, no pairwise matching.
 //!
-//! `R(·)` is pure: [`r_step`] needs no pool and no cache. The `R̄` side,
-//! `R̄∘R` and the dominance filter are reached only through the session,
-//! [`crate::engine::Engine`], which owns the pool handle and the
-//! long-lived [`crate::iterate::SubIndexCache`] the `R̄` side's
-//! sub-multiset index is served from. Underneath, the `R̄` enumeration
-//! splits its DFS at the top candidate level into stealable subtree tasks
-//! and the dominance filter shards its per-configuration maximality
-//! checks over the persistent worker set (task payloads are `Arc`-owned,
-//! so no threads are spawned per call). Results are concatenated in
-//! canonical order, so the output is **byte-identical** at any thread
-//! count; a width-1 session runs every batch inline on the calling
-//! thread. The brute-force oracles at the end of this module
-//! ([`dominance_filter_reference`], [`r_step_edge_bruteforce`],
-//! [`rbar_step_node_bruteforce`]) are what the differential suites check
-//! the session against.
+//! `R(·)` is pure: [`r_step`] needs no pool and no cache. The `R̄` side and
+//! `R̄∘R` are reached only through the session, [`crate::engine::Engine`],
+//! which owns the pool handle and the long-lived
+//! [`crate::iterate::SubIndexCache`] the `R̄` side's sub-multiset index is
+//! served from. Underneath, the `R̄` enumeration splits its DFS at the top
+//! candidate level into stealable subtree tasks over the persistent worker
+//! set (task payloads are `Arc`-owned, so no threads are spawned per
+//! call). Results are concatenated in canonical order, so the output is
+//! **byte-identical** at any thread count; a width-1 session runs every
+//! batch inline on the calling thread. The brute-force oracles at the end
+//! of this module ([`dominance_filter_reference`],
+//! [`r_step_edge_bruteforce`], [`rbar_step_node_bruteforce`]) are what the
+//! differential suites check the session against.
 
-use crate::config::{Config, SetConfig, INLINE_DEGREE};
+use crate::config::{Config, SetConfig};
 use crate::constraint::{Constraint, SubMultisetIndex};
 use crate::diagram::StrengthOrder;
 use crate::error::{RelimError, Result};
-use crate::inline_vec::InlineVec;
 use crate::label::{Alphabet, Label};
 use crate::labelset::LabelSet;
 use crate::line::Line;
@@ -53,7 +56,7 @@ use crate::relax::subset_masks;
 use crate::rightclosed::right_closed_sets;
 use crate::scratch::{with_scratch, ScratchArena};
 use relim_pool::Pool;
-use std::collections::BTreeMap;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Largest alphabet the universal-side enumeration accepts — the
@@ -64,10 +67,12 @@ use std::sync::Arc;
 /// one place.
 pub const MAX_LABELS: usize = 22;
 
-/// Largest constraint degree the universal side accepts: the dominance
-/// filter matches configuration positions through `u64` bitmasks, one bit
-/// per position. Checked with [`MAX_LABELS`] at the universal-side entry
-/// shared by `R̄(·)` and [`crate::biregular::half_step`].
+/// Largest constraint degree the universal side accepts. Maximality by
+/// covers has no width limit of its own, but the derived configurations
+/// are later compared by [`dominates`] and `relax::subset_masks`, which
+/// match positions through `u64` bitmasks, one bit per position. Checked
+/// with [`MAX_LABELS`] at the universal-side entry shared by `R̄(·)` and
+/// [`crate::biregular::half_step`].
 pub const MAX_DEGREE: u32 = 64;
 
 /// The result of one `R(·)` or `R̄(·)` application.
@@ -196,7 +201,7 @@ pub(crate) fn maximal_universal(
     let order = StrengthOrder::of_constraint(constraint, labels);
     let cands = right_closed_sets(&order);
     let raw = forall_multisets(&cands, degree, &sub_index, pool);
-    Ok(dominance_filter(raw, pool))
+    Ok(cover_filter(raw, &cands))
 }
 
 enum UniversalSide {
@@ -427,101 +432,59 @@ fn forall_step(
     scratch.chosen.pop();
 }
 
-/// Removes configurations dominated by another configuration
-/// (position-wise `⊆` after the best permutation — a bipartite matching);
-/// the body behind [`crate::engine::Engine::dominance_filter`].
-///
-/// Domination is a strict partial order (transitive, and antisymmetric
-/// because mutual domination forces equal cardinality sums and hence equal
-/// multisets), so the survivors are exactly the **maximal** configurations
-/// — independent of input order. The input order of survivors is preserved.
-///
-/// A bucketing pass prunes candidate dominators before the per-configuration
-/// maximality checks, which are sharded over `pool`:
-///
-/// * configurations are grouped by their sorted cardinality signature, and
-///   a configuration can only be dominated from a bucket whose signature
-///   dominates its own position-wise;
-/// * within a bucket, the support union must be a superset of the
-///   candidate's support;
-/// * the bipartite matching inside [`dominates`] only runs on pairs that
-///   survive both pre-checks.
-///
-/// Output equals [`dominance_filter_reference`] at any thread count.
-pub(crate) fn dominance_filter(configs: Vec<SetConfig>, pool: &Pool) -> Vec<SetConfig> {
-    if configs.len() <= 1 {
-        return configs;
-    }
-    // Signature = (sorted cardinalities, support union) per configuration.
-    // The cardinality key is an inline vector (degree ≤ 8 stays on the
-    // stack), so neither the signature table nor the bucket keys allocate
-    // at paper degrees.
-    let sigs: Vec<(CardSig, LabelSet)> = configs
-        .iter()
-        .map(|c| {
-            let mut cards: CardSig = c.iter().map(|s| s.len() as u8).collect();
-            cards.as_mut_slice().sort_unstable();
-            (cards, c.iter().fold(LabelSet::EMPTY, LabelSet::union))
-        })
-        .collect();
-    let mut buckets: BTreeMap<CardSig, Vec<usize>> = BTreeMap::new();
-    for (i, (cards, _)) in sigs.iter().enumerate() {
-        buckets.entry(cards.clone()).or_default().push(i);
-    }
-    let buckets: Vec<(CardSig, Vec<usize>)> = buckets.into_iter().collect();
-
-    if pool.threads() <= 1 {
-        // Inline path: no shared ownership needed, survivors move out.
-        let keep: Vec<bool> =
-            (0..configs.len()).map(|i| is_maximal(&configs, &sigs, &buckets, i)).collect();
-        return configs.into_iter().zip(keep).filter_map(|(c, k)| k.then_some(c)).collect();
-    }
-
-    // Persistent-pool path: the `'static` tasks co-own the configurations
-    // and pre-computed signatures; survivors are cloned out by the worker
-    // that checked them (same output bytes as the move above).
-    let indices: Vec<usize> = (0..configs.len()).collect();
-    let shared = Arc::new((configs, sigs, buckets));
-    let survivors: Vec<Option<SetConfig>> = pool.map_owned(indices, move |&i| {
-        let (configs, sigs, buckets) = &*shared;
-        is_maximal(configs, sigs, buckets, i).then(|| configs[i].clone())
-    });
-    survivors.into_iter().flatten().collect()
-}
-
-/// A sorted-cardinality signature: one byte per position, inline at paper
-/// degrees (the dominance filter's bucket key).
-type CardSig = InlineVec<u8, INLINE_DEGREE>;
-
-/// Whether `configs[i]` is dominated by no other configuration, using the
-/// bucket pre-checks of [`dominance_filter`].
-fn is_maximal(
-    configs: &[SetConfig],
-    sigs: &[(CardSig, LabelSet)],
-    buckets: &[(CardSig, Vec<usize>)],
-    i: usize,
-) -> bool {
-    let (cards_i, support_i) = &sigs[i];
-    for (cards_j, members) in buckets {
-        // A dominator's sorted cardinality vector must dominate ours
-        // position-wise (any witnessing matching only grows sets).
-        if cards_j.len() != cards_i.len()
-            || !cards_i.iter().zip(cards_j.iter()).all(|(a, b)| a <= b)
-        {
-            continue;
-        }
-        for &j in members {
-            if j != i && support_i.is_subset_of(sigs[j].1) && dominates(&configs[j], &configs[i]) {
-                return false;
+/// Keeps the maximal configurations of `raw`, in input order, by covers
+/// (module doc, item 3). `raw` must be the complete universal family over
+/// `cands` (sorted by cardinality) that [`forall_multisets`] emits. If `D`
+/// dominates `C` through a matching `π`, some `C_i ⊊ D_π(i)`, and a cover
+/// `S ⊆ D_π(i)` of `C_i` gives a member `C[i→S]` that `D` dominates.
+fn cover_filter(mut raw: Vec<SetConfig>, cands: &[LabelSet]) -> Vec<SetConfig> {
+    // `cands[k]`'s covers are `covers[starts[k]..starts[k + 1]]`. A set
+    // between two candidates is smaller than the upper one: it came first.
+    let mut covers: Vec<LabelSet> = Vec::new();
+    let mut starts = Vec::with_capacity(cands.len() + 1);
+    starts.push(0);
+    for &set in cands {
+        let first = covers.len();
+        for &up in cands {
+            if up != set
+                && set.is_subset_of(up)
+                && !covers[first..].iter().any(|c| c.is_subset_of(up))
+            {
+                covers.push(up);
             }
         }
+        starts.push(covers.len());
     }
-    true
+    let members: HashSet<&SetConfig> = raw.iter().collect();
+    let dominated: Vec<bool> = raw
+        .iter()
+        .map(|config| {
+            let sets = config.as_slice();
+            // Equal sets give equal probes: try the first of each run.
+            (0..sets.len()).filter(|&i| i == 0 || sets[i] != sets[i - 1]).any(|i| {
+                let key = |c: &LabelSet| (c.len(), c.bits());
+                let k = cands.binary_search_by_key(&key(&sets[i]), key).expect("a candidate");
+                covers[starts[k]..starts[k + 1]].iter().any(|&cover| {
+                    // Inline up to `INLINE_DEGREE`: no allocation per probe.
+                    let probe: SetConfig = sets
+                        .iter()
+                        .enumerate()
+                        .map(|(j, &s)| if j == i { cover } else { s })
+                        .collect();
+                    members.contains(&probe)
+                })
+            })
+        })
+        .collect();
+    let mut dominated = dominated.into_iter();
+    raw.retain(|_| !dominated.next().expect("one flag per configuration"));
+    raw
 }
 
-/// The quadratic dominance filter, kept as the reference implementation
-/// for differential tests of the bucketed, sharded
-/// [`crate::engine::Engine::dominance_filter`].
+/// The quadratic dominance filter: keeps the configurations no other one
+/// dominates, in input order, for any input. It is the oracle the
+/// maximality-by-covers filter of `R̄` is tested against, and it filters
+/// both brute-force oracles below.
 pub fn dominance_filter_reference(configs: Vec<SetConfig>) -> Vec<SetConfig> {
     let mut keep = vec![true; configs.len()];
     for i in 0..configs.len() {
@@ -577,7 +540,7 @@ pub fn dominates(big: &SetConfig, small: &SetConfig) -> bool {
 /// Brute-force reference implementation of the universal edge side, without
 /// the right-closedness and Galois accelerations. Exposed for differential
 /// testing; exponential in `|Σ|`. Filters with the quadratic
-/// [`dominance_filter_reference`], not the bucketed filter it checks.
+/// [`dominance_filter_reference`].
 ///
 /// # Errors
 ///
@@ -604,9 +567,10 @@ pub fn r_step_edge_bruteforce(p: &Problem) -> Result<Vec<SetConfig>> {
     Ok(dominance_filter_reference(all))
 }
 
-/// Brute-force reference implementation of the universal node side.
-/// Exponential; only usable for tiny alphabets and degrees. Filters with
-/// [`dominance_filter_reference`], like [`r_step_edge_bruteforce`].
+/// Brute-force reference implementation of the universal node side:
+/// enumerates over every non-empty label set, not only the right-closed
+/// ones, and filters with [`dominance_filter_reference`] instead of by
+/// covers. Exponential; only usable for tiny alphabets and degrees.
 ///
 /// # Errors
 ///
@@ -633,6 +597,7 @@ fn all_sets_sorted(mut sets: Vec<LabelSet>) -> Vec<LabelSet> {
 mod tests {
     use super::*;
     use crate::engine::Engine;
+    use proptest::prelude::*;
 
     fn mis3() -> Problem {
         Problem::from_text("M M M\nP O O", "M [P O]\nO O").unwrap()
@@ -742,21 +707,45 @@ mod tests {
         }
     }
 
-    #[test]
-    fn dominance_filter_matches_reference() {
-        // All subsets of a 4-label universe in pairs: a dense dominance
-        // structure exercising buckets, pre-checks, and the matching.
-        let sets: Vec<LabelSet> = crate::labelset::subsets_nonempty(LabelSet::full(4)).collect();
-        let mut configs = Vec::new();
-        for (i, &a) in sets.iter().enumerate() {
-            for &b in sets.iter().skip(i) {
-                configs.push(SetConfig::new(vec![a, b]));
-            }
+    /// A random node constraint of degree `degree` over `labels` labels:
+    /// each multiset is kept with a seed-chosen density, and at least one.
+    fn random_constraint(labels: usize, degree: u32, seed: u64) -> Constraint {
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        let density = 1 + next() % 7; // keep with probability density/8
+        let mut space = vec![Config::empty()];
+        for _ in 0..degree {
+            let mut longer: Vec<Config> = space
+                .iter()
+                .flat_map(|c| (0..labels).map(move |l| c.with(Label::new(l as u8))))
+                .collect();
+            longer.sort_unstable();
+            longer.dedup();
+            space = longer;
         }
-        let expected = dominance_filter_reference(configs.clone());
-        for threads in [1, 2, 8] {
-            let engine = Engine::builder().threads(threads).build();
-            assert_eq!(engine.dominance_filter(configs.clone()), expected, "threads = {threads}");
+        let first = space[next() as usize % space.len()].clone();
+        let kept = space.into_iter().filter(|_| next() % 8 < density);
+        Constraint::from_configs(std::iter::once(first).chain(kept)).expect("non-empty")
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// On the raw universal family of a random small constraint, the
+        /// cover filter keeps exactly what the quadratic reference keeps,
+        /// in the same order.
+        #[test]
+        fn cover_filter_matches_reference(labels in 1usize..=5, degree in 1u32..=4,
+                                          seed in 0u64..u64::MAX) {
+            let constraint = random_constraint(labels, degree, seed);
+            let cands = right_closed_sets(&StrengthOrder::of_constraint(&constraint, labels));
+            let index = Arc::new(constraint.sub_multiset_index());
+            let raw = forall_multisets(&cands, degree, &index, &Pool::sequential());
+            prop_assert_eq!(cover_filter(raw.clone(), &cands), dominance_filter_reference(raw),
+                            "constraint {:?}", constraint);
         }
     }
 
@@ -793,8 +782,6 @@ mod tests {
         assert!(dominates(&y, &x));
         assert!(!dominates(&x, &y));
         assert!(!dominates(&x, &x));
-        let filtered = dominance_filter(vec![x, y.clone()], &Pool::sequential());
-        assert_eq!(filtered, vec![y]);
     }
 
     /// `A^d` and `A^(d-1) B` on the node side, `A A` / `B B` on the edge

@@ -1,13 +1,13 @@
 //! Per-worker scratch arenas for the round-elimination hot loop.
 //!
 //! The universal-side DFS ([`crate::roundelim`]) repeatedly needs the same
-//! short-lived buffers: one frontier `Vec<Config>` per recursion depth, a
-//! chosen-candidate stack, and per-configuration signature keys for the
-//! dominance filter. Allocating them per call (let alone per candidate)
-//! dominated the allocator profile. This module keeps one [`ScratchArena`]
-//! per thread — pool workers are persistent ([`relim_pool::Pool`]), so the
-//! thread-local is per *worker* and warm after the first task — and the hot
-//! loop borrows buffers from it, clearing instead of freeing.
+//! short-lived buffers: one frontier `Vec<Config>` per recursion depth and
+//! a chosen-candidate stack. Allocating them per call (let alone per
+//! candidate) dominated the allocator profile. This module keeps one
+//! [`ScratchArena`] per thread — pool workers are persistent
+//! ([`relim_pool::Pool`]), so the thread-local is per *worker* and warm
+//! after the first task — and the hot loop borrows buffers from it,
+//! clearing instead of freeing.
 //!
 //! Access goes through [`with_scratch`], which `take`s the arena out of
 //! the thread-local cell and puts it back afterwards: a re-entrant call

@@ -15,11 +15,11 @@
 //! ## Persistent worker set
 //!
 //! Round elimination submits *thousands* of micro-batches per fixed-point
-//! search (one per `R̄` DFS level, one per dominance shard, one per sweep
-//! point), so spawning workers per call would make the spawn cost the hot
-//! path. Instead the crate keeps one **process-wide worker set**, created
-//! lazily on the first parallel batch and grown on demand up to the widest
-//! pool ever requested (bounded by [`MAX_WORKERS`]). Idle workers park on a
+//! search (one per `R̄` DFS level, one per sweep point), so spawning
+//! workers per call would make the spawn cost the hot path. Instead the
+//! crate keeps one **process-wide worker set**, created lazily on the
+//! first parallel batch and grown on demand up to the widest pool ever
+//! requested (bounded by [`MAX_WORKERS`]). Idle workers park on a
 //! condition variable; there is no explicit shutdown — parked threads cost
 //! nothing and die with the process.
 //!

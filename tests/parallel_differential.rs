@@ -7,20 +7,15 @@
 //! invariant (a sub-multiset index served from the session cache is a
 //! pure function of the constraint). The reference for steps and
 //! iterations is a width-1 session with memoization off (every batch
-//! inline, every index rebuilt); the dominance filter is checked against
-//! the quadratic `dominance_filter_reference`.
+//! inline, every index rebuilt).
 //!
 //! Problems are drawn from the full space of small LCLs (random non-empty
 //! subsets of the node/edge configuration spaces), seeded via the standard
-//! `PROPTEST_SEED` plumbing. The adversarial dominance-filter inputs
-//! (all-equal cardinality signatures, singleton buckets, empty inputs,
-//! empty member sets, duplicates) are pinned deterministically below the
-//! property tests.
+//! `PROPTEST_SEED` plumbing.
 
 use mis_domset_lb::relim::autolb::{self, AutoLbOptions};
 use mis_domset_lb::relim::iterate::IterationOutcome;
-use mis_domset_lb::relim::roundelim::dominance_filter_reference;
-use mis_domset_lb::relim::{Alphabet, Config, Constraint, Label, LabelSet, Problem, SetConfig};
+use mis_domset_lb::relim::{Alphabet, Config, Constraint, Label, Problem};
 use mis_domset_lb::Engine;
 use proptest::prelude::*;
 
@@ -110,27 +105,6 @@ fn render_rr(
     }
 }
 
-/// Random set-configurations of one degree — input for the dominance
-/// filter differential.
-fn set_configs() -> impl Strategy<Value = Vec<SetConfig>> {
-    ((2u32..=4), (0u64..u64::MAX)).prop_map(|(degree, seed)| {
-        // Derive a deterministic pseudo-random batch from the seed: enough
-        // structure for domination chains, cheap enough for many cases.
-        let mut state = seed;
-        let mut next = || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            state >> 33
-        };
-        (0..60)
-            .map(|_| {
-                SetConfig::new(
-                    (0..degree).map(|_| LabelSet::from_bits((next() % 31 + 1) as u32)).collect(),
-                )
-            })
-            .collect()
-    })
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -149,17 +123,6 @@ proptest! {
             let warm = render_rr(&engine.rr_step(&p));
             prop_assert_eq!(&warm, &sequential,
                             "warm cache, threads = {}", engine.threads());
-        }
-    }
-
-    /// The bucketed, sharded dominance filter agrees with the quadratic
-    /// reference at every thread count.
-    #[test]
-    fn dominance_filter_identical_across_thread_counts(configs in set_configs()) {
-        let reference = dominance_filter_reference(configs.clone());
-        for engine in engine_grid() {
-            let filtered = engine.dominance_filter(configs.clone());
-            prop_assert_eq!(&filtered, &reference, "threads = {}", engine.threads());
         }
     }
 
@@ -204,102 +167,4 @@ proptest! {
 fn render_outcome(o: &IterationOutcome) -> String {
     let rendered: Vec<String> = o.problems.iter().map(Problem::render).collect();
     format!("{:?}\n{:?}\n{}", o.stats, o.stopped, rendered.join("\n---\n"))
-}
-
-/// `Engine::dominance_filter` must match the quadratic reference on
-/// `configs` at thread counts 1, 2 and 8.
-fn assert_matches_reference(configs: Vec<SetConfig>, what: &str) {
-    let reference = dominance_filter_reference(configs.clone());
-    for threads in [1usize, 2, 8] {
-        assert_eq!(
-            Engine::builder().threads(threads).build().dominance_filter(configs.clone()),
-            reference,
-            "{what}: threads = {threads}"
-        );
-    }
-}
-
-fn set(bits: u32) -> LabelSet {
-    LabelSet::from_bits(bits)
-}
-
-/// All-equal cardinality signatures: every configuration has the sorted
-/// cardinality vector `[2, 2]`, so the whole input lands in **one**
-/// bucket and the signature pre-check can prune nothing — domination is
-/// decided by support subsets and the matching alone.
-#[test]
-fn dominance_adversarial_all_equal_signatures() {
-    let two_element_sets: Vec<LabelSet> =
-        [0b0011u32, 0b0101, 0b0110, 0b1001, 0b1010, 0b1100].map(set).to_vec();
-    let mut configs = Vec::new();
-    for &a in &two_element_sets {
-        for &b in &two_element_sets {
-            configs.push(SetConfig::new(vec![a, b]));
-        }
-    }
-    assert_matches_reference(configs, "all-equal signatures");
-}
-
-/// Singleton buckets: pairwise distinct cardinality signatures (a strict
-/// chain of nested sets), so every bucket holds exactly one configuration
-/// and all domination happens *across* buckets.
-#[test]
-fn dominance_adversarial_singleton_buckets() {
-    let chain: Vec<SetConfig> = (1..=6u32)
-        .map(|k| {
-            let grown = set((1 << k) - 1); // {0}, {0,1}, ..., {0..5}
-            SetConfig::new(vec![set(1), grown])
-        })
-        .collect();
-    assert_matches_reference(chain, "singleton buckets");
-}
-
-/// Empty configuration sets, in both senses: an empty *input* (no
-/// configurations at all) and configurations whose member sets are
-/// `LabelSet::EMPTY` (cardinality-0 positions — every set dominates
-/// them, so only the all-empty equality case survives inside a bucket).
-#[test]
-fn dominance_adversarial_empty_inputs_and_empty_sets() {
-    assert_matches_reference(Vec::new(), "empty input");
-
-    let empty = LabelSet::EMPTY;
-    let configs = vec![
-        SetConfig::new(vec![empty, empty]),
-        SetConfig::new(vec![empty, set(0b1)]),
-        SetConfig::new(vec![set(0b1), set(0b11)]),
-        SetConfig::new(vec![empty, empty]),
-        SetConfig::new(vec![set(0b11), set(0b11)]),
-    ];
-    assert_matches_reference(configs, "empty member sets");
-}
-
-/// Exact duplicates never dominate each other (domination is strict), so
-/// every copy must survive — a classic fast-path trap.
-#[test]
-fn dominance_adversarial_duplicates_survive_together() {
-    let dup = SetConfig::new(vec![set(0b01), set(0b01)]);
-    let bigger = SetConfig::new(vec![set(0b11), set(0b01)]);
-    let configs = vec![dup.clone(), dup.clone(), dup.clone(), bigger.clone()];
-    let reference = dominance_filter_reference(configs.clone());
-    // The duplicates are all dominated by `bigger`; `bigger` survives.
-    assert_eq!(reference, vec![bigger.clone()]);
-    assert_matches_reference(configs, "duplicates with a dominator");
-
-    // Without a dominator, all copies survive together.
-    let configs = vec![dup.clone(), dup.clone(), dup];
-    let reference = dominance_filter_reference(configs.clone());
-    assert_eq!(reference.len(), 3);
-    assert_matches_reference(configs, "duplicates alone");
-}
-
-/// A single configuration short-circuits every path; degree-0
-/// configurations (empty position lists) exercise the trivial-matching
-/// corner.
-#[test]
-fn dominance_adversarial_degenerate_shapes() {
-    let lone = vec![SetConfig::new(vec![set(0b1), set(0b10)])];
-    assert_matches_reference(lone, "single configuration");
-
-    let degree_zero = vec![SetConfig::new(Vec::new()), SetConfig::new(Vec::new())];
-    assert_matches_reference(degree_zero, "degree-0 configurations");
 }

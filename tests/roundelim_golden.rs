@@ -11,10 +11,15 @@
 //!   exactly why the paper works with the `Π_Δ(a,x)` family instead.
 //!   The first two derivative shapes are pinned here as golden values.
 //!
+//! Two family points, `Π_5(4, 1)` and `Π_4(3, 1)`, additionally pin the
+//! exact rendered text of `R̄(R(Π))`, so a change to how the universal
+//! side picks its maximal configurations must reproduce every byte.
+//!
 //! If an engine change breaks one of these numbers, it changed the
 //! mathematics, not just the code — investigate before updating the
 //! golden value.
 
+use mis_domset_lb::family::family::{pi, PiParams};
 use mis_domset_lb::family::sinkless;
 use mis_domset_lb::relim::error::Result;
 use mis_domset_lb::relim::roundelim;
@@ -116,3 +121,186 @@ fn relaxed_so_encoding_lands_on_the_fixed_point() {
     let fixed = sinkless::sinkless_orientation(3).expect("valid");
     assert!(iso::isomorphic(&reduced, &fixed));
 }
+
+/// `R̄(R(Π_Δ(a, x)))` rendered on the reference session.
+fn rr_render_pi(delta: u32, a: u32, x: u32) -> String {
+    let p = pi(&PiParams { delta, a, x }).expect("valid family point");
+    let (_r, rr) = rr_step(&p).expect("R̄(R(Π)) exists");
+    rr.problem.render()
+}
+
+/// Golden: the exact `R̄(R(Π_5(4, 1)))` — the `R̄` input of the
+/// `rbar_step_pi_d5_a4_x1` bench kernel — byte for byte. Every node
+/// configuration is a maximal universal configuration, so a maximality
+/// rule that keeps a dominated configuration or drops a maximal one
+/// changes this text.
+#[test]
+fn rr_step_pi_d5_a4_x1_golden_render() {
+    assert_eq!(rr_render_pi(5, 4, 1), PI_D5_A4_X1_RR);
+}
+
+/// Golden: the exact `R̄(R(Π_4(3, 1)))`, byte for byte.
+#[test]
+fn rr_step_pi_d4_a3_x1_golden_render() {
+    assert_eq!(rr_render_pi(4, 3, 1), PI_D4_A3_X1_RR);
+}
+
+const PI_D5_A4_X1_RR: &str = r#"N (degree 5):
+{MPOAX} {MOAX MPOAX} {MOX OAX MOAX POAX MPOAX}^2 {MX OX MOX OAX MOAX POAX MPOAX}
+{MPOAX} {MOX MOAX MPOAX}^2 {MX OX MOX OAX MOAX POAX MPOAX}^2
+{MOAX MPOAX}^3 {MX MOX OAX MOAX POAX MPOAX} {X MX OX MOX OAX MOAX POAX MPOAX}
+{MOAX MPOAX}^2 {MOAX POAX MPOAX} {MOX OAX MOAX POAX MPOAX} {MX OX MOX OAX MOAX POAX MPOAX}
+{MOAX MPOAX}^2 {MOX MOAX POAX MPOAX}^2 {MX OX MOX OAX MOAX POAX MPOAX}
+{MOAX MPOAX}^2 {MX MOX OAX MOAX POAX MPOAX}^3
+{POAX MPOAX} {OX MOX OAX MOAX POAX MPOAX}^4
+{MOX MOAX MPOAX}^3 {MX MOX MOAX POAX MPOAX} {MX OX MOX OAX MOAX POAX MPOAX}
+{MOAX POAX MPOAX}^3 {MOX OAX MOAX POAX MPOAX} {OX MOX OAX MOAX POAX MPOAX}
+{MOAX POAX MPOAX}^2 {MOX OAX MOAX POAX MPOAX}^3
+{MX MOX MOAX MPOAX}^4 {X MX OX MOX OAX MOAX POAX MPOAX}
+{MOX MOAX POAX MPOAX}^4 {OX MOX OAX MOAX POAX MPOAX}
+{OAX MOAX POAX MPOAX}^4 {X MX OX MOX OAX MOAX POAX MPOAX}
+
+E:
+{MPOAX} {X MX OX MOX OAX MOAX POAX MPOAX}
+{MOAX MPOAX} {OX MOX OAX MOAX POAX MPOAX}
+{MOAX MPOAX} {MX OX MOX OAX MOAX POAX MPOAX}
+{MOAX MPOAX} {X MX OX MOX OAX MOAX POAX MPOAX}
+{POAX MPOAX} {MX MOX MOAX MPOAX}
+{POAX MPOAX} {MX MOX MOAX POAX MPOAX}
+{POAX MPOAX} {MX MOX OAX MOAX POAX MPOAX}
+{POAX MPOAX} {MX OX MOX OAX MOAX POAX MPOAX}
+{POAX MPOAX} {X MX OX MOX OAX MOAX POAX MPOAX}
+{MOX MOAX MPOAX} {OAX MOAX POAX MPOAX}
+{MOX MOAX MPOAX} {MOX OAX MOAX POAX MPOAX}
+{MOX MOAX MPOAX} {MX MOX OAX MOAX POAX MPOAX}
+{MOX MOAX MPOAX} {OX MOX OAX MOAX POAX MPOAX}
+{MOX MOAX MPOAX} {MX OX MOX OAX MOAX POAX MPOAX}
+{MOX MOAX MPOAX} {X MX OX MOX OAX MOAX POAX MPOAX}
+{MOAX POAX MPOAX} {MX MOX MOAX MPOAX}
+{MOAX POAX MPOAX} {MX MOX MOAX POAX MPOAX}
+{MOAX POAX MPOAX} {MX MOX OAX MOAX POAX MPOAX}
+{MOAX POAX MPOAX} {OX MOX OAX MOAX POAX MPOAX}
+{MOAX POAX MPOAX} {MX OX MOX OAX MOAX POAX MPOAX}
+{MOAX POAX MPOAX} {X MX OX MOX OAX MOAX POAX MPOAX}
+{MX MOX MOAX MPOAX} {MOX MOAX POAX MPOAX}
+{MX MOX MOAX MPOAX} {OAX MOAX POAX MPOAX}
+{MX MOX MOAX MPOAX} {MX MOX MOAX POAX MPOAX}
+{MX MOX MOAX MPOAX} {MOX OAX MOAX POAX MPOAX}
+{MX MOX MOAX MPOAX} {MX MOX OAX MOAX POAX MPOAX}
+{MX MOX MOAX MPOAX} {OX MOX OAX MOAX POAX MPOAX}
+{MX MOX MOAX MPOAX} {MX OX MOX OAX MOAX POAX MPOAX}
+{MX MOX MOAX MPOAX} {X MX OX MOX OAX MOAX POAX MPOAX}
+{MOX MOAX POAX MPOAX} {OAX MOAX POAX MPOAX}
+{MOX MOAX POAX MPOAX} {MX MOX MOAX POAX MPOAX}
+{MOX MOAX POAX MPOAX} {MOX OAX MOAX POAX MPOAX}
+{MOX MOAX POAX MPOAX} {MX MOX OAX MOAX POAX MPOAX}
+{MOX MOAX POAX MPOAX} {OX MOX OAX MOAX POAX MPOAX}
+{MOX MOAX POAX MPOAX} {MX OX MOX OAX MOAX POAX MPOAX}
+{MOX MOAX POAX MPOAX} {X MX OX MOX OAX MOAX POAX MPOAX}
+{OAX MOAX POAX MPOAX} {MX MOX MOAX POAX MPOAX}
+{OAX MOAX POAX MPOAX} {MOX OAX MOAX POAX MPOAX}
+{OAX MOAX POAX MPOAX} {MX MOX OAX MOAX POAX MPOAX}
+{OAX MOAX POAX MPOAX} {OX MOX OAX MOAX POAX MPOAX}
+{OAX MOAX POAX MPOAX} {MX OX MOX OAX MOAX POAX MPOAX}
+{OAX MOAX POAX MPOAX} {X MX OX MOX OAX MOAX POAX MPOAX}
+{MX MOX MOAX POAX MPOAX}^2
+{MX MOX MOAX POAX MPOAX} {MOX OAX MOAX POAX MPOAX}
+{MX MOX MOAX POAX MPOAX} {MX MOX OAX MOAX POAX MPOAX}
+{MX MOX MOAX POAX MPOAX} {OX MOX OAX MOAX POAX MPOAX}
+{MX MOX MOAX POAX MPOAX} {MX OX MOX OAX MOAX POAX MPOAX}
+{MX MOX MOAX POAX MPOAX} {X MX OX MOX OAX MOAX POAX MPOAX}
+{MOX OAX MOAX POAX MPOAX}^2
+{MOX OAX MOAX POAX MPOAX} {MX MOX OAX MOAX POAX MPOAX}
+{MOX OAX MOAX POAX MPOAX} {OX MOX OAX MOAX POAX MPOAX}
+{MOX OAX MOAX POAX MPOAX} {MX OX MOX OAX MOAX POAX MPOAX}
+{MOX OAX MOAX POAX MPOAX} {X MX OX MOX OAX MOAX POAX MPOAX}
+{MX MOX OAX MOAX POAX MPOAX}^2
+{MX MOX OAX MOAX POAX MPOAX} {OX MOX OAX MOAX POAX MPOAX}
+{MX MOX OAX MOAX POAX MPOAX} {MX OX MOX OAX MOAX POAX MPOAX}
+{MX MOX OAX MOAX POAX MPOAX} {X MX OX MOX OAX MOAX POAX MPOAX}
+{OX MOX OAX MOAX POAX MPOAX}^2
+{OX MOX OAX MOAX POAX MPOAX} {MX OX MOX OAX MOAX POAX MPOAX}
+{OX MOX OAX MOAX POAX MPOAX} {X MX OX MOX OAX MOAX POAX MPOAX}
+{MX OX MOX OAX MOAX POAX MPOAX}^2
+{MX OX MOX OAX MOAX POAX MPOAX} {X MX OX MOX OAX MOAX POAX MPOAX}
+{X MX OX MOX OAX MOAX POAX MPOAX}^2"#;
+
+const PI_D4_A3_X1_RR: &str = r#"N (degree 4):
+{MPOAX} {MOX MOAX MPOAX} {MX OX MOX OAX MOAX POAX MPOAX}^2
+{MPOAX} {MOX OAX MOAX POAX MPOAX}^2 {MX OX MOX OAX MOAX POAX MPOAX}
+{MOAX MPOAX}^2 {MX MOX OAX MOAX POAX MPOAX} {X MX OX MOX OAX MOAX POAX MPOAX}
+{MOAX MPOAX} {MOAX POAX MPOAX} {MOX OAX MOAX POAX MPOAX} {MX OX MOX OAX MOAX POAX MPOAX}
+{MOAX MPOAX} {MOX MOAX POAX MPOAX}^2 {MX OX MOX OAX MOAX POAX MPOAX}
+{MOAX MPOAX} {MX MOX OAX MOAX POAX MPOAX}^3
+{POAX MPOAX} {OX MOX OAX MOAX POAX MPOAX}^3
+{MOX MOAX MPOAX}^2 {MX MOX MOAX POAX MPOAX} {MX OX MOX OAX MOAX POAX MPOAX}
+{MOAX POAX MPOAX}^2 {MOX OAX MOAX POAX MPOAX} {OX MOX OAX MOAX POAX MPOAX}
+{MOAX POAX MPOAX} {MOX OAX MOAX POAX MPOAX}^3
+{MX MOX MOAX MPOAX}^3 {X MX OX MOX OAX MOAX POAX MPOAX}
+{MOX MOAX POAX MPOAX}^3 {OX MOX OAX MOAX POAX MPOAX}
+{OAX MOAX POAX MPOAX}^3 {X MX OX MOX OAX MOAX POAX MPOAX}
+
+E:
+{MPOAX} {X MX OX MOX OAX MOAX POAX MPOAX}
+{MOAX MPOAX} {OX MOX OAX MOAX POAX MPOAX}
+{MOAX MPOAX} {MX OX MOX OAX MOAX POAX MPOAX}
+{MOAX MPOAX} {X MX OX MOX OAX MOAX POAX MPOAX}
+{POAX MPOAX} {MX MOX MOAX MPOAX}
+{POAX MPOAX} {MX MOX MOAX POAX MPOAX}
+{POAX MPOAX} {MX MOX OAX MOAX POAX MPOAX}
+{POAX MPOAX} {MX OX MOX OAX MOAX POAX MPOAX}
+{POAX MPOAX} {X MX OX MOX OAX MOAX POAX MPOAX}
+{MOX MOAX MPOAX} {OAX MOAX POAX MPOAX}
+{MOX MOAX MPOAX} {MOX OAX MOAX POAX MPOAX}
+{MOX MOAX MPOAX} {MX MOX OAX MOAX POAX MPOAX}
+{MOX MOAX MPOAX} {OX MOX OAX MOAX POAX MPOAX}
+{MOX MOAX MPOAX} {MX OX MOX OAX MOAX POAX MPOAX}
+{MOX MOAX MPOAX} {X MX OX MOX OAX MOAX POAX MPOAX}
+{MOAX POAX MPOAX} {MX MOX MOAX MPOAX}
+{MOAX POAX MPOAX} {MX MOX MOAX POAX MPOAX}
+{MOAX POAX MPOAX} {MX MOX OAX MOAX POAX MPOAX}
+{MOAX POAX MPOAX} {OX MOX OAX MOAX POAX MPOAX}
+{MOAX POAX MPOAX} {MX OX MOX OAX MOAX POAX MPOAX}
+{MOAX POAX MPOAX} {X MX OX MOX OAX MOAX POAX MPOAX}
+{MX MOX MOAX MPOAX} {MOX MOAX POAX MPOAX}
+{MX MOX MOAX MPOAX} {OAX MOAX POAX MPOAX}
+{MX MOX MOAX MPOAX} {MX MOX MOAX POAX MPOAX}
+{MX MOX MOAX MPOAX} {MOX OAX MOAX POAX MPOAX}
+{MX MOX MOAX MPOAX} {MX MOX OAX MOAX POAX MPOAX}
+{MX MOX MOAX MPOAX} {OX MOX OAX MOAX POAX MPOAX}
+{MX MOX MOAX MPOAX} {MX OX MOX OAX MOAX POAX MPOAX}
+{MX MOX MOAX MPOAX} {X MX OX MOX OAX MOAX POAX MPOAX}
+{MOX MOAX POAX MPOAX} {OAX MOAX POAX MPOAX}
+{MOX MOAX POAX MPOAX} {MX MOX MOAX POAX MPOAX}
+{MOX MOAX POAX MPOAX} {MOX OAX MOAX POAX MPOAX}
+{MOX MOAX POAX MPOAX} {MX MOX OAX MOAX POAX MPOAX}
+{MOX MOAX POAX MPOAX} {OX MOX OAX MOAX POAX MPOAX}
+{MOX MOAX POAX MPOAX} {MX OX MOX OAX MOAX POAX MPOAX}
+{MOX MOAX POAX MPOAX} {X MX OX MOX OAX MOAX POAX MPOAX}
+{OAX MOAX POAX MPOAX} {MX MOX MOAX POAX MPOAX}
+{OAX MOAX POAX MPOAX} {MOX OAX MOAX POAX MPOAX}
+{OAX MOAX POAX MPOAX} {MX MOX OAX MOAX POAX MPOAX}
+{OAX MOAX POAX MPOAX} {OX MOX OAX MOAX POAX MPOAX}
+{OAX MOAX POAX MPOAX} {MX OX MOX OAX MOAX POAX MPOAX}
+{OAX MOAX POAX MPOAX} {X MX OX MOX OAX MOAX POAX MPOAX}
+{MX MOX MOAX POAX MPOAX}^2
+{MX MOX MOAX POAX MPOAX} {MOX OAX MOAX POAX MPOAX}
+{MX MOX MOAX POAX MPOAX} {MX MOX OAX MOAX POAX MPOAX}
+{MX MOX MOAX POAX MPOAX} {OX MOX OAX MOAX POAX MPOAX}
+{MX MOX MOAX POAX MPOAX} {MX OX MOX OAX MOAX POAX MPOAX}
+{MX MOX MOAX POAX MPOAX} {X MX OX MOX OAX MOAX POAX MPOAX}
+{MOX OAX MOAX POAX MPOAX}^2
+{MOX OAX MOAX POAX MPOAX} {MX MOX OAX MOAX POAX MPOAX}
+{MOX OAX MOAX POAX MPOAX} {OX MOX OAX MOAX POAX MPOAX}
+{MOX OAX MOAX POAX MPOAX} {MX OX MOX OAX MOAX POAX MPOAX}
+{MOX OAX MOAX POAX MPOAX} {X MX OX MOX OAX MOAX POAX MPOAX}
+{MX MOX OAX MOAX POAX MPOAX}^2
+{MX MOX OAX MOAX POAX MPOAX} {OX MOX OAX MOAX POAX MPOAX}
+{MX MOX OAX MOAX POAX MPOAX} {MX OX MOX OAX MOAX POAX MPOAX}
+{MX MOX OAX MOAX POAX MPOAX} {X MX OX MOX OAX MOAX POAX MPOAX}
+{OX MOX OAX MOAX POAX MPOAX}^2
+{OX MOX OAX MOAX POAX MPOAX} {MX OX MOX OAX MOAX POAX MPOAX}
+{OX MOX OAX MOAX POAX MPOAX} {X MX OX MOX OAX MOAX POAX MPOAX}
+{MX OX MOX OAX MOAX POAX MPOAX}^2
+{MX OX MOX OAX MOAX POAX MPOAX} {X MX OX MOX OAX MOAX POAX MPOAX}
+{X MX OX MOX OAX MOAX POAX MPOAX}^2"#;
