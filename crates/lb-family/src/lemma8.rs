@@ -273,12 +273,12 @@ impl Lemma8Machinery {
 
 /// Sweeps Lemma 8 verification over all valid `(a, x)` for one `Δ`,
 /// sharded over the session's workers: the `(a, x)` parameter points are
-/// distributed across the workers (uneven point costs are balanced by
-/// work stealing), each point's `R̄` computation itself uses the session
-/// pool when it is the first to reach it, and every point's engine calls
-/// share the session's sub-multiset index cache. Reports come back in
-/// sweep order — byte-identical at any thread count. Exponential in Δ —
-/// keep `Δ ≤ 5`.
+/// handed out one at a time in sweep order (so uneven point costs
+/// balance), each point's `R̄` step runs inline on the participant that
+/// took the point (the sweep already holds the pool), and every point's
+/// engine calls share the session's sub-multiset index cache. Reports
+/// come back in sweep order — byte-identical at any thread count.
+/// Exponential in Δ — keep `Δ ≤ 5`.
 ///
 /// # Errors
 ///

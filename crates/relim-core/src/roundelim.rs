@@ -33,12 +33,13 @@
 //! `R̄∘R` are reached only through the session, [`crate::engine::Engine`],
 //! which owns the pool handle and the long-lived
 //! [`crate::iterate::SubIndexCache`] the `R̄` side's sub-multiset index is
-//! served from. Underneath, the `R̄` enumeration splits its DFS at the top
-//! candidate level into stealable subtree tasks over the persistent worker
-//! set (task payloads are `Arc`-owned, so no threads are spawned per
-//! call). Results are concatenated in canonical order, so the output is
-//! **byte-identical** at any thread count; a width-1 session runs every
-//! batch inline on the calling thread. The brute-force oracles at the end
+//! served from. Underneath, each `R̄` step submits one pool batch: its
+//! enumeration's DFS split at the top candidate level into one subtree
+//! task per starting candidate, run by the persistent worker set in
+//! candidate order (task payloads are `Arc`-owned, so no threads are
+//! spawned per call). Results are concatenated in canonical order, so
+//! the output is **byte-identical** at any thread count; a width-1
+//! session runs every batch inline on the calling thread. The brute-force oracles at the end
 //! of this module ([`dominance_filter_reference`],
 //! [`r_step_edge_bruteforce`], [`rbar_step_node_bruteforce`]) are what the
 //! differential suites check the session against.
@@ -321,11 +322,12 @@ pub(crate) fn derive_sides(
 /// calls on a warm worker allocate only for the output vector.
 ///
 /// On a pool wider than one thread the DFS is split at the top candidate
-/// level into one stealable subtree task per starting candidate,
-/// submitted to the persistent worker set (candidates and index are
-/// `Arc`-shared with the `'static` tasks). Subtree outputs are
-/// concatenated in candidate order, which is exactly the inline DFS
-/// emission order — output is byte-identical at any thread count.
+/// level into one subtree task per starting candidate, submitted to the
+/// persistent worker set as one batch whose participants take the
+/// candidates in order (candidates and index are `Arc`-shared with the
+/// `'static` tasks). Subtree outputs are concatenated in candidate
+/// order, which is exactly the inline DFS emission order — output is
+/// byte-identical at any thread count.
 pub(crate) fn forall_multisets(
     cands: &[LabelSet],
     delta: u32,

@@ -1,12 +1,12 @@
-//! # relim-pool — a persistent work-stealing thread pool (std-only)
+//! # relim-pool — a persistent thread pool with one task cursor per batch (std-only)
 //!
-//! The round elimination engine's hot paths (the universal sides of `R(·)`
-//! and `R̄(·)`, the Lemma 8 parameter sweeps, the bench grids) are
+//! The round elimination engine's hot paths (the universal side of
+//! `R̄(·)`, the Lemma 6 and Lemma 8 parameter sweeps, the bench grids) are
 //! embarrassingly parallel at coarse granularity but with *wildly* uneven
 //! task sizes: one DFS subtree or one `(a, x)` parameter point can cost
 //! orders of magnitude more than its neighbours. A fixed block split
-//! therefore wastes most of the hardware; this crate provides load
-//! balancing by work stealing instead.
+//! therefore wastes most of the hardware; this crate balances load by
+//! handing out tasks one at a time instead.
 //!
 //! Like the `vendor/` shims, it is dependency-free by necessity (the build
 //! environment has no crates.io route), so the pool is built from `std`
@@ -14,40 +14,39 @@
 //!
 //! ## Persistent worker set
 //!
-//! Round elimination submits *thousands* of micro-batches per fixed-point
-//! search (one per `R̄` DFS level, one per sweep point), so spawning
-//! workers per call would make the spawn cost the hot path. Instead the
-//! crate keeps one **process-wide worker set**, created lazily on the
-//! first parallel batch and grown on demand up to the widest pool ever
-//! requested (bounded by [`MAX_WORKERS`]). Idle workers park on a
-//! condition variable; there is no explicit shutdown — parked threads cost
-//! nothing and die with the process.
+//! Round elimination submits one batch per `R̄` step (the DFS split at its
+//! top candidate level) and one per sweep, many times per fixed-point
+//! search and per served request, so spawning workers per call would make
+//! the spawn cost the hot path. Instead the crate keeps one
+//! **process-wide worker set**, created lazily on the first parallel batch
+//! and grown on demand up to the widest pool ever requested (bounded by
+//! [`MAX_WORKERS`]). Idle workers park on a condition variable; there is
+//! no explicit shutdown — parked threads cost nothing and die with the
+//! process.
 //!
 //! Work reaches the workers through a **submission queue** of batches:
 //! [`Pool::map_owned`] / [`Pool::try_map_owned`] take `'static` task
 //! payloads (the items and the closure are *owned* by the batch — use
 //! `Arc` for shared context instead of borrows) and push one batch onto
-//! the queue. Each batch carries per-virtual-worker deques seeded with
-//! contiguous index blocks; participants (the submitting thread plus any
-//! idle persistent workers) pop their own deque from the front and
-//! **steal half** of the largest other deque when empty. Results return
-//! to the submitter through a per-batch [`std::sync::mpsc`] channel.
-//!
-//! The owned entry points are the *only* entry points: the scoped
-//! borrowed-input shim (`Pool::map`/`try_map`, which spawned scoped
-//! threads per call) is gone — every call site converted to owned
-//! submission, and the round elimination `Engine` session in `relim-core`
-//! is the one consumer that hands this crate to the rest of the system.
+//! the queue. Each batch carries **one atomic cursor**: participants (the
+//! submitting thread plus any idle persistent workers, at most one per
+//! slot of the pool's width) take the next unstarted index with
+//! `fetch_add` and run it, until the cursor passes the last item. Tasks
+//! therefore start in input order, and a participant stuck on a heavy
+//! task never holds back unstarted work. Results return to the submitter
+//! through a per-batch [`std::sync::mpsc`] channel.
 //!
 //! ## Determinism
 //!
-//! Results are collected as `(index, value)` pairs and re-sorted by index
-//! before returning, so `map`/`map_owned` output is **byte-identical at
-//! any thread count** — the invariant the engine's differential tests
-//! enforce. Only the *schedule* is nondeterministic; the result never is.
-//! How many persistent workers actually join a batch (zero is possible
-//! when they are busy — the submitter always participates and can drain
-//! the batch alone) affects wall-clock only, never output.
+//! Each index is handed out exactly once (`fetch_add` returns every value
+//! once), and results are collected as `(index, value)` pairs and
+//! re-sorted by index before returning, so `map_owned` output is
+//! **byte-identical at any thread count** — the invariant the engine's
+//! differential tests enforce. Only the *schedule* is nondeterministic;
+//! the result never is. How many persistent workers actually join a batch
+//! (zero is possible when they are busy — the submitter always
+//! participates and can drain the batch alone) affects wall-clock only,
+//! never output.
 //!
 //! ## Panics — pinned semantics
 //!
@@ -71,14 +70,13 @@
 
 use std::any::Any;
 use std::cell::Cell;
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
 
 /// Upper bound on the persistent worker set. Batches may request wider
-/// pools; work stealing lets fewer participants drain any batch, so the
-/// cap changes wall-clock only, never output.
+/// pools; the shared cursor lets fewer participants drain any batch, so
+/// the cap changes wall-clock only, never output.
 pub const MAX_WORKERS: usize = 64;
 
 /// A panic payload carried from a worker back to the submitting thread.
@@ -238,8 +236,9 @@ impl Pool {
         let batch: Arc<BatchState<T, R, F>> = Arc::new(BatchState {
             items,
             f,
-            queues: seed_queues(n, workers),
+            next: AtomicUsize::new(0),
             claims: AtomicUsize::new(0),
+            slots: workers,
             results: Mutex::new(tx),
         });
 
@@ -296,41 +295,32 @@ impl Default for Pool {
     }
 }
 
-/// One deque per virtual worker, seeded with a contiguous block of item
-/// indices (the sequential order, so steals preserve locality).
-fn seed_queues(n: usize, workers: usize) -> Vec<Mutex<VecDeque<usize>>> {
-    (0..workers)
-        .map(|w| {
-            let lo = w * n / workers;
-            let hi = (w + 1) * n / workers;
-            Mutex::new((lo..hi).collect())
-        })
-        .collect()
-}
-
 /// The object-safe face of a submitted batch, as seen by the persistent
 /// workers.
 trait Batch: Send + Sync {
-    /// Claims a virtual-worker slot and runs tasks (own deque first,
-    /// stealing when empty) until the batch is drained. Returns `false`
-    /// without doing work when every slot is already claimed.
+    /// Claims a participant slot and runs the next unstarted task until
+    /// the batch's cursor passes its last item. Returns `false` without
+    /// doing work when every slot is already claimed.
     fn participate(&self) -> bool;
 
     /// Whether another idle worker could still contribute: an unclaimed
-    /// slot remains and some deque is non-empty.
+    /// slot remains and some task is unstarted.
     fn wants_workers(&self) -> bool;
 }
 
-/// A submitted batch: the owned payload, the per-virtual-worker deques,
-/// and the result channel back to the submitter.
+/// A submitted batch: the owned payload, the task cursor, and the result
+/// channel back to the submitter.
 struct BatchState<T, R, F> {
     items: Vec<T>,
     f: F,
-    queues: Vec<Mutex<VecDeque<usize>>>,
-    /// Next virtual-worker slot to hand out; beyond `queues.len()`, late
-    /// arrivals are turned away (the claimed participants drain the rest
-    /// by stealing).
+    /// Index of the next unstarted task; at or past `items.len()` every
+    /// task has been handed out.
+    next: AtomicUsize,
+    /// Participant slots handed out so far; beyond `slots`, late arrivals
+    /// are turned away.
     claims: AtomicUsize,
+    /// How many participants (the submitter included) may run the batch.
+    slots: usize,
     /// Per-batch result channel. `Sender` is `Send` but not `Sync`, so
     /// participants clone their own handle under this lock.
     results: Mutex<mpsc::Sender<(usize, Result<R, Payload>)>>,
@@ -343,19 +333,18 @@ where
     F: Fn(&T) -> R + Send + Sync,
 {
     fn participate(&self) -> bool {
-        let w = self.claims.fetch_add(1, Ordering::Relaxed);
-        if w >= self.queues.len() {
+        if self.claims.fetch_add(1, Ordering::Relaxed) >= self.slots {
             return false;
         }
         let tx = self.results.lock().expect("pool batch channel poisoned").clone();
         let was_worker = IN_WORKER.with(|g| g.replace(true));
         loop {
-            let idx = pop_own(&self.queues[w]).or_else(|| steal_into(&self.queues, w));
-            let Some(i) = idx else { break };
+            let i = self.next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = self.items.get(i) else { break };
             // Task panics are caught at the task boundary: the worker (and
             // the pool) survive, and the submitter re-raises the payload
             // deterministically once the batch drains.
-            let result = catch_unwind(AssertUnwindSafe(|| (self.f)(&self.items[i])));
+            let result = catch_unwind(AssertUnwindSafe(|| (self.f)(item)));
             // A send error means the submitter is gone (it panicked out of
             // its recv loop); finishing quietly is all we can do.
             let _ = tx.send((i, result));
@@ -365,8 +354,8 @@ where
     }
 
     fn wants_workers(&self) -> bool {
-        self.claims.load(Ordering::Relaxed) < self.queues.len()
-            && self.queues.iter().any(|q| !q.lock().expect("pool queue poisoned").is_empty())
+        self.claims.load(Ordering::Relaxed) < self.slots
+            && self.next.load(Ordering::Relaxed) < self.items.len()
     }
 }
 
@@ -421,7 +410,7 @@ impl Registry {
         }
         // Wake only as many parked workers as the batch can seat —
         // notify_all would stampede the whole set through the registry
-        // lock for every micro-batch. A worker woken for a batch that
+        // lock for every batch. A worker woken for a batch that
         // filled up meanwhile simply re-parks.
         for _ in 0..extra.min(MAX_WORKERS) {
             self.work_ready.notify_one();
@@ -462,45 +451,6 @@ fn spawn_worker(ordinal: usize) -> bool {
             }
         })
         .is_ok()
-}
-
-/// Pops the front of the worker's own deque.
-fn pop_own(queue: &Mutex<VecDeque<usize>>) -> Option<usize> {
-    queue.lock().expect("pool queue poisoned").pop_front()
-}
-
-/// Steals the back half of the largest foreign deque into `queues[w]`,
-/// returning one stolen index to run immediately. Returns `None` only
-/// after a full snapshot pass observes every foreign deque empty — a
-/// victim drained between snapshot and lock triggers a retry, not an
-/// early exit (a worker leaving while uneven work remains elsewhere would
-/// silently degrade the pool toward sequential).
-fn steal_into(queues: &[Mutex<VecDeque<usize>>], w: usize) -> Option<usize> {
-    loop {
-        // Pick the victim with the most queued work (snapshot lengths
-        // first so only one foreign lock is held while splitting).
-        let victim = queues
-            .iter()
-            .enumerate()
-            .filter(|&(v, _)| v != w)
-            .map(|(v, q)| (v, q.lock().expect("pool queue poisoned").len()))
-            .filter(|&(_, len)| len > 0)
-            .max_by_key(|&(_, len)| len)?
-            .0;
-        let mut stolen = {
-            let mut q = queues[victim].lock().expect("pool queue poisoned");
-            let keep = q.len() - q.len().div_ceil(2);
-            q.split_off(keep)
-        };
-        let Some(first) = stolen.pop_front() else {
-            // Raced: the victim drained before we locked it. Re-snapshot.
-            continue;
-        };
-        if !stolen.is_empty() {
-            queues[w].lock().expect("pool queue poisoned").append(&mut stolen);
-        }
-        return Some(first);
-    }
 }
 
 #[cfg(test)]

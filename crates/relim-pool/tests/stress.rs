@@ -1,11 +1,12 @@
-//! Stress tests for the persistent work-stealing pool: oversubscription,
-//! nested submission, degenerate shapes, concurrent submitters, and the
-//! pinned panic semantics (workers survive; the submitter re-raises the
-//! lowest-indexed payload deterministically).
+//! Stress tests for the persistent pool: oversubscription, nested
+//! submission, degenerate shapes, concurrent submitters, the input-order
+//! task cursor, and the pinned panic semantics (workers survive; the
+//! submitter re-raises the lowest-indexed payload deterministically).
 
 use relim_pool::Pool;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 /// Tasks ≫ workers: a 4-wide pool must drain a 20k-task batch exactly
 /// once per task, in input order, and stay reusable afterwards.
@@ -36,6 +37,38 @@ fn more_workers_than_tasks() {
     let pool = Pool::new(32);
     let got = pool.map_owned(vec![10u32, 20, 30], |&x| x + 1);
     assert_eq!(got, vec![11, 21, 31]);
+}
+
+/// Tasks start in input order: every participant takes the next
+/// unstarted index from the batch's one cursor. Item 0 records its start
+/// and then holds its participant until a second item has started, so the
+/// other participant's first task shows; a contiguous split per
+/// participant would start item 4 there. The other items wait for item 0
+/// to start before recording, so the record order is the order in which
+/// the indices were taken. Every wait gives up after 5 s; a worker that
+/// never joins (busy with another test's batch) leaves the submitter to
+/// run the batch alone, in order.
+#[test]
+fn tasks_start_in_input_order() {
+    const WAIT: Duration = Duration::from_secs(5);
+    let starts = Arc::new((Mutex::new(Vec::new()), Condvar::new()));
+    let starts2 = Arc::clone(&starts);
+    let got = Pool::new(2).map_owned((0..8usize).collect(), move |&i| {
+        let (lock, started) = &*starts2;
+        let mut seen = lock.lock().unwrap();
+        if i != 0 {
+            seen = started.wait_timeout_while(seen, WAIT, |s| s.is_empty()).unwrap().0;
+        }
+        seen.push(i);
+        started.notify_all();
+        if i == 0 {
+            drop(started.wait_timeout_while(seen, WAIT, |s| s.len() < 2).unwrap());
+        }
+        i
+    });
+    assert_eq!(got, (0..8).collect::<Vec<usize>>());
+    let starts = starts.0.lock().unwrap();
+    assert_eq!(starts[..2], [0, 1], "start order {starts:?}");
 }
 
 /// Nested submission: tasks of an outer batch submit their own batches.
@@ -151,8 +184,8 @@ fn concurrent_submitters_share_the_worker_set() {
     }
 }
 
-/// Skewed task sizes drain fully under stealing: the heavy head of the
-/// batch must not leave the tail stranded when participants exit early.
+/// Skewed task sizes drain fully: the heavy head of the batch must not
+/// leave the tail stranded when participants exit early.
 #[test]
 fn skewed_batches_drain_completely() {
     let pool = Pool::new(8);

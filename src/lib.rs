@@ -18,7 +18,7 @@
 //!   disk-persistent result store and a JSON-lines TCP protocol. The
 //!   [`Client`] type (re-exported at this root) is the programmatic way
 //!   to talk to a running `relim serve` daemon,
-//! * [`pool`] — the work-stealing thread pool underneath (`relim-pool`);
+//! * [`pool`] — the persistent thread pool underneath (`relim-pool`);
 //!   the `Engine` session owns the pool handle, so downstream code
 //!   normally never touches this crate directly.
 //!

@@ -1,7 +1,7 @@
 //! Differential property tests for the round-elimination `Engine`
 //! sessions: at thread counts 1, 2 and 8, with session memoization on and
 //! off, every `Engine` method must produce **byte-identical** output to
-//! the reference — the determinism invariant the work-stealing pool
+//! the reference — the determinism invariant the persistent pool
 //! promises (results are collected and canonically re-sorted, so the
 //! schedule can never leak into the output) composed with the cache
 //! invariant (a sub-multiset index served from the session cache is a
