@@ -12,9 +12,8 @@
 //! them **exactly** (unlike `wall_ns`, which is tolerated).
 //!
 //! The allocator is installed only when the `count-alloc` feature is on
-//! (default). The counters use relaxed atomics: the probes that read them
-//! run single-threaded, and even under concurrency a relaxed count is
-//! exact — only the attribution window would blur.
+//! (default). The counters use relaxed atomics: even under concurrency a
+//! relaxed count is exact — only the attribution window would blur.
 //!
 //! This is the one deliberately `unsafe`-touching corner of the
 //! workspace: a [`GlobalAlloc`] impl cannot be written without `unsafe`,
@@ -70,10 +69,11 @@ pub fn enabled() -> bool {
 
 /// Runs `f` and returns `(result, allocations, bytes)` performed by it.
 ///
-/// The deltas are exact for single-threaded `f` (the probe configuration:
-/// sequential engines, no live worker traffic); concurrent allocations by
-/// other threads would be attributed to the window, so probes must not
-/// overlap thread activity.
+/// Allocations by every thread count, so the deltas are exact when only
+/// `f`'s own work runs meanwhile: a sequential engine, or a pool batch
+/// whose persistent worker has already run (see `pool_batch_w2`).
+/// Concurrent allocations by unrelated threads would be attributed to
+/// the window, so probes must not overlap other thread activity.
 pub fn measure<R>(f: impl FnOnce() -> R) -> (R, u64, u64) {
     let count0 = ALLOC_COUNT.load(Ordering::Relaxed);
     let bytes0 = ALLOC_BYTES.load(Ordering::Relaxed);

@@ -171,8 +171,8 @@ const TIMING_KEYS: [&str; 5] = ["wall_ns", "min_ns", "max_ns", "speedup", "avail
 /// Kernels whose committed `engine_report.alloc_count` is the per-call
 /// allocation budget enforced by `bench-driver --alloc-gate` (the ROADMAP
 /// "allocation-free hot loop" acceptance kernels).
-pub const ALLOC_GATE_KERNELS: [&str; 3] =
-    ["rbar_step_pi_d5_a4_x1", "iterate_rr_mis_d3", "lemma8_sweep_d4"];
+pub const ALLOC_GATE_KERNELS: [&str; 4] =
+    ["rbar_step_pi_d5_a4_x1", "iterate_rr_mis_d3", "lemma8_sweep_d4", "pool_batch_w2"];
 
 /// Schema-checks a parsed `BENCH_relim.json`: schema tag, header keys,
 /// per-entry/run key presence, and the byte-identity assertions

@@ -4,7 +4,7 @@
 //! Runs the engine's hot kernels through a sequential session and through
 //! a session at the requested pool width, asserts the parallel outputs
 //! are **byte-identical** to the sequential ones, prints a wall-clock
-//! table, and writes `BENCH_relim.json` (schema `bench-relim/3`, see
+//! table, and writes `BENCH_relim.json` (schema `bench-relim/4`, see
 //! `bench::baseline`). The `engine_session_reuse` kernel additionally
 //! compares a shared session cache against per-call fresh caches on the
 //! `autolb` workload; `store_roundtrip` and `service_cold_vs_warm` cover
@@ -36,10 +36,11 @@
 //!   non-timing fields must match exactly (timing fields may drift).
 //!   Exits non-zero on any problem — the CI perf-schema regression gate.
 //! * `--alloc-gate` — re-measure the pinned hot-loop kernels
-//!   (`rbar_step_pi_d5_a4_x1`, `iterate_rr_mis_d3`, `lemma8_sweep_d4`)
-//!   under the counting allocator and fail if any exceeds the per-call
-//!   allocation budget committed in the baseline's
-//!   `engine_report.alloc_count` — the CI allocation-regression gate.
+//!   (`rbar_step_pi_d5_a4_x1`, `iterate_rr_mis_d3`, `lemma8_sweep_d4`,
+//!   and the width-2 pool batch `pool_batch_w2`) under the counting
+//!   allocator and fail if any exceeds the per-call allocation budget
+//!   committed in the baseline's `engine_report.alloc_count` — the CI
+//!   allocation-regression gate.
 
 mod alloc_count;
 
@@ -173,7 +174,7 @@ fn fresh(engine: &Engine, memoize: bool) -> Engine {
 /// (`snapshot_pairs` excludes `wall_ns`). With the counting allocator
 /// installed, the probe's exact `alloc_count`/`alloc_bytes` deltas are
 /// appended — also deterministic (same code, same input, same
-/// allocations; probes run single-threaded after the timed samples, so
+/// allocations; probes run after the timed samples, so
 /// lazily-initialized thread-locals are already warm).
 fn probe_report(engine: Engine, run: impl FnOnce(&Engine)) -> Option<Vec<(String, i64)>> {
     let ((), allocs, bytes) = alloc_count::measure(|| run(&engine));
@@ -190,10 +191,45 @@ fn probe_report(engine: Engine, run: impl FnOnce(&Engine)) -> Option<Vec<(String
     Some(pairs)
 }
 
-/// A named, boxed hot-loop workload for the allocation gate. The engine
-/// is passed in (fresh per call, built *outside* the measured region) so
-/// the gate's measurement boundary is identical to [`probe_report`]'s.
-type GateKernel = (&'static str, Box<dyn Fn(&Engine)>);
+/// A named, boxed hot-loop workload for the allocation gate, with the
+/// session width it runs at. The engine is passed in (fresh per call,
+/// built *outside* the measured region) so the gate's measurement
+/// boundary is identical to [`probe_report`]'s.
+type GateKernel = (&'static str, usize, Box<dyn Fn(&Engine)>);
+
+/// Width of the `pool_batch_w2` kernel's session.
+const POOL_BATCH_WIDTH: usize = 2;
+
+/// The `pool_batch_w2` kernel: one batch of 64 allocation-free tasks, so
+/// on a width-2 session its allocations are the pool's own per-batch
+/// cost (the items, the result slots and the batch itself), whichever
+/// participant runs which task.
+fn pool_batch(engine: &Engine) -> Vec<u64> {
+    engine.map_owned((0..64).collect(), |&x: &u64| x.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+}
+
+/// Makes sure the persistent worker a width-2 batch wakes has run: task 0
+/// waits (at most 5 s) until a second task has started, which only a
+/// second participant can do. A freshly spawned worker allocates once
+/// more when its thread first runs (a copy of its name), and a batch
+/// measured before that would count it.
+fn warm_pool_worker() {
+    use std::sync::{Arc, Condvar, Mutex};
+    let started = Arc::new((Mutex::new(0usize), Condvar::new()));
+    Engine::builder().threads(POOL_BATCH_WIDTH).build().map_owned(
+        (0..POOL_BATCH_WIDTH).collect(),
+        move |&i: &usize| {
+            let (count, changed) = &*started;
+            let mut count = count.lock().expect("warm-up lock");
+            *count += 1;
+            changed.notify_all();
+            if i == 0 {
+                let wait = std::time::Duration::from_secs(5);
+                drop(changed.wait_timeout_while(count, wait, |n| *n < 2).expect("warm-up lock"));
+            }
+        },
+    );
+}
 
 /// The allocation-budget gate: re-measures the pinned hot-loop kernels
 /// under the counting allocator and fails if any performs more
@@ -233,12 +269,14 @@ fn run_alloc_gate(committed: &std::path::Path) -> Result<(), String> {
     let kernels: Vec<GateKernel> = vec![
         (
             "rbar_step_pi_d5_a4_x1",
+            1,
             Box::new(move |e: &Engine| {
                 let _ = e.rbar_step(&rbar_input).expect("rbar");
             }),
         ),
         (
             "iterate_rr_mis_d3",
+            1,
             Box::new(move |e: &Engine| {
                 let _ = e.iterate_with_limits(&mis, 10, 20);
             }),
@@ -246,18 +284,30 @@ fn run_alloc_gate(committed: &std::path::Path) -> Result<(), String> {
         (
             // The `--quick` sweep: a fresh sub-multiset index per point.
             "lemma8_sweep_d4",
+            1,
             Box::new(|e: &Engine| {
                 let _ = lemma8::verify_sweep(4, e).expect("sweep");
+            }),
+        ),
+        (
+            "pool_batch_w2",
+            POOL_BATCH_WIDTH,
+            Box::new(|e: &Engine| {
+                let _ = pool_batch(e);
             }),
         ),
     ];
 
     let mut failures = Vec::new();
     println!("{:<28} {:>14} {:>14} {:>8}", "kernel", "alloc_count", "budget", "status");
-    for (id, run) in &kernels {
+    for (id, width, run) in &kernels {
         let budget = budget_of(id)?;
-        run(&Engine::sequential()); // warm-up: thread-locals, lazy statics
-        let engine = Engine::sequential();
+        let session = || Engine::builder().threads(*width).build();
+        run(&session()); // warm-up: thread-locals, lazy statics
+        if *width > 1 {
+            warm_pool_worker();
+        }
+        let engine = session();
         let ((), allocs, bytes) = alloc_count::measure(|| run(&engine));
         let ok = allocs <= budget;
         println!(
@@ -870,6 +920,22 @@ fn main() {
         let _ = e.map_owned(micro_items.clone(), |&x: &u64| x.wrapping_add(1));
     });
     entries.push(micro_entry);
+
+    // 3b'. One width-2 batch of allocation-free tasks: the pool's own
+    // per-batch allocations, probed once the persistent worker has run.
+    let mut batch_entry = compare(
+        "pool_batch_w2",
+        vec![("items".into(), Json::Int(64))],
+        POOL_BATCH_WIDTH,
+        if opts.quick { 5 } else { 9 },
+        pool_batch,
+        |out| format!("{out:?}"),
+    );
+    warm_pool_worker();
+    batch_entry.report = probe_report(Engine::builder().threads(POOL_BATCH_WIDTH).build(), |e| {
+        let _ = pool_batch(e);
+    });
+    entries.push(batch_entry);
 
     // 3c. Session reuse: the same autolb merge search driven repeatedly
     // through ONE long-lived session (shared SubIndexCache — run 2) vs a

@@ -56,8 +56,6 @@ const VALUE_KEYS: &[&str] = &[
     "steps",
     "side",
     "max-steps",
-    "seed",
-    "trials",
     "label-limit",
     "labels",
     "coloring",
@@ -219,7 +217,7 @@ mod tests {
         let a = parse(&["chain", "--delta", "1024", "--k", "2"]).unwrap();
         assert_eq!(a.require_u64("delta").unwrap(), 1024);
         assert_eq!(a.get_u64("k", 0).unwrap(), 2);
-        assert_eq!(a.get_u64("seed", 7).unwrap(), 7);
+        assert_eq!(a.get_u64("steps", 7).unwrap(), 7);
         assert!(a.require_u64("n").is_err());
     }
 

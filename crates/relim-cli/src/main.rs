@@ -1,28 +1,8 @@
 //! `relim` — a command-line round eliminator.
 //!
-//! ```text
-//! relim [--threads T] step        --node "M M M" --edge "M [P O];O O" [--steps N] [--condense]
-//! relim [--threads T] diagram     --node ... --edge ... [--side node|edge] [--dot]
-//! relim [--threads T] zeroround   --node ... --edge ...
-//! relim [--threads T] fixed-point --node ... --edge ... [--max-steps N] [--label-limit L]
-//! relim [--threads T] family      --delta D --a A --x X [--plus]
-//! relim [--threads T] lemma6      --delta D --a A --x X
-//! relim [--threads T] lemma8      --delta D --a A --x X
-//! relim [--threads T] sweep       --delta D [--lemma 6|8]
-//! relim [--threads T] chain       --delta D [--k K] [--exact]
-//! relim [--threads T] bounds      --n N --delta D [--k K]
-//! relim [--threads T] serve       [--addr A] [--store DIR] [--store-capacity N] [--aging-limit N]
-//!                                 [--peers host:port,…] [--peer-timeout-ms N]
-//! relim submit      [--addr A] --op OP <op options> [--priority interactive|bulk] [--trace]
-//! relim status      [--addr A]
-//! relim ping        [--addr A]
-//! relim metrics     [--addr A]
-//! relim timeline    [--addr A] [--json]
-//! relim trace       --trace-id T [--addr A] [--peers host:port,…] [--format tree|chrome]
-//! relim viz         (--digest D [--addr A | --store DIR] | --op OP <op options>) [--full] [--json]
-//! relim shutdown    [--addr A]
-//! relim help
-//! ```
+//! `relim help` prints the synopsis of every command and its options
+//! (`usage` below); a unit test keeps those lines equal to the keys each
+//! command accepts.
 //!
 //! Constraint strings use the engine's text format; `;` or a literal `\n`
 //! separates configuration lines. A `--key` the command does not read is
@@ -205,7 +185,7 @@ USAGE: relim [--threads T] <command> ...
   relim lemma6      --delta D --a A --x X
   relim lemma8      --delta D --a A --x X
   relim sweep       --delta D [--lemma 6|8]
-  relim chain       --delta D [--k K] [--exact]
+  relim chain       --delta D [--k K] [--exact] [--certify]
   relim bounds      --n N --delta D [--k K]
   relim serve       [--addr A] [--store DIR] [--store-capacity N]
                     [--store-budget-bytes N] [--aging-limit N] [--executors N]
@@ -230,6 +210,11 @@ is an error): one engine session sized from it runs the whole
 invocation, and output is byte-identical at any thread count. An
 option or flag the command does not read (`--threads` on a daemon
 client, too) is refused with exit status 2.
+
+`chain` prints the Lemma 13 problem sequence for (Δ, k); with
+--certify it also builds the chain's lower-bound certificate and
+re-checks every fact (with the engine re-verifying Lemmas 6 and 8 at
+each transition when Δ ≤ 5).
 
 `serve` runs the relim-service daemon (JSON-lines over TCP, default
 addr 127.0.0.1:7341): jobs are scheduled interactive-before-bulk with
@@ -603,7 +588,9 @@ fn cmd_serve(args: &Args) -> Result<String, Box<dyn std::error::Error>> {
         threads,
         executors,
         store_dir: args.get("store").map(std::path::PathBuf::from),
-        store_capacity: args.get_u64("store-capacity", 1024)? as usize,
+        store_capacity: args
+            .get_u64("store-capacity", ServerConfig::default().store_capacity as u64)?
+            as usize,
         store_budget_bytes: args.get_u64_opt("store-budget-bytes")?,
         aging_limit: u32::try_from(
             args.get_u64("aging-limit", relim_service::queue::DEFAULT_AGING_LIMIT.into())?,
@@ -867,6 +854,42 @@ mod tests {
     fn help_by_default() {
         assert!(run_words(&[]).contains("USAGE"));
         assert!(run_words(&["help"]).contains("relim step"));
+    }
+
+    /// The `--key`s on each command's `relim help` lines (a command line
+    /// and its indented continuations), by command.
+    fn help_keys() -> std::collections::BTreeMap<String, std::collections::BTreeSet<String>> {
+        let mut keys = std::collections::BTreeMap::<String, std::collections::BTreeSet<_>>::new();
+        let mut current: Option<String> = None;
+        for line in usage().lines() {
+            if let Some(rest) = line.strip_prefix("  relim ") {
+                current = rest.split_whitespace().next().map(str::to_owned);
+            } else if !line.starts_with("                    ") {
+                current = None;
+            }
+            let Some(command) = &current else { continue };
+            let entry = keys.entry(command.clone()).or_default();
+            for tail in line.split("--").skip(1) {
+                entry.insert(
+                    tail.chars().take_while(|c| c.is_ascii_alphanumeric() || *c == '-').collect(),
+                );
+            }
+        }
+        keys
+    }
+
+    #[test]
+    fn help_lists_exactly_the_keys_each_command_accepts() {
+        let help = help_keys();
+        assert!(help.len() > 20, "help lines not found: {help:?}");
+        for (command, shown) in help {
+            let accepted = command_keys(&command, &Args::default())
+                .unwrap_or_else(|| panic!("`relim help` shows unknown command `{command}`"));
+            // `--threads` is the global flag of the usage header.
+            let accepted: std::collections::BTreeSet<String> =
+                accepted.into_iter().filter(|k| k != "threads").collect();
+            assert_eq!(shown, accepted, "`relim help` drifted from `{command}`'s keys");
+        }
     }
 
     #[test]

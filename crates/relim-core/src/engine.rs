@@ -10,13 +10,13 @@
 //! * a **persistent-pool handle** (a width policy over the process-wide
 //!   worker set of `relim-pool` — the `Engine` is the one component that
 //!   hands the pool to the rest of the system),
-//! * a **long-lived sharded [`SubIndexCache`]** of [`CACHE_CAPACITY`]
-//!   entries over [`CACHE_SHARDS`] shards, shared across *all* calls — in
-//!   particular across the steps of [`Engine::auto_lower_bound`]'s merge
-//!   search, across repeated [`Engine::iterate_with_limits`] probes, and
-//!   across *clones of the handle on other threads* (daemon executors,
-//!   sweep tasks): the cache is internally sharded-and-locked, so N
-//!   threads share one memo state without a session-wide mutex,
+//! * a **long-lived [`SubIndexCache`]** of [`CACHE_CAPACITY`] entries,
+//!   shared across *all* calls — in particular across the steps of
+//!   [`Engine::auto_lower_bound`]'s merge search, across repeated
+//!   [`Engine::iterate_with_limits`] probes, and across *clones of the
+//!   handle on other threads* (daemon executors, sweep tasks): the cache
+//!   locks only around its own map (one lookup per `R̄` step, the index
+//!   build outside the lock), so N threads share one memo state,
 //! * the memoization toggle, and
 //! * session counters surfaced through [`EngineReport`] (cache hits,
 //!   per-operator step counts, batch counts, wall time).
@@ -84,12 +84,9 @@ pub struct EngineBuilder {
     record_lineage: bool,
 }
 
-/// Distinct node constraints a session's [`SubIndexCache`] holds.
+/// Distinct node constraints a session's [`SubIndexCache`] holds before
+/// its epoch reset clears it.
 pub const CACHE_CAPACITY: usize = 64;
-
-/// Independently-locked shards of a session's [`SubIndexCache`], each
-/// bounded by `CACHE_CAPACITY / CACHE_SHARDS` entries.
-pub const CACHE_SHARDS: usize = 8;
 
 impl EngineBuilder {
     /// Pool width the session shards over; `0` (the default) means
@@ -131,7 +128,7 @@ impl EngineBuilder {
             shared: Arc::new(EngineShared {
                 pool: Pool::new(self.threads),
                 memoize: self.memoize,
-                cache: SubIndexCache::sharded(CACHE_SHARDS, CACHE_CAPACITY),
+                cache: SubIndexCache::new(CACHE_CAPACITY),
                 uncached_builds: AtomicU64::new(0),
                 r_steps: AtomicU64::new(0),
                 rbar_steps: AtomicU64::new(0),
@@ -160,9 +157,8 @@ impl Default for EngineBuilder {
 struct EngineShared {
     pool: Pool,
     memoize: bool,
-    /// The sharded concurrent sub-multiset index cache — `&self` API, so
-    /// N clones of the handle (daemon executors, sweep tasks) share one
-    /// memo state with per-shard locking instead of a session-wide mutex.
+    /// The concurrent sub-multiset index cache — `&self` API, so N clones
+    /// of the handle (daemon executors, sweep tasks) share one memo state.
     cache: SubIndexCache,
     /// Index builds performed with memoization off (counted as misses in
     /// the report, since the cache never saw them).

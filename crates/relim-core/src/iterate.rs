@@ -25,7 +25,6 @@ use crate::iso;
 use crate::problem::Problem;
 use crate::roundelim::Step;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -99,63 +98,42 @@ fn stats_of(step: usize, p: &Problem) -> StepStats {
 /// byte-identical to a rebuild; sharing the cache between threads can
 /// therefore never change output bytes, only counters and wall clock.
 ///
-/// ## Sharding
+/// The map sits behind one mutex, held only for a hash lookup or an
+/// insert (a session takes one lookup per `R̄` step). When the map holds
+/// `capacity` constraints, inserting a new one clears it first: an epoch
+/// reset, deterministic and enough for fixed-point searches, whose
+/// working set is tiny.
 ///
-/// The map is split into `shards` independently-locked shards; a
-/// constraint's shard is chosen by its hash, so concurrent lookups of
-/// *different* constraints contend only when they collide on a shard.
-/// Each shard is bounded by a per-shard capacity (the total `capacity`
-/// divided evenly, at least 1): when a shard is full, the next insertion
-/// into it clears that shard (an epoch reset — simple, deterministic,
-/// and sufficient for fixed-point searches whose working set is tiny).
-/// With one shard this degenerates to exactly the historical
-/// whole-cache epoch reset.
-///
-/// Hit/miss counters are atomics. The lookup→build→insert window is a
-/// benign race: two threads missing the same constraint concurrently
-/// both build and insert the *same bytes*, so at most one duplicate
-/// build per racing thread is ever observable in the counters — never
-/// in results.
+/// The lookup→build→insert window is a benign race: two threads missing
+/// the same constraint concurrently both build and insert the *same
+/// bytes*, so a duplicate build shows in the counters, never in results.
 #[derive(Debug)]
 pub struct SubIndexCache {
-    shards: Vec<Mutex<HashMap<Constraint, Arc<SubMultisetIndex>>>>,
-    shard_capacity: usize,
+    map: Mutex<HashMap<Constraint, Arc<SubMultisetIndex>>>,
+    capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
 impl SubIndexCache {
-    /// A cache of `shards` independently-locked shards (at least 1), each
-    /// bounded by `capacity / shards` constraints (rounded up, at least 1)
-    /// and epoch-resetting independently — so `capacity` in total when
-    /// `shards` divides it, as for the session's
-    /// [`crate::engine::CACHE_CAPACITY`] over
-    /// [`crate::engine::CACHE_SHARDS`].
-    pub fn sharded(shards: usize, capacity: usize) -> SubIndexCache {
-        let shards = shards.max(1);
-        let shard_capacity = capacity.max(1).div_ceil(shards);
+    /// A cache holding at most `capacity` constraints (at least 1), as for
+    /// the session's [`crate::engine::CACHE_CAPACITY`].
+    pub fn new(capacity: usize) -> SubIndexCache {
         SubIndexCache {
-            shards: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
-            shard_capacity,
+            map: Mutex::new(HashMap::new()),
+            capacity: capacity.max(1),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
     }
 
-    /// The shard holding `constraint`, chosen by its hash.
-    fn shard_of(
-        &self,
-        constraint: &Constraint,
-    ) -> &Mutex<HashMap<Constraint, Arc<SubMultisetIndex>>> {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        constraint.hash(&mut hasher);
-        &self.shards[(hasher.finish() % self.shards.len() as u64) as usize]
+    fn map(&self) -> std::sync::MutexGuard<'_, HashMap<Constraint, Arc<SubMultisetIndex>>> {
+        self.map.lock().expect("sub-index cache poisoned")
     }
 
     /// The index for `constraint`, shared from the cache or built (and
-    /// cached) on a miss. The build happens outside the shard lock, so
-    /// concurrent misses of different constraints never serialize on
-    /// each other's enumeration work.
+    /// cached) on a miss. The build happens outside the lock, so
+    /// concurrent misses never serialize on each other's enumeration work.
     pub fn get_or_build(&self, constraint: &Constraint) -> Arc<SubMultisetIndex> {
         if let Some(index) = self.lookup(constraint) {
             return index;
@@ -167,36 +145,22 @@ impl SubIndexCache {
 
     /// The cached index for `constraint`, if held; counts a hit or a miss.
     fn lookup(&self, constraint: &Constraint) -> Option<Arc<SubMultisetIndex>> {
-        let shard = self.shard_of(constraint).lock().expect("cache shard poisoned");
-        match shard.get(constraint) {
-            Some(index) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::clone(index))
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let hit = self.map().get(constraint).map(Arc::clone);
+        let counter = if hit.is_some() { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+        hit
     }
 
-    /// Stores a built index, clearing the target shard first when its
-    /// per-shard capacity is already reached (the epoch reset).
-    ///
-    /// Only the miss path of [`SubIndexCache::get_or_build`] reaches this
-    /// — a hit returns straight out of [`SubIndexCache::lookup`] without
-    /// ever owning a `Constraint` — so this is the one place that pays the
-    /// owned-key insert. The common under-capacity insert is a single hash
-    /// lookup; the `contains_key` probe runs only in the rare at-capacity
-    /// case, where a *replacement* (racing duplicate build of a resident
-    /// key) must not trigger the epoch reset since it cannot grow the
-    /// shard.
+    /// Stores a built index (the miss path only, so a hit never owns a
+    /// `Constraint`). A full map is cleared first unless `constraint` is
+    /// already resident: replacing a racing duplicate build cannot grow
+    /// the map, so it must not trigger the epoch reset.
     fn insert(&self, constraint: Constraint, index: Arc<SubMultisetIndex>) {
-        let mut shard = self.shard_of(&constraint).lock().expect("cache shard poisoned");
-        if shard.len() >= self.shard_capacity && !shard.contains_key(&constraint) {
-            shard.clear();
+        let mut map = self.map();
+        if map.len() >= self.capacity && !map.contains_key(&constraint) {
+            map.clear();
         }
-        shard.insert(constraint, index);
+        map.insert(constraint, index);
     }
 
     /// Lookups answered from the cache.
@@ -209,9 +173,9 @@ impl SubIndexCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Distinct constraints currently held, summed over all shards.
+    /// Distinct constraints currently held.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().expect("cache shard poisoned").len()).sum()
+        self.map().len()
     }
 
     /// Whether the cache holds nothing.
@@ -332,7 +296,7 @@ mod tests {
     #[test]
     fn cache_hits_share_the_index_and_change_nothing() {
         let p = Problem::from_text("M M M\nP O O", "M [P O]\nO O").unwrap();
-        let cache = SubIndexCache::sharded(1, 64);
+        let cache = SubIndexCache::new(64);
         let first = cache.get_or_build(p.node());
         let second = cache.get_or_build(p.node());
         assert!(Arc::ptr_eq(&first, &second), "a hit must share the built index");
@@ -342,7 +306,7 @@ mod tests {
 
     #[test]
     fn cache_epoch_reset_respects_capacity() {
-        let cache = SubIndexCache::sharded(1, 2);
+        let cache = SubIndexCache::new(2);
         let constraints = ["A A", "A B", "B B"].map(|e| {
             let p = Problem::from_text("A A\nB B", e).unwrap();
             p.edge().clone()
@@ -357,10 +321,10 @@ mod tests {
 
     #[test]
     fn replacing_a_resident_key_at_capacity_does_not_epoch_reset() {
-        // A racing duplicate build re-inserts a key the full shard already
-        // holds; that replacement must not clear the shard (it cannot grow
+        // A racing duplicate build re-inserts a key the full map already
+        // holds; that replacement must not clear the map (it cannot grow
         // it), while a genuinely new key at capacity still resets.
-        let cache = SubIndexCache::sharded(1, 2);
+        let cache = SubIndexCache::new(2);
         let constraints = ["A A", "A B", "B B"].map(|e| {
             let p = Problem::from_text("A A\nB B", e).unwrap();
             p.edge().clone()
@@ -369,7 +333,7 @@ mod tests {
         cache.get_or_build(&constraints[1]);
         assert_eq!(cache.len(), 2);
         cache.insert(constraints[0].clone(), Arc::clone(&a));
-        assert_eq!(cache.len(), 2, "replacement cleared the shard");
+        assert_eq!(cache.len(), 2, "replacement cleared the map");
         cache.insert(constraints[2].clone(), Arc::clone(&a));
         assert_eq!(cache.len(), 1, "a new key at capacity must epoch-reset");
     }
@@ -381,7 +345,7 @@ mod tests {
         // `lookup` alone (hits == 1) so only the first (miss) call pays
         // the `constraint.clone()` insert.
         let p = Problem::from_text("M M M\nP O O", "M [P O]\nO O").unwrap();
-        let cache = SubIndexCache::sharded(1, 64);
+        let cache = SubIndexCache::new(64);
         let built = cache.get_or_build(p.node());
         let hit = cache.lookup(p.node()).expect("must be resident");
         assert!(Arc::ptr_eq(&built, &hit));
@@ -389,27 +353,25 @@ mod tests {
     }
 
     #[test]
-    fn sharded_cache_shares_across_threads_without_output_drift() {
+    fn cache_shares_across_threads_without_output_drift() {
         let p = Problem::from_text("M M M\nP O O", "M [P O]\nO O").unwrap();
         let reference = p.node().sub_multiset_index();
-        for shards in [1usize, 4, 16] {
-            let cache = Arc::new(SubIndexCache::sharded(shards, 64));
-            let handles: Vec<_> = (0..4)
-                .map(|_| {
-                    let cache = Arc::clone(&cache);
-                    let constraint = p.node().clone();
-                    std::thread::spawn(move || cache.get_or_build(&constraint).len())
-                })
-                .collect();
-            for h in handles {
-                assert_eq!(h.join().unwrap(), reference.len(), "shards = {shards}");
-            }
-            // Every thread either hit or missed; at most one entry exists
-            // (duplicate racing builds insert the same bytes).
-            assert_eq!(cache.hits() + cache.misses(), 4, "shards = {shards}");
-            assert_eq!(cache.len(), 1, "shards = {shards}");
-            assert!(cache.misses() >= 1, "someone had to build: shards = {shards}");
+        let cache = Arc::new(SubIndexCache::new(64));
+        let handles: Vec<_> = (0..4)
+            .map(|_| {
+                let cache = Arc::clone(&cache);
+                let constraint = p.node().clone();
+                std::thread::spawn(move || cache.get_or_build(&constraint).len())
+            })
+            .collect();
+        for h in handles {
+            assert_eq!(h.join().unwrap(), reference.len());
         }
+        // Every thread either hit or missed; at most one entry exists
+        // (duplicate racing builds insert the same bytes).
+        assert_eq!(cache.hits() + cache.misses(), 4);
+        assert_eq!(cache.len(), 1);
+        assert!(cache.misses() >= 1, "someone had to build");
     }
 
     #[test]
@@ -422,7 +384,7 @@ mod tests {
         // `Constraint`, which repeats exactly at the fixed point.)
         let so = Problem::from_text("O I I", "[O I] I").unwrap();
         let pool = relim_pool::Pool::sequential();
-        let cache = SubIndexCache::sharded(1, 64);
+        let cache = SubIndexCache::new(64);
         let mut current = so.drop_unused_labels().0;
         for step in 0..2 {
             let r = r_step(&current).unwrap();

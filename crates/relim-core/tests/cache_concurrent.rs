@@ -1,11 +1,10 @@
-//! The concurrency battery for the sharded [`SubIndexCache`]: M threads
+//! The concurrency battery for the shared [`SubIndexCache`]: M threads
 //! running clones of one [`Engine`] session over a shared cache must be
 //! **byte-identical** to a fresh single-threaded engine — with
 //! memoization on or off — and hammering one constraint from every thread
 //! must never show more duplicate index builds than the benign
 //! lookup→build→insert race allows (at most one extra build per racing
-//! thread, never a wrong byte). The raw cache is hammered at shard counts
-//! 1/4/16; a session always uses `CACHE_SHARDS`.
+//! thread, never a wrong byte). The raw cache is hammered directly too.
 
 use proptest::prelude::*;
 use relim_core::iterate::{IterationOutcome, SubIndexCache};
@@ -32,7 +31,7 @@ const PROBLEMS: &[(&str, &str, usize, usize)] = &[
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// M engine-clone threads over one shared sharded cache, each
+    /// M engine-clone threads over one shared cache, each
     /// walking the workload from a rotated offset (so different threads
     /// populate and consume different entries first), must reproduce the
     /// fresh single-threaded reference byte-for-byte — with memoization
@@ -160,26 +159,24 @@ fn same_constraint_hammer_stays_within_the_benign_race_bound() {
 fn raw_cache_hammer_counters_balance() {
     let p = Problem::from_text("M M M\nP O O", "M [P O]\nO O").unwrap();
     let expected = p.node().sub_multiset_index().len();
-    for shards in [1usize, 4, 16] {
-        let threads = 8usize;
-        let cache = Arc::new(SubIndexCache::sharded(shards, 64));
-        let barrier = Arc::new(Barrier::new(threads));
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let cache = Arc::clone(&cache);
-                let constraint = p.node().clone();
-                let barrier = Arc::clone(&barrier);
-                std::thread::spawn(move || {
-                    barrier.wait();
-                    cache.get_or_build(&constraint).len()
-                })
+    let threads = 8usize;
+    let cache = Arc::new(SubIndexCache::new(64));
+    let barrier = Arc::new(Barrier::new(threads));
+    let handles: Vec<_> = (0..threads)
+        .map(|_| {
+            let cache = Arc::clone(&cache);
+            let constraint = p.node().clone();
+            let barrier = Arc::clone(&barrier);
+            std::thread::spawn(move || {
+                barrier.wait();
+                cache.get_or_build(&constraint).len()
             })
-            .collect();
-        for handle in handles {
-            assert_eq!(handle.join().unwrap(), expected, "shards = {shards}");
-        }
-        assert_eq!(cache.hits() + cache.misses(), threads as u64, "shards = {shards}");
-        assert!(cache.misses() >= 1 && cache.misses() <= threads as u64, "shards = {shards}");
-        assert_eq!(cache.len(), 1, "shards = {shards}");
+        })
+        .collect();
+    for handle in handles {
+        assert_eq!(handle.join().unwrap(), expected);
     }
+    assert_eq!(cache.hits() + cache.misses(), threads as u64);
+    assert!(cache.misses() >= 1 && cache.misses() <= threads as u64);
+    assert_eq!(cache.len(), 1);
 }

@@ -33,15 +33,16 @@
 //! slot of the pool's width) take the next unstarted index with
 //! `fetch_add` and run it, until the cursor passes the last item. Tasks
 //! therefore start in input order, and a participant stuck on a heavy
-//! task never holds back unstarted work. Results return to the submitter
-//! through a per-batch [`std::sync::mpsc`] channel.
+//! task never holds back unstarted work. Each finished task writes its
+//! result into its own slot of the batch's result buffer (one slot per
+//! item, in input order); the submitter waits on a condition variable
+//! until every slot is filled.
 //!
 //! ## Determinism
 //!
 //! Each index is handed out exactly once (`fetch_add` returns every value
-//! once), and results are collected as `(index, value)` pairs and
-//! re-sorted by index before returning, so `map_owned` output is
-//! **byte-identical at any thread count** — the invariant the engine's
+//! once), and task `i`'s result lands in slot `i`, so `map_owned` output
+//! is **byte-identical at any thread count** — the invariant the engine's
 //! differential tests enforce. Only the *schedule* is nondeterministic;
 //! the result never is. How many persistent workers actually join a batch
 //! (zero is possible when they are busy — the submitter always
@@ -54,7 +55,8 @@
 //! **worker survives** (the pool is never poisoned and stays usable for
 //! later batches), the batch still runs its remaining tasks, and the
 //! submitter re-raises the payload of the **lowest-indexed** panicking
-//! task — deterministic at any thread count.
+//! task (the first one met walking the slots) — deterministic at any
+//! thread count.
 //!
 //! ## Nesting
 //!
@@ -72,7 +74,7 @@ use std::any::Any;
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// Upper bound on the persistent worker set. Batches may request wider
 /// pools; the shared cursor lets fewer participants drain any batch, so
@@ -232,14 +234,14 @@ impl Pool {
             return items.iter().map(f).collect();
         }
 
-        let (tx, rx) = mpsc::channel::<(usize, Result<R, Payload>)>();
         let batch: Arc<BatchState<T, R, F>> = Arc::new(BatchState {
             items,
             f,
             next: AtomicUsize::new(0),
             claims: AtomicUsize::new(0),
             slots: workers,
-            results: Mutex::new(tx),
+            results: Mutex::new(Results { outcomes: (0..n).map(|_| None).collect(), done: 0 }),
+            all_done: Condvar::new(),
         });
 
         let registry = registry();
@@ -248,23 +250,24 @@ impl Pool {
         // every persistent worker is busy elsewhere.
         batch.participate();
 
-        let mut tagged: Vec<(usize, Result<R, Payload>)> = Vec::with_capacity(n);
-        for _ in 0..n {
-            tagged.push(rx.recv().expect("pool worker dropped a batch channel"));
-        }
+        let outcomes = {
+            let mut results = batch.results.lock().expect("pool batch results poisoned");
+            while results.done < n {
+                results = batch.all_done.wait(results).expect("pool batch results poisoned");
+            }
+            std::mem::take(&mut results.outcomes)
+        };
         registry.retire(&(batch as Arc<dyn Batch>));
 
-        // Canonical re-sort: schedule-independent output order (and
-        // deterministic choice of which panic payload is re-raised).
-        tagged.sort_unstable_by_key(|&(i, _)| i);
-        let mut out = Vec::with_capacity(n);
-        for (_, result) in tagged {
-            match result {
-                Ok(value) => out.push(value),
+        // Slots are in input order, so the first panic met is the
+        // lowest-indexed one.
+        outcomes
+            .into_iter()
+            .map(|outcome| match outcome.expect("every task has finished") {
+                Ok(value) => value,
                 Err(payload) => resume_unwind(payload),
-            }
-        }
-        out
+            })
+            .collect()
     }
 
     /// Fallible [`Pool::map_owned`]: returns the collected successes, or
@@ -309,7 +312,7 @@ trait Batch: Send + Sync {
 }
 
 /// A submitted batch: the owned payload, the task cursor, and the result
-/// channel back to the submitter.
+/// buffer the submitter waits on.
 struct BatchState<T, R, F> {
     items: Vec<T>,
     f: F,
@@ -321,9 +324,17 @@ struct BatchState<T, R, F> {
     claims: AtomicUsize,
     /// How many participants (the submitter included) may run the batch.
     slots: usize,
-    /// Per-batch result channel. `Sender` is `Send` but not `Sync`, so
-    /// participants clone their own handle under this lock.
-    results: Mutex<mpsc::Sender<(usize, Result<R, Payload>)>>,
+    /// One result slot per item, filled as tasks finish.
+    results: Mutex<Results<R>>,
+    /// Signalled when the last slot is filled.
+    all_done: Condvar,
+}
+
+/// A batch's result buffer: slot `i` holds task `i`'s outcome once it has
+/// run, and `done` counts the filled slots.
+struct Results<R> {
+    outcomes: Vec<Option<Result<R, Payload>>>,
+    done: usize,
 }
 
 impl<T, R, F> Batch for BatchState<T, R, F>
@@ -336,7 +347,6 @@ where
         if self.claims.fetch_add(1, Ordering::Relaxed) >= self.slots {
             return false;
         }
-        let tx = self.results.lock().expect("pool batch channel poisoned").clone();
         let was_worker = IN_WORKER.with(|g| g.replace(true));
         loop {
             let i = self.next.fetch_add(1, Ordering::Relaxed);
@@ -345,9 +355,12 @@ where
             // the pool) survive, and the submitter re-raises the payload
             // deterministically once the batch drains.
             let result = catch_unwind(AssertUnwindSafe(|| (self.f)(item)));
-            // A send error means the submitter is gone (it panicked out of
-            // its recv loop); finishing quietly is all we can do.
-            let _ = tx.send((i, result));
+            let mut results = self.results.lock().expect("pool batch results poisoned");
+            results.outcomes[i] = Some(result);
+            results.done += 1;
+            if results.done == self.items.len() {
+                self.all_done.notify_one();
+            }
         }
         IN_WORKER.with(|g| g.set(was_worker));
         true

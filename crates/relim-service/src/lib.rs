@@ -41,7 +41,7 @@
 //!   through it, under one connect/read/write timeout.
 //! * [`server`] — the daemon: a thread-per-connection TCP listener, a
 //!   configurable **executor pool** (default `min(4, cores)`) draining
-//!   the job queue into the shared `Engine` — whose sharded sub-multiset
+//!   the job queue into the shared `Engine` — whose sub-multiset
 //!   index cache the executors memoize through together —
 //!   request/latency counters, and graceful shutdown (the queue drains
 //!   before the process exits). Served bytes are identical at any

@@ -33,7 +33,7 @@
 //! * A pool of **executor threads** (`ServerConfig::executors`, default
 //!   `min(4, available parallelism)`) drains the [`JobQueue`]
 //!   (interactive before bulk, with aging — see [`crate::queue`]) into
-//!   the shared `Engine`. Executors share the engine's *sharded*
+//!   the shared `Engine`. Executors share the engine's
 //!   sub-multiset index cache, so concurrent jobs reuse each other's
 //!   memo state; served bytes are identical at any executor count
 //!   because every cache hit is byte-identical to a rebuild and every

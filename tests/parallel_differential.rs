@@ -2,8 +2,8 @@
 //! sessions: at thread counts 1, 2 and 8, with session memoization on and
 //! off, every `Engine` method must produce **byte-identical** output to
 //! the reference — the determinism invariant the persistent pool
-//! promises (results are collected and canonically re-sorted, so the
-//! schedule can never leak into the output) composed with the cache
+//! promises (task `i`'s result lands in slot `i`, so the schedule can
+//! never leak into the output) composed with the cache
 //! invariant (a sub-multiset index served from the session cache is a
 //! pure function of the constraint). The reference for steps and
 //! iterations is a width-1 session with memoization off (every batch
