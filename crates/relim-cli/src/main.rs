@@ -219,12 +219,12 @@ each transition when Δ ≤ 5).
 `serve` runs the relim-service daemon (JSON-lines over TCP, default
 addr 127.0.0.1:7341): jobs are scheduled interactive-before-bulk with
 aging and drained by a pool of executor threads (--executors N or
-RELIM_EXECUTORS, default min(4, cores); identical in-flight queries
-coalesce onto one computation), results are memoized in a
-content-addressed store (persistent when --store DIR is given —
+RELIM_EXECUTORS, default min(4, cores), at most 64; identical
+in-flight queries coalesce onto one computation), results are memoized
+in a content-addressed store (persistent when --store DIR is given —
 restarts serve cached certificates instantly; --store-budget-bytes N
-bounds the disk layer with oldest-first GC), and every served result is
-byte-identical to the same query run locally at any executor count.
+bounds the disk layer with oldest-first GC), and every served result
+is byte-identical to the same query run locally at any executor count.
 With --peers host:port,… the daemon joins a fleet: a deterministic
 consistent-hash ring over the peer addresses plus its own partitions
 the digest space, and a cold query owned by a remote peer is fetched

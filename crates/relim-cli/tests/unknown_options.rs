@@ -1,6 +1,7 @@
 //! The `relim` binary refuses a key its command does not read, with exit
 //! status 2 and before the command acts, and points only argument errors
-//! at `relim help`.
+//! at `relim help`. A daemon configuration past its bounds is refused
+//! before a daemon starts.
 
 use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
@@ -50,6 +51,15 @@ fn serve_refuses_the_retired_trace_flag_without_starting_a_daemon() {
         &["serve", "--addr", "127.0.0.1:0", "--trace"],
         "unknown option --trace for 'serve'",
     );
+}
+
+#[test]
+fn serve_refuses_executors_past_the_bound_without_starting_a_daemon() {
+    let out = relim(&["serve", "--addr", "127.0.0.1:0", "--executors", "65"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(out.stdout.is_empty(), "a daemon announced itself: {:?}", out.stdout);
+    assert!(stderr.contains("error: 65 executors exceed the limit of 64"), "{stderr}");
 }
 
 const USAGE_HINT: &str = "run `relim help` for usage";

@@ -195,7 +195,7 @@ pub fn half_step(p: &BiregularProblem, side: Side, engine: &Engine) -> Result<Bi
         Side::Black => (&p.black, &p.white),
         Side::White => (&p.white, &p.black),
     };
-    let maximal = engine.maximal_universal(uni_src, p.alphabet.len())?;
+    let maximal = engine.universal_side(uni_src, p.alphabet.len())?;
     let derived = derive_sides(&p.alphabet, maximal, exist_src)?;
     let (black, white) = match side {
         Side::Black => (derived.universal, derived.existential),

@@ -16,19 +16,23 @@
 //!   [`Engine::iterate_with_limits`] probes, and across *clones of the
 //!   handle on other threads* (daemon executors, sweep tasks): the cache
 //!   locks only around its own map (one lookup per `R̄` step, the index
-//!   build outside the lock), so N threads share one memo state,
-//! * the memoization toggle, and
+//!   build outside the lock), so N threads share one memo state, and
 //! * session counters surfaced through [`EngineReport`] (cache hits,
 //!   per-operator step counts, batch counts, wall time).
+//!
+//! `R̄(·)` and [`crate::biregular::half_step`] compute their universal
+//! side through one session method, `Engine::universal_side`: it checks
+//! the input limits, takes the index from the cache, enumerates on the
+//! pool and keeps the maximal configurations.
 //!
 //! A session has three settable values: [`EngineBuilder::threads`],
 //! [`EngineBuilder::memoize`] and [`EngineBuilder::record_lineage`].
 //! Output never depends on any of them: cache hits return the same bytes
 //! a rebuild would (the sub-multiset index is a pure function of the node
 //! constraint) and pool results are concatenated in canonical order. A
-//! width-1 session with `memoize(false)` — no pool fan-out, no cache — is
-//! the reference configuration the differential suite at the workspace
-//! root compares every other configuration against.
+//! width-1 session with `memoize(false)` — no pool fan-out, an empty
+//! cache — is the reference configuration the differential suite at the
+//! workspace root compares every other configuration against.
 //!
 //! # Example
 //!
@@ -53,11 +57,13 @@
 use crate::autolb::{self, AutoLbOptions, AutoLbOutcome};
 use crate::autoub::{self, AutoUbOptions, AutoUbOutcome};
 use crate::config::SetConfig;
-use crate::constraint::{Constraint, SubMultisetIndex};
-use crate::error::Result;
+use crate::constraint::Constraint;
+use crate::diagram::StrengthOrder;
+use crate::error::{RelimError, Result};
 use crate::iterate::{self, IterationOutcome, SubIndexCache};
 use crate::lineage::LineageGraph;
 use crate::problem::Problem;
+use crate::rightclosed::right_closed_sets;
 use crate::roundelim::{self, Step};
 use relim_pool::Pool;
 pub use relim_pool::{parse_threads, ThreadsEnvError};
@@ -98,9 +104,11 @@ impl EngineBuilder {
     }
 
     /// Whether `R̄` steps serve their sub-multiset index from the session
-    /// cache (default `true`). Turning memoization off rebuilds the index
-    /// on every step — byte-identical output, strictly more work; the
-    /// differential suite uses it as the reference configuration.
+    /// cache (default `true`). Turning memoization off gives the session a
+    /// zero-capacity cache, which counts every lookup as a miss, builds
+    /// the index and stores nothing — byte-identical output, strictly more
+    /// work; the differential suite uses it as the reference
+    /// configuration.
     pub fn memoize(mut self, memoize: bool) -> EngineBuilder {
         self.memoize = memoize;
         self
@@ -127,9 +135,7 @@ impl EngineBuilder {
         Engine {
             shared: Arc::new(EngineShared {
                 pool: Pool::new(self.threads),
-                memoize: self.memoize,
-                cache: SubIndexCache::new(CACHE_CAPACITY),
-                uncached_builds: AtomicU64::new(0),
+                cache: SubIndexCache::new(if self.memoize { CACHE_CAPACITY } else { 0 }),
                 r_steps: AtomicU64::new(0),
                 rbar_steps: AtomicU64::new(0),
                 iterate_runs: AtomicU64::new(0),
@@ -156,13 +162,10 @@ impl Default for EngineBuilder {
 /// The shared state behind a (cheaply clonable) [`Engine`] handle.
 struct EngineShared {
     pool: Pool,
-    memoize: bool,
     /// The concurrent sub-multiset index cache — `&self` API, so N clones
     /// of the handle (daemon executors, sweep tasks) share one memo state.
+    /// Zero capacity with memoization off.
     cache: SubIndexCache,
-    /// Index builds performed with memoization off (counted as misses in
-    /// the report, since the cache never saw them).
-    uncached_builds: AtomicU64,
     r_steps: AtomicU64,
     rbar_steps: AtomicU64,
     iterate_runs: AtomicU64,
@@ -197,7 +200,7 @@ impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
             .field("threads", &self.threads())
-            .field("memoize", &self.shared.memoize)
+            .field("memoize", &self.memoizing())
             .finish_non_exhaustive()
     }
 }
@@ -246,9 +249,9 @@ impl Engine {
     }
 
     /// Whether `R̄` steps serve their sub-multiset index from the session
-    /// cache.
+    /// cache (whether the cache can hold anything).
     pub fn memoizing(&self) -> bool {
-        self.shared.memoize
+        self.shared.cache.capacity() > 0
     }
 
     /// What the standard library reports as available parallelism (at
@@ -404,7 +407,6 @@ impl Engine {
     /// ```
     pub fn report(&self) -> EngineReport {
         let cache = &self.shared.cache;
-        let uncached = self.shared.uncached_builds.load(Ordering::Relaxed);
         let (lineage_nodes, lineage_edges) = match &self.shared.lineage {
             None => (0, 0),
             Some(m) => {
@@ -414,9 +416,9 @@ impl Engine {
         };
         EngineReport {
             threads: self.threads(),
-            memoize: self.shared.memoize,
+            memoize: self.memoizing(),
             cache_hits: cache.hits(),
-            cache_misses: cache.misses() + uncached,
+            cache_misses: cache.misses(),
             cache_entries: cache.len(),
             r_steps: self.shared.r_steps.load(Ordering::Relaxed),
             rbar_steps: self.shared.rbar_steps.load(Ordering::Relaxed),
@@ -439,40 +441,53 @@ impl Engine {
         out
     }
 
-    /// The sub-multiset index of `constraint`: from the session cache when
-    /// memoizing (hit or build-and-insert), a fresh build otherwise. A hit
-    /// is byte-identical to a rebuild — the index is a pure function of
-    /// the constraint.
-    fn cached_index(&self, constraint: &Constraint) -> Arc<SubMultisetIndex> {
-        if !self.shared.memoize {
-            self.shared.uncached_builds.fetch_add(1, Ordering::Relaxed);
-            return Arc::new(constraint.sub_multiset_index());
-        }
-        self.shared.cache.get_or_build(constraint)
-    }
-
-    /// The maximal universal configurations of `constraint` over `labels`
-    /// labels, on the session pool and with the session's cached index —
-    /// the universal half of [`crate::biregular::half_step`].
-    pub(crate) fn maximal_universal(
+    /// The universal side of a speedup step over `constraint` (alphabet of
+    /// `labels` labels): every configuration over right-closed label sets
+    /// (Observation 4) whose every choice lies in `constraint`, reduced to
+    /// the maximal ones by covers. The one universal side of `R̄(·)` and
+    /// [`crate::biregular::half_step`], and the one place their input
+    /// limits are checked: a refused input reads no cache and builds no
+    /// index. The index comes from the session cache and the enumeration
+    /// runs on the session pool.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`crate::RelimError::TooManyLabels`] past
+    /// [`roundelim::MAX_LABELS`] labels and
+    /// [`crate::RelimError::DegreeTooLarge`] past [`roundelim::MAX_DEGREE`]
+    /// positions.
+    pub(crate) fn universal_side(
         &self,
         constraint: &Constraint,
         labels: usize,
     ) -> Result<Vec<SetConfig>> {
-        roundelim::maximal_universal(constraint, labels, &self.shared.pool, |c| {
-            self.cached_index(c)
-        })
+        if labels > roundelim::MAX_LABELS {
+            return Err(RelimError::TooManyLabels {
+                requested: labels,
+                limit: roundelim::MAX_LABELS,
+            });
+        }
+        let degree = constraint.degree();
+        if degree > roundelim::MAX_DEGREE {
+            return Err(RelimError::DegreeTooLarge { degree });
+        }
+        let index = self.shared.cache.get_or_build(constraint);
+        let cands = right_closed_sets(&StrengthOrder::of_constraint(constraint, labels));
+        let raw = roundelim::forall_multisets(&cands, degree, &index, &self.shared.pool);
+        Ok(roundelim::cover_filter(raw, &cands))
     }
 
-    /// `R̄(·)` through the session cache, without the entry-point timer
-    /// (shared by the step drivers so wall time is not double counted).
-    /// The step is counted, and the index fetched, only for inputs within
+    /// `R̄(·)` through the session, without the entry-point timer (shared
+    /// by `rr_step` and the iteration and bound-search loops, so wall time
+    /// is not double counted). The step is counted only for inputs within
     /// the universal-side limits.
     fn rbar_step_inner(&self, p: &Problem) -> Result<Step> {
-        roundelim::rbar_step_indexed(p, &self.shared.pool, |node| {
-            self.shared.rbar_steps.fetch_add(1, Ordering::Relaxed);
-            self.cached_index(node)
-        })
+        let universal = self.universal_side(p.node(), p.alphabet().len())?;
+        self.shared.rbar_steps.fetch_add(1, Ordering::Relaxed);
+        let derived = roundelim::derive_sides(p.alphabet(), universal, p.edge())?;
+        let problem = Problem::new(derived.alphabet, derived.universal, derived.existential)
+            .expect("derived problem is valid");
+        Ok(Step { problem, provenance: derived.provenance })
     }
 
     /// `R̄(R(·))` through the session cache, without the entry-point timer.

@@ -102,7 +102,8 @@ fn stats_of(step: usize, p: &Problem) -> StepStats {
 /// insert (a session takes one lookup per `R̄` step). When the map holds
 /// `capacity` constraints, inserting a new one clears it first: an epoch
 /// reset, deterministic and enough for fixed-point searches, whose
-/// working set is tiny.
+/// working set is tiny. A zero-capacity cache holds nothing: every lookup
+/// misses and builds — a session with memoization off.
 ///
 /// The lookup→build→insert window is a benign race: two threads missing
 /// the same constraint concurrently both build and insert the *same
@@ -116,12 +117,14 @@ pub struct SubIndexCache {
 }
 
 impl SubIndexCache {
-    /// A cache holding at most `capacity` constraints (at least 1), as for
-    /// the session's [`crate::engine::CACHE_CAPACITY`].
+    /// A cache holding at most `capacity` constraints, as for the
+    /// session's [`crate::engine::CACHE_CAPACITY`]. Capacity 0 holds
+    /// nothing: every lookup counts a miss and builds, and no index is
+    /// stored.
     pub fn new(capacity: usize) -> SubIndexCache {
         SubIndexCache {
             map: Mutex::new(HashMap::new()),
-            capacity: capacity.max(1),
+            capacity,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -139,7 +142,9 @@ impl SubIndexCache {
             return index;
         }
         let index = Arc::new(constraint.sub_multiset_index());
-        self.insert(constraint.clone(), Arc::clone(&index));
+        if self.capacity > 0 {
+            self.insert(constraint.clone(), Arc::clone(&index));
+        }
         index
     }
 
@@ -161,6 +166,11 @@ impl SubIndexCache {
             map.clear();
         }
         map.insert(constraint, index);
+    }
+
+    /// The most constraints the cache holds.
+    pub(crate) fn capacity(&self) -> usize {
+        self.capacity
     }
 
     /// Lookups answered from the cache.
@@ -237,7 +247,6 @@ pub(crate) fn iterate_with_step(
 mod tests {
     use super::*;
     use crate::engine::Engine;
-    use crate::roundelim::{r_step, rbar_step_indexed};
 
     #[test]
     fn sinkless_orientation_fixed_point_detected() {
@@ -302,6 +311,17 @@ mod tests {
         assert!(Arc::ptr_eq(&first, &second), "a hit must share the built index");
         assert_eq!((cache.hits(), cache.misses(), cache.len()), (1, 1, 1));
         assert_eq!(first.len(), p.node().sub_multiset_index().len());
+    }
+
+    #[test]
+    fn zero_capacity_cache_builds_every_time_and_holds_nothing() {
+        let p = Problem::from_text("M M M\nP O O", "M [P O]\nO O").unwrap();
+        let cache = SubIndexCache::new(0);
+        let first = cache.get_or_build(p.node());
+        let second = cache.get_or_build(p.node());
+        assert!(!Arc::ptr_eq(&first, &second), "nothing may be shared");
+        assert_eq!((cache.hits(), cache.misses(), cache.len()), (0, 2, 0));
+        assert_eq!(first.len(), second.len());
     }
 
     #[test]
@@ -378,22 +398,21 @@ mod tests {
     fn fixed_point_confirmation_hits_the_cache() {
         // Sinkless orientation: the confirming step recomputes the same
         // problem, so its R(Π) node constraint repeats exactly and the
-        // cache-served path must score a hit while matching the
-        // reference. (Alphabet *names* grow each step — the
-        // provenance-set display — but the cache keys on the name-free
-        // `Constraint`, which repeats exactly at the fixed point.)
+        // session's cache must score a hit. (Alphabet *names* grow each
+        // step — the provenance-set display — but the cache keys on the
+        // name-free `Constraint`, which repeats exactly at the fixed
+        // point.)
         let so = Problem::from_text("O I I", "[O I] I").unwrap();
-        let pool = relim_pool::Pool::sequential();
-        let cache = SubIndexCache::new(64);
+        let engine = Engine::sequential();
         let mut current = so.drop_unused_labels().0;
         for step in 0..2 {
-            let r = r_step(&current).unwrap();
-            let rr = rbar_step_indexed(&r.problem, &pool, |node| cache.get_or_build(node)).unwrap();
+            let (_, rr) = engine.rr_step(&current).unwrap();
             let (reduced, _) = rr.problem.drop_unused_labels();
             assert!(iso::isomorphic(&reduced, &current), "step {step} left the fixed point");
             current = reduced;
         }
-        assert_eq!(cache.hits(), 1, "the confirming step must reuse the index");
-        assert_eq!(cache.misses(), 1);
+        let report = engine.report();
+        assert_eq!(report.cache_hits, 1, "the confirming step must reuse the index");
+        assert_eq!((report.cache_misses, report.cache_entries), (1, 1));
     }
 }

@@ -29,20 +29,23 @@
 //!    its sets by one cover of it (a next larger candidate) stays in the
 //!    family — one hash lookup per try, no pairwise matching.
 //!
-//! `R(·)` is pure: [`r_step`] needs no pool and no cache. The `R̄` side and
-//! `R̄∘R` are reached only through the session, [`crate::engine::Engine`],
-//! which owns the pool handle and the long-lived
-//! [`crate::iterate::SubIndexCache`] the `R̄` side's sub-multiset index is
-//! served from. Underneath, each `R̄` step submits one pool batch: its
-//! enumeration's DFS split at the top candidate level into one subtree
-//! task per starting candidate, run by the persistent worker set in
-//! candidate order (task payloads are `Arc`-owned, so no threads are
-//! spawned per call). Results are concatenated in canonical order, so
-//! the output is **byte-identical** at any thread count; a width-1
-//! session runs every batch inline on the calling thread. The brute-force oracles at the end
-//! of this module ([`dominance_filter_reference`],
-//! [`r_step_edge_bruteforce`], [`rbar_step_node_bruteforce`]) are what the
-//! differential suites check the session against.
+//! This module holds only pure functions: [`r_step`], the universal-side
+//! enumeration and maximality filter, the existential replacement and the
+//! brute-force oracles. `R̄(·)`, `R̄∘R` and the biregular half step are
+//! reached only through the session, [`crate::engine::Engine`], whose one
+//! universal-side method (`Engine::universal_side`) checks [`MAX_LABELS`]
+//! and [`MAX_DEGREE`], takes the sub-multiset index from the session's
+//! [`crate::iterate::SubIndexCache`], and runs the enumeration on the
+//! session pool as one batch: the DFS split at the top candidate level
+//! into one subtree task per starting candidate, run by the persistent
+//! worker set in candidate order (task payloads are `Arc`-owned, so no
+//! threads are spawned per call). Results are concatenated in canonical
+//! order, so the output is **byte-identical** at any thread count; a
+//! width-1 session runs every batch inline on the calling thread. The
+//! brute-force oracles at the end of this module
+//! ([`dominance_filter_reference`], [`r_step_edge_bruteforce`],
+//! [`rbar_step_node_bruteforce`]) are what the differential suites check
+//! the session against.
 
 use crate::config::{Config, SetConfig};
 use crate::constraint::{Constraint, SubMultisetIndex};
@@ -63,17 +66,16 @@ use std::sync::Arc;
 /// Largest alphabet the universal-side enumeration accepts — the
 /// right-closed-set enumeration limit of
 /// [`crate::rightclosed::right_closed_sets`]. Checked by [`r_step`] and
-/// at the universal-side entry shared by `R̄(·)` and
-/// [`crate::biregular::half_step`], so the limit can only ever change in
-/// one place.
+/// by `Engine::universal_side`, the one universal side of `R̄(·)` and
+/// [`crate::biregular::half_step`].
 pub const MAX_LABELS: usize = 22;
 
 /// Largest constraint degree the universal side accepts. Maximality by
 /// covers has no width limit of its own, but the derived configurations
 /// are later compared by [`dominates`] and `relax::subset_masks`, which
 /// match positions through `u64` bitmasks, one bit per position. Checked
-/// with [`MAX_LABELS`] at the universal-side entry shared by `R̄(·)` and
-/// [`crate::biregular::half_step`].
+/// with [`MAX_LABELS`] by `Engine::universal_side`, before the session
+/// cache is read, so a refused input builds no index.
 pub const MAX_DEGREE: u32 = 64;
 
 /// The result of one `R(·)` or `R̄(·)` application.
@@ -147,87 +149,9 @@ pub fn r_step(p: &Problem) -> Result<Step> {
     pairs.dedup();
 
     let set_configs: Vec<SetConfig> = pairs.iter().map(|&(a, b)| SetConfig::pair(a, b)).collect();
-
-    finish_step(p, set_configs, UniversalSide::Edge)
-}
-
-/// Applies `R̄(·)`: universal step on the node constraint, existential step
-/// on the edge constraint — the body behind
-/// [`crate::engine::Engine::rbar_step`].
-///
-/// `sub_index` supplies the sub-multiset index of `p.node()` (the session
-/// serves it from its cache, or builds it fresh with memoization off). It
-/// is called only once the input passed the universal-side limits of
-/// [`maximal_universal`], so a refused input costs no index build and
-/// counts no step.
-pub(crate) fn rbar_step_indexed(
-    p: &Problem,
-    pool: &Pool,
-    sub_index: impl FnOnce(&Constraint) -> Arc<SubMultisetIndex>,
-) -> Result<Step> {
-    let maximal = maximal_universal(p.node(), p.alphabet().len(), pool, sub_index)?;
-    finish_step(p, maximal, UniversalSide::Node)
-}
-
-/// The universal side of a speedup step over `constraint` (alphabet of
-/// `labels` labels): every configuration over right-closed label sets
-/// whose every choice lies in `constraint`, reduced to the maximal ones.
-/// Shared by `R̄(·)` and [`crate::biregular::half_step`], and the one
-/// place their input limits are checked.
-///
-/// # Errors
-///
-/// Returns [`RelimError::TooManyLabels`] past [`MAX_LABELS`] and
-/// [`RelimError::DegreeTooLarge`] past [`MAX_DEGREE`], before
-/// `sub_index` is called.
-pub(crate) fn maximal_universal(
-    constraint: &Constraint,
-    labels: usize,
-    pool: &Pool,
-    sub_index: impl FnOnce(&Constraint) -> Arc<SubMultisetIndex>,
-) -> Result<Vec<SetConfig>> {
-    if labels > MAX_LABELS {
-        return Err(RelimError::TooManyLabels { requested: labels, limit: MAX_LABELS });
-    }
-    let degree = constraint.degree();
-    if degree > MAX_DEGREE {
-        return Err(RelimError::DegreeTooLarge { degree });
-    }
-    let sub_index = sub_index(constraint);
-    assert_eq!(
-        sub_index.degree(),
-        degree,
-        "sub-multiset index was built for a different constraint"
-    );
-    let order = StrengthOrder::of_constraint(constraint, labels);
-    let cands = right_closed_sets(&order);
-    let raw = forall_multisets(&cands, degree, &sub_index, pool);
-    Ok(cover_filter(raw, &cands))
-}
-
-enum UniversalSide {
-    Edge,
-    Node,
-}
-
-/// Builds the derived problem: names the new labels, installs the universal
-/// side, and computes the existential side by the paper's replacement method
-/// ("replace each label y by the disjunction of all label sets containing
-/// y").
-fn finish_step(p: &Problem, universal: Vec<SetConfig>, side: UniversalSide) -> Result<Step> {
-    let derived = derive_sides(
-        p.alphabet(),
-        universal,
-        match side {
-            UniversalSide::Edge => p.node(),
-            UniversalSide::Node => p.edge(),
-        },
-    )?;
-    let (node, edge) = match side {
-        UniversalSide::Edge => (derived.existential, derived.universal),
-        UniversalSide::Node => (derived.universal, derived.existential),
-    };
-    let problem = Problem::new(derived.alphabet, node, edge).expect("derived problem is valid");
+    let derived = derive_sides(p.alphabet(), set_configs, p.node())?;
+    let problem = Problem::new(derived.alphabet, derived.existential, derived.universal)
+        .expect("derived problem is valid");
     Ok(Step { problem, provenance: derived.provenance })
 }
 
@@ -242,7 +166,8 @@ pub(crate) struct DerivedSides {
 /// From a computed universal side, builds the new alphabet (one label per
 /// occurring set, named by display), installs the universal constraint and
 /// computes the existential constraint from `exists_src` by the paper's
-/// replacement method.
+/// replacement method ("replace each label y by the disjunction of all
+/// label sets containing y").
 pub(crate) fn derive_sides(
     old_alphabet: &Alphabet,
     universal: Vec<SetConfig>,
@@ -439,7 +364,7 @@ fn forall_step(
 /// `cands` (sorted by cardinality) that [`forall_multisets`] emits. If `D`
 /// dominates `C` through a matching `π`, some `C_i ⊊ D_π(i)`, and a cover
 /// `S ⊆ D_π(i)` of `C_i` gives a member `C[i→S]` that `D` dominates.
-fn cover_filter(mut raw: Vec<SetConfig>, cands: &[LabelSet]) -> Vec<SetConfig> {
+pub(crate) fn cover_filter(mut raw: Vec<SetConfig>, cands: &[LabelSet]) -> Vec<SetConfig> {
     // `cands[k]`'s covers are `covers[starts[k]..starts[k + 1]]`. A set
     // between two candidates is smaller than the upper one: it came first.
     let mut covers: Vec<LabelSet> = Vec::new();
@@ -801,12 +726,19 @@ mod tests {
         assert_eq!(rr.problem.node().len(), 1, "A^64 is dominated by A^63 AB");
 
         let r = r_step(&wide(MAX_DEGREE + 1)).unwrap();
+        let cache = |engine: &Engine| {
+            let report = engine.report();
+            (report.cache_misses, report.cache_entries)
+        };
+        let before = cache(&engine);
         let err = engine.rbar_step(&r.problem).unwrap_err();
         assert_eq!(err, RelimError::DegreeTooLarge { degree: MAX_DEGREE + 1 });
         assert_eq!(engine.report().rbar_steps, 1, "a refused input counts no step");
+        assert_eq!(cache(&engine), before, "a refused R̄ builds no index");
         let bi = crate::biregular::BiregularProblem::from_problem(&r.problem);
         let err =
             crate::biregular::half_step(&bi, crate::biregular::Side::Black, &engine).unwrap_err();
         assert_eq!(err, RelimError::DegreeTooLarge { degree: MAX_DEGREE + 1 });
+        assert_eq!(cache(&engine), before, "a refused half step builds no index");
     }
 }

@@ -182,19 +182,6 @@ impl Pool {
         }
     }
 
-    /// [`Pool::try_from_env`], panicking with the parse error's message on
-    /// a misconfigured `RELIM_THREADS`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `RELIM_THREADS` is set but not a positive integer.
-    pub fn from_env() -> Pool {
-        match Self::try_from_env() {
-            Ok(pool) => pool,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
     /// What the standard library reports as available parallelism
     /// (at least 1).
     pub fn available_parallelism() -> usize {
@@ -288,13 +275,6 @@ impl Pool {
         F: Fn(&T) -> Result<R, E> + Send + Sync + 'static,
     {
         self.map_owned(items, f).into_iter().collect()
-    }
-}
-
-impl Default for Pool {
-    /// [`Pool::from_env`].
-    fn default() -> Self {
-        Pool::from_env()
     }
 }
 
@@ -574,13 +554,5 @@ mod tests {
             );
             assert!(err.to_string().contains(bad.trim()) || bad.trim().is_empty());
         }
-    }
-
-    #[test]
-    fn from_env_is_consistent_with_try_from_env() {
-        // Whatever the ambient RELIM_THREADS is (the CI matrix sets valid
-        // values), the panicking and fallible readers must agree.
-        let tried = Pool::try_from_env().expect("ambient RELIM_THREADS must be valid in tests");
-        assert_eq!(Pool::from_env(), tried);
     }
 }

@@ -138,6 +138,11 @@ impl Default for ServerConfig {
     }
 }
 
+/// The most executor threads a daemon starts, as `relim_pool::MAX_WORKERS`
+/// bounds the engine's workers: [`Server::spawn`] refuses a larger
+/// [`ServerConfig::executors`].
+pub const MAX_EXECUTORS: usize = 64;
+
 /// The executor-pool width `configured` resolves to: `0` means
 /// `min(4, available parallelism)` — wide enough to overlap queue waits,
 /// narrow enough not to oversubscribe the engine's worker pool.
@@ -418,8 +423,17 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates bind, store-directory and thread-spawn failures.
+    /// Returns `InvalidInput`, before binding, when `config.executors`
+    /// exceeds [`MAX_EXECUTORS`]. Propagates bind, store-directory and
+    /// thread-spawn failures; after a refused spawn the threads already
+    /// started are shut down and joined first.
     pub fn spawn(addr: &str, config: ServerConfig) -> std::io::Result<ServerHandle> {
+        if config.executors > MAX_EXECUTORS {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!("{} executors exceed the limit of {MAX_EXECUTORS}", config.executors),
+            ));
+        }
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let store = match &config.store_dir {
@@ -468,21 +482,14 @@ impl Server {
         });
 
         // First, so a refused spawn leaves no other thread behind.
-        spawn_connection_thread(&shared)?;
-        let executors = (0..executors)
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || executor_loop(&shared))
-            })
-            .collect();
-        // A fleet gets a background prober: Open breakers are re-dialed
-        // from here once their cooldown elapses, so recovery never rides
-        // on (or delays) a live request — see `Fleet::probe_open_breakers`.
-        let prober = shared.fleet.is_some().then(|| {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || prober_loop(&shared))
-        });
-        Ok(ServerHandle { shared, executors, prober })
+        spawn_thread(&shared, connection_thread)?;
+        let mut handle = ServerHandle { shared, executors: Vec::new(), prober: None };
+        if let Err(e) = handle.start_workers(executors) {
+            handle.shutdown();
+            handle.join();
+            return Err(e);
+        }
+        Ok(handle)
     }
 }
 
@@ -500,6 +507,21 @@ fn prober_loop(shared: &Arc<Shared>) {
 }
 
 impl ServerHandle {
+    /// Starts `executors` executor threads and, with a fleet, the prober,
+    /// stopping at the first thread the OS refuses.
+    fn start_workers(&mut self, executors: usize) -> std::io::Result<()> {
+        for _ in 0..executors {
+            self.executors.push(spawn_thread(&self.shared, executor_loop)?);
+        }
+        // A fleet gets a background prober: Open breakers are re-dialed
+        // from here once their cooldown elapses, so recovery never rides
+        // on (or delays) a live request — see `Fleet::probe_open_breakers`.
+        if self.shared.fleet.is_some() {
+            self.prober = Some(spawn_thread(&self.shared, prober_loop)?);
+        }
+        Ok(())
+    }
+
     /// The address the daemon actually bound (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
         self.shared.addr
@@ -589,9 +611,11 @@ const IDLE_CONNECTION_THREADS: usize = 4;
 /// spin a CPU.
 const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
 
-fn spawn_connection_thread(shared: &Arc<Shared>) -> std::io::Result<()> {
+/// Starts a daemon thread running `body`; a refusal by the OS is an
+/// error, not a panic.
+fn spawn_thread(shared: &Arc<Shared>, body: fn(&Arc<Shared>)) -> std::io::Result<JoinHandle<()>> {
     let shared = Arc::clone(shared);
-    std::thread::Builder::new().spawn(move || connection_thread(&shared)).map(drop)
+    std::thread::Builder::new().spawn(move || body(&shared))
 }
 
 /// A connection thread: accepts a connection on the shared listener and
@@ -626,7 +650,7 @@ fn connection_thread(shared: &Arc<Shared>) {
                 // connection does not wait for this one. If the OS
                 // refuses a thread, this connection is still served and
                 // this thread accepts again after.
-                if nobody_accepting && spawn_connection_thread(shared).is_err() {
+                if nobody_accepting && spawn_thread(shared, connection_thread).is_err() {
                     shared.errors.fetch_add(1, Ordering::Relaxed);
                 }
                 serve_connection(stream, shared);
@@ -1219,6 +1243,20 @@ mod tests {
         }
         client.shutdown().unwrap();
         fresh.join();
+    }
+
+    #[test]
+    fn executors_past_the_bound_are_refused_before_binding() {
+        // The address is held, so a refusal after the bind would read
+        // `AddrInUse` — and every thread starts after the bind.
+        let held = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = held.local_addr().unwrap().to_string();
+        let refused = |executors| {
+            let config = ServerConfig { executors, ..ServerConfig::default() };
+            Server::spawn(&addr, config).err().expect("the held address cannot be served").kind()
+        };
+        assert_eq!(refused(MAX_EXECUTORS + 1), std::io::ErrorKind::InvalidInput);
+        assert_eq!(refused(MAX_EXECUTORS), std::io::ErrorKind::AddrInUse);
     }
 
     #[test]
