@@ -84,7 +84,6 @@ fn run(raw: Vec<String>) -> Result<String, Box<dyn std::error::Error>> {
         "status" => return cmd_status(&args),
         "ping" => return cmd_ping(&args),
         "metrics" => return cmd_metrics(&args),
-        "timeline" => return cmd_timeline(&args),
         "trace" => return cmd_trace(&args),
         "shutdown" => return cmd_shutdown(&args),
         // `viz` computes locally, but with its own lineage-recording
@@ -146,7 +145,6 @@ fn command_keys(command: &str, args: &Args) -> Option<Vec<String>> {
         ),
         "submit" => (&["addr", "op", "priority", "trace"], args.get("op")),
         "status" | "ping" | "metrics" | "shutdown" => (&["addr"], None),
-        "timeline" => (&["addr", "json"], None),
         "trace" => (&["addr", "trace-id", "peers", "format"], None),
         "viz" => (&["threads", "digest", "addr", "store", "op", "full", "json"], args.get("op")),
         _ => return None,
@@ -195,9 +193,8 @@ USAGE: relim [--threads T] <command> ...
   relim status      [--addr A]
   relim ping        [--addr A]
   relim metrics     [--addr A]
-  relim timeline    [--addr A] [--json]
-  relim trace       --trace-id T [--addr A] [--peers host:port,…]
-                    [--format tree|chrome]
+  relim trace       [--trace-id T] [--addr A] [--peers host:port,…]
+                    [--format tree|chrome|gantt]
   relim viz         --digest D [--addr A | --store DIR] [--full] [--json]
   relim viz         --op autolb|autoub|iterate|zero-round <op options> [--full] [--json]
   relim shutdown    [--addr A]
@@ -238,19 +235,21 @@ unreachable owner degrades to local compute — same bytes, counted.
 (cached/digest metadata goes to stderr; with --trace a fresh trace id
 is minted, propagated, and echoed on stderr — stdout bytes never
 change); `status` prints the daemon counters; `ping` probes liveness
-(uptime, store entry count, timeline/span window sizes and drop
-counts — the same exchange the fleet breaker uses); `metrics` prints
-the counters as Prometheus text exposition, including per-op latency
-histograms; `timeline` prints the scheduler event log as a text gantt
-(--json for the raw events); `shutdown` asks the daemon to drain its
-queue and exit.
+(uptime, store entry count, span window size and drop count — the
+same exchange the fleet breaker uses); `metrics` prints the counters
+as Prometheus text exposition, including per-op latency histograms;
+`shutdown` asks the daemon to drain its queue and exit.
 
-`trace` collects the spans of one trace id from a daemon (--addr) and
-any number of its peers (--peers host:port,…), merges them, and
-renders a cross-daemon tree — or, with --format chrome, a Chrome
-trace-event JSON loadable in Perfetto / chrome://tracing. A daemon
-records the spans of every request that carries a trace id (`submit
---trace`) and of the peer fetches it triggers; a daemon that dropped
+`trace` collects spans from a daemon (--addr) and any number of its
+peers (--peers host:port,…) — those of one trace id with --trace-id T,
+else every span in their windows — merges them, and renders a
+cross-daemon tree, or with --format chrome a Chrome trace-event JSON
+loadable in Perfetto / chrome://tracing (one track per trace), or with
+--format gantt a scheduler timeline: one section per daemon, one lane
+per traced job (E enqueue, P promote, S start, F finish, X failed;
+`.` queued, `-` running). A daemon records the spans of every request
+that carries a trace id (`submit --trace`) and of the peer fetches it
+triggers, and nothing for any other request; a daemon that dropped
 spans from its bounded window is called out on stderr so an
 incomplete merge is never mistaken for a complete one.
 
@@ -707,14 +706,8 @@ fn cmd_ping(args: &Args) -> Result<String, Box<dyn std::error::Error>> {
     let client = Client::new(&*addr).with_timeout(std::time::Duration::from_secs(5));
     let info = client.ping_info()?;
     Ok(format!(
-        "pong from {addr}: uptime {} ms, {} store entries, timeline window {} ({} dropped), \
-         span window {} ({} dropped)",
-        info.uptime_ms,
-        info.store_entries,
-        info.timeline_window,
-        info.timeline_dropped,
-        info.span_window,
-        info.span_dropped
+        "pong from {addr}: uptime {} ms, {} store entries, span window {} ({} dropped)",
+        info.uptime_ms, info.store_entries, info.span_window, info.span_dropped
     ))
 }
 
@@ -723,32 +716,32 @@ fn cmd_metrics(args: &Args) -> Result<String, Box<dyn std::error::Error>> {
     Ok(client.metrics()?.trim_end().to_owned())
 }
 
-fn cmd_timeline(args: &Args) -> Result<String, Box<dyn std::error::Error>> {
-    let client = Client::new(args.get("addr").unwrap_or(DEFAULT_ADDR));
-    let (timeline, gantt) = client.timeline()?;
-    if args.has_flag("json") {
-        return Ok(timeline.render().trim_end().to_owned());
-    }
-    Ok(gantt.trim_end().to_owned())
-}
-
-/// Collects the spans of one trace id from a daemon plus any number of
-/// its peers, merges the per-daemon dumps, and renders the cross-daemon
-/// tree (default) or a Chrome trace-event JSON (`--format chrome`,
-/// loadable in Perfetto / chrome://tracing).
+/// Collects the spans of one trace id (`--trace-id`), or every span in
+/// the windows, from a daemon plus any number of its peers, merges the
+/// per-daemon dumps, and renders the cross-daemon tree (default), a
+/// Chrome trace-event JSON (`--format chrome`, loadable in Perfetto /
+/// chrome://tracing) or a scheduler gantt (`--format gantt`).
 ///
 /// Completeness warnings go to stderr, never into the rendering: a
 /// daemon that has dropped spans out of its bounded window may hold
 /// only part of the trace. The merge still renders — but the operator
 /// is told it may be incomplete.
 fn cmd_trace(args: &Args) -> Result<String, Box<dyn std::error::Error>> {
-    let raw_id = args.require("trace-id")?;
-    let trace_id = trace::parse_id(raw_id)
-        .ok_or_else(|| ArgError(format!("--trace-id must be 1..=16 hex digits, got `{raw_id}`")))?;
-    let format = args.get("format").unwrap_or("tree");
-    if format != "tree" && format != "chrome" {
-        return Err(Box::new(ArgError(format!("--format must be tree|chrome, got `{format}`"))));
-    }
+    let trace_id = match args.get("trace-id") {
+        None => None,
+        Some(raw) => Some(trace::parse_id(raw).ok_or_else(|| {
+            ArgError(format!("--trace-id must be 1..=16 hex digits, got `{raw}`"))
+        })?),
+    };
+    let render: fn(&[trace::TraceDump]) -> String = match args.get("format").unwrap_or("tree") {
+        "tree" => trace::render_tree,
+        "chrome" => trace::render_chrome,
+        "gantt" => trace::render_gantt,
+        other => {
+            let message = format!("--format must be tree|chrome|gantt, got `{other}`");
+            return Err(Box::new(ArgError(message)));
+        }
+    };
     let mut addrs = vec![args.get("addr").unwrap_or(DEFAULT_ADDR).to_owned()];
     for peer in peers_from(args)? {
         if !addrs.contains(&peer) {
@@ -758,7 +751,7 @@ fn cmd_trace(args: &Args) -> Result<String, Box<dyn std::error::Error>> {
     let mut dumps = Vec::new();
     for addr in &addrs {
         let client = Client::new(&**addr).with_timeout(std::time::Duration::from_secs(5));
-        let dump = client.trace_dump(Some(trace_id))?;
+        let dump = client.trace_dump(trace_id)?;
         if dump.dropped > 0 {
             eprintln!(
                 "warning: {addr} dropped {} span(s) out of its window of {}; \
@@ -768,11 +761,7 @@ fn cmd_trace(args: &Args) -> Result<String, Box<dyn std::error::Error>> {
         }
         dumps.push(dump);
     }
-    let rendered = match format {
-        "chrome" => trace::render_chrome(&dumps),
-        _ => trace::render_tree(&dumps),
-    };
-    Ok(rendered.trim_end().to_owned())
+    Ok(render(&dumps).trim_end().to_owned())
 }
 
 /// Renders the derivation-lineage DAG of one certificate as Graphviz
@@ -1217,7 +1206,7 @@ mod tests {
     }
 
     #[test]
-    fn metrics_and_timeline_verbs_print_the_observability_surfaces() {
+    fn metrics_and_ping_verbs_print_the_observability_surfaces() {
         let handle = Server::spawn("127.0.0.1:0", ServerConfig::default()).unwrap();
         let addr = handle.local_addr().to_string();
         run_words(&[
@@ -1234,21 +1223,18 @@ mod tests {
         let metrics = run_words(&["metrics", "--addr", &addr]);
         assert!(metrics.contains("relim_requests_total"), "{metrics}");
         assert!(metrics.contains("# TYPE relim_store_stores counter"), "{metrics}");
-        let gantt = run_words(&["timeline", "--addr", &addr]);
-        assert!(gantt.contains("timeline:"), "{gantt}");
-        assert!(gantt.contains("zero-round"), "{gantt}");
-        let json = run_words(&["timeline", "--addr", &addr, "--json"]);
-        assert!(json.contains("\"relim-timeline/1\""), "{json}");
         // Every daemon keeps its span window: ping reports it.
         let pong = run_words(&["ping", "--addr", &addr]);
-        assert!(pong.contains("timeline window"), "{pong}");
-        assert!(pong.contains("span window 4096 (0 dropped)"), "{pong}");
+        assert!(pong.ends_with("span window 4096 (0 dropped)"), "{pong}");
+        // The scheduler timeline is a rendering of the span log now.
+        let err = run(vec!["timeline".into()]).unwrap_err().to_string();
+        assert!(err.contains("unknown command `timeline`"), "{err}");
         run_words(&["shutdown", "--addr", &addr]);
         handle.join();
     }
 
     #[test]
-    fn trace_verb_renders_a_tree_and_a_chrome_export() {
+    fn trace_verb_renders_a_tree_a_chrome_export_and_a_gantt() {
         let handle = Server::spawn("127.0.0.1:0", ServerConfig::default()).unwrap();
         let addr = handle.local_addr().to_string();
 
@@ -1265,8 +1251,8 @@ mod tests {
             "--edge",
             "M [P O];O O",
         ];
-        let untraced = run_words(&words);
         let traced = run_words(&[&words[..], &["--trace"]].concat());
+        let untraced = run_words(&words);
         assert_eq!(traced, untraced, "tracing never changes served bytes");
 
         // Submit under a *known* trace id (the CLI mints random ones),
@@ -1284,9 +1270,16 @@ mod tests {
         assert!(chrome.contains("\"ph\":\"X\""), "{chrome}");
         assert!(chrome.contains("traceEvents"), "{chrome}");
 
-        // The daemon's ping reports its span window.
-        let pong = run_words(&["ping", "--addr", &addr]);
-        assert!(pong.contains("span window"), "{pong}");
+        // Without --trace-id the whole window renders: the gantt draws
+        // one lane per traced job — the first submit, the one that
+        // computed (store hits queue nothing).
+        let gantt = run_words(&["trace", "--addr", &addr, "--format", "gantt"]);
+        let lines: Vec<&str> = gantt.lines().collect();
+        assert_eq!(lines[0], format!("daemon {addr}: 1 traced job(s), 3 event(s)"), "{gantt}");
+        assert_eq!(lines[1], format!("{} zero-round interactive|ESF", &op.digest().unwrap()[..12]));
+        let chrome = run_words(&["trace", "--addr", &addr, "--format", "chrome"]);
+        assert!(chrome.contains(&trace::render_id(0xf00d)), "{chrome}");
+        assert!(chrome.contains("\"tid\":2"), "two traces, two tracks: {chrome}");
 
         // Bad id / bad format are loud argument errors, not connections.
         let err = run(vec!["trace".into(), "--trace-id".into(), "xyz".into()]).unwrap_err();
@@ -1299,7 +1292,7 @@ mod tests {
             "svg".into(),
         ])
         .unwrap_err();
-        assert!(err.to_string().contains("tree|chrome"), "{err}");
+        assert!(err.to_string().contains("tree|chrome|gantt"), "{err}");
 
         run_words(&["shutdown", "--addr", &addr]);
         handle.join();

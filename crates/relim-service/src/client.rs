@@ -151,21 +151,6 @@ impl Client {
         str_field(&doc, "metrics response", "metrics")
     }
 
-    /// Fetches the scheduler event log: the timeline JSON object and its
-    /// text-gantt rendering.
-    ///
-    /// # Errors
-    ///
-    /// Connection/protocol failures.
-    pub fn timeline(&self) -> Result<(Json, String), ClientError> {
-        let doc = self.raw_roundtrip(&protocol::render_admin_request("timeline", None))?;
-        let timeline = doc
-            .get("timeline")
-            .cloned()
-            .ok_or_else(|| ClientError("timeline response missing `timeline`".into()))?;
-        Ok((timeline, str_field(&doc, "timeline response", "gantt")?))
-    }
-
     /// Fetches one stored entry by content address: `Some((key,
     /// result))` when the daemon holds the digest under a key that
     /// re-digests to it, `None` for a clean miss (the `fetch` op never
@@ -197,7 +182,7 @@ impl Client {
     }
 
     /// Pings the daemon and returns the full pong: uptime, store size
-    /// and the timeline/span window capacities with their drop counts —
+    /// and the span window capacity with its drop count —
     /// what `relim trace --peers` uses to warn about incomplete merges.
     /// Fields an older daemon does not send read as zero. This is the
     /// one pong parser: `relim ping` and the fleet's breaker probe both

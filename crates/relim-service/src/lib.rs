@@ -57,22 +57,20 @@
 //!   key) before falling back to local compute. Peer calls carry
 //!   timeouts, bounded retries and a circuit breaker, so a dead owner
 //!   degrades to local compute — same bytes, counted degradation.
-//! * [`metrics`] / [`timeline`] — the observability surfaces: the
-//!   Prometheus text-exposition rendering behind `{"op": "metrics"}`
-//!   (derived from the same counters tree `status` serves, so the two
-//!   can never drift — including per-op × per-outcome **latency
-//!   histograms**) and the bounded scheduler event log behind
-//!   `{"op": "timeline"}` (enqueue/promote/start/finish per job, dumped
-//!   as JSON plus a text gantt). The event log and the span log of
-//!   [`trace`] are two instances of one bounded window.
-//! * [`trace`] — request-scoped **distributed tracing**: a trace
-//!   context minted by the client rides `submit`/`fetch` requests
-//!   across the fleet and is the one switch: each daemon records the
-//!   spans of a request that carries one (parse, queue-wait, compute,
-//!   store and peer I/O) into its bounded span log served by
-//!   `{"op": "trace"}`, and `relim trace` merges the per-daemon dumps
-//!   into one cross-daemon tree. Responses never change: traced or
-//!   not, the served bytes are identical.
+//! * [`metrics`] — the Prometheus text-exposition rendering behind
+//!   `{"op": "metrics"}`, derived from the same counters tree `status`
+//!   serves, so the two can never drift — including per-op × per-outcome
+//!   **latency histograms**.
+//! * [`trace`] — request-scoped **distributed tracing** and the daemon's
+//!   one bounded log: a trace context minted by the client rides
+//!   `submit`/`fetch` requests across the fleet and is the one switch:
+//!   each daemon records the spans of a request that carries one (parse,
+//!   queue-wait, compute, store and peer I/O) into its bounded span log
+//!   served by `{"op": "trace"}`, and `relim trace` merges the
+//!   per-daemon dumps into one cross-daemon tree, a Chrome trace-event
+//!   export, or a scheduler gantt with one lane per traced job. An
+//!   untraced request records nothing, and responses never change:
+//!   traced or not, the served bytes are identical.
 //!
 //! ## Example
 //!
@@ -107,9 +105,7 @@ pub mod queue;
 pub mod ring;
 pub mod server;
 pub mod store;
-pub mod timeline;
 pub mod trace;
-mod window;
 pub mod wire;
 
 pub use client::Client;

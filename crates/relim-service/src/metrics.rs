@@ -122,7 +122,6 @@ fn is_gauge_path(path: &str) -> bool {
             | "engine_cache_entries"
             | "threads"
             | "executors"
-            | "timeline_window"
             | "trace_window"
     ) || path.ends_with("_max_ns")
         // Per-peer breaker state (`peers_<addr>_breaker_is_open`) is a

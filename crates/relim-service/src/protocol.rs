@@ -13,16 +13,16 @@
 //! (an integer echoed verbatim in the response) and `priority`
 //! (`interactive` / `bulk`, defaulting per operation — sweeps are bulk).
 //! The admin requests are `{"op": "status"}`, `{"op": "metrics"}`
-//! (Prometheus text exposition of the same counters), `{"op":
-//! "timeline"}` (the scheduler event log), `{"op": "fetch", "digest":
-//! …}` (the one read of a stored entry by content address, used by
+//! (Prometheus text exposition of the same counters), `{"op": "fetch",
+//! "digest": …}` (the one read of a stored entry by content address, used by
 //! fleet peers and `relim viz` alike: the entry's key must re-digest
 //! to the address, and a miss is an `ok` response with `found: false`
 //! rather than an error, so a cold cache is not a fault),
 //! `{"op": "ping"}` (liveness: uptime, store entry count and the
-//! observability-window health a fleet prober wants — see [`PingInfo`]),
-//! `{"op": "trace", "trace_id": …}` (a span dump, optionally filtered
-//! to one trace) and `{"op": "shutdown"}`.
+//! span-window health a fleet prober wants — see [`PingInfo`]),
+//! `{"op": "trace", "trace_id": …}` (a dump of the span log, the
+//! daemon's one bounded log, optionally filtered to one trace) and
+//! `{"op": "shutdown"}`.
 //!
 //! **Trace propagation.** Job and fetch requests carry two further
 //! optional envelope fields: `trace_id` and `parent_span`, both 16-digit
@@ -40,8 +40,7 @@
 //! address) and `result` (the canonical text — byte-identical to the
 //! same query run in-process). Status responses carry a `counters`
 //! object; metrics responses a `metrics` string (the exposition text);
-//! timeline responses a `timeline` object plus a `gantt` string; fetch
-//! responses `digest`, `found` and, when found, `key`/`result`;
+//! trace responses a `trace` object (the span dump); fetch responses `digest`, `found` and, when found, `key`/`result`;
 //! shutdown responses `{"shutting_down": true}`. Failures carry
 //! `error`.
 
@@ -79,8 +78,6 @@ pub enum RequestBody {
     Status,
     /// Prometheus text-exposition scrape of the same counters.
     Metrics,
-    /// Scheduler event-log dump (JSON + text gantt).
-    Timeline,
     /// The verified read of one stored entry by content address (a
     /// fleet peer's read-through, `relim viz --addr`): the entry, or a
     /// non-error miss (`found: false`).
@@ -118,7 +115,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     let body = match op_name {
         "status" => RequestBody::Status,
         "metrics" => RequestBody::Metrics,
-        "timeline" => RequestBody::Timeline,
         "fetch" => {
             let digest = doc
                 .get("digest")
@@ -249,12 +245,6 @@ pub fn render_metrics_response(id: Option<i64>, metrics: &str) -> String {
     message(id, [("ok", Json::Bool(true)), ("metrics", Json::str(metrics))])
 }
 
-/// Renders a timeline response line around the event-log JSON and its
-/// gantt rendering.
-pub fn render_timeline_response(id: Option<i64>, timeline: Json, gantt: &str) -> String {
-    message(id, [("ok", Json::Bool(true)), ("timeline", timeline), ("gantt", Json::str(gantt))])
-}
-
 /// Renders a fetch request line (the client side of the `fetch` op).
 pub fn render_fetch_request(digest: &str, id: Option<i64>) -> String {
     render_fetch_request_traced(digest, id, None)
@@ -303,19 +293,15 @@ pub fn render_fetch_response(id: Option<i64>, digest: &str, entry: Option<(&str,
 
 /// The payload of a ping response: liveness plus the cheap health
 /// readings a prober (or `relim trace --peers`) wants — uptime, store
-/// entry count, and the capacities and dropped counts of the daemon's
-/// bounded observability windows. A nonzero dropped count means dumps
-/// from that window are known-incomplete.
+/// entry count, and the capacity and dropped count of the daemon's
+/// span log. A nonzero dropped count means dumps from that window are
+/// known-incomplete.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PingInfo {
     /// Milliseconds since the daemon started.
     pub uptime_ms: u64,
     /// Entries in the result store.
     pub store_entries: u64,
-    /// The timeline event-log capacity.
-    pub timeline_window: u64,
-    /// Timeline events dropped out of the window.
-    pub timeline_dropped: u64,
     /// The span-log capacity.
     pub span_window: u64,
     /// Spans dropped out of the window.
@@ -330,8 +316,6 @@ impl PingInfo {
         PingInfo {
             uptime_ms: int("uptime_ms"),
             store_entries: int("store_entries"),
-            timeline_window: int("timeline_window"),
-            timeline_dropped: int("timeline_dropped"),
             span_window: int("span_window"),
             span_dropped: int("span_dropped"),
         }
@@ -348,8 +332,6 @@ pub fn render_ping_response(id: Option<i64>, info: &PingInfo) -> String {
             ("pong", Json::Bool(true)),
             ("uptime_ms", int(info.uptime_ms)),
             ("store_entries", int(info.store_entries)),
-            ("timeline_window", int(info.timeline_window)),
-            ("timeline_dropped", int(info.timeline_dropped)),
             ("span_window", int(info.span_window)),
             ("span_dropped", int(info.span_dropped)),
         ],
@@ -419,14 +401,12 @@ mod tests {
             parse_request(&render_admin_request("metrics", None)).unwrap().body,
             RequestBody::Metrics
         );
-        assert_eq!(
-            parse_request(&render_admin_request("timeline", None)).unwrap().body,
-            RequestBody::Timeline
-        );
-        // The retired `lookup` op reads as any other unknown op.
-        let line = "{\"op\": \"lookup\", \"digest\": \"abc123\"}";
-        let err = parse_request(line).unwrap_err();
-        assert!(err.contains("unknown op `lookup`"), "{err}");
+        // The retired `lookup` and `timeline` ops read as any other
+        // unknown op.
+        for retired in ["lookup", "timeline"] {
+            let err = parse_request(&render_admin_request(retired, None)).unwrap_err();
+            assert!(err.contains(&format!("unknown op `{retired}`")), "{err}");
+        }
         assert_eq!(
             parse_request(&render_admin_request("shutdown", Some(3))).unwrap(),
             Request { id: Some(3), body: RequestBody::Shutdown }
@@ -499,14 +479,8 @@ mod tests {
         assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(true), "a miss is not a fault");
         assert_eq!(doc.get("found").and_then(Json::as_bool), Some(false));
         assert!(doc.get("result").is_none());
-        let info = PingInfo {
-            uptime_ms: 1234,
-            store_entries: 7,
-            timeline_window: 1024,
-            timeline_dropped: 2,
-            span_window: 4096,
-            span_dropped: 0,
-        };
+        let info =
+            PingInfo { uptime_ms: 1234, store_entries: 7, span_window: 4096, span_dropped: 2 };
         let pong = Json::parse(&render_ping_response(None, &info)).unwrap();
         assert_eq!(pong.get("pong").and_then(Json::as_bool), Some(true));
         assert_eq!(pong.get("uptime_ms").and_then(Json::as_i64), Some(1234));
@@ -515,7 +489,7 @@ mod tests {
         assert_eq!(PingInfo::from_json(&pong), info, "the health readings round-trip");
         // An old daemon's pong (no window fields) parses with zeros.
         let old = Json::parse("{\"ok\": true, \"pong\": true, \"uptime_ms\": 5}").unwrap();
-        assert_eq!(PingInfo::from_json(&old).timeline_window, 0);
+        assert_eq!(PingInfo::from_json(&old).span_window, 0);
     }
 
     #[test]
@@ -541,7 +515,6 @@ mod tests {
             render_job_response(Some(1), true, "abc", "multi\nline\nresult"),
             render_status_response(None, Json::Obj(vec![("x".into(), Json::Int(1))])),
             render_metrics_response(Some(4), "# TYPE relim_x counter\nrelim_x 1\n"),
-            render_timeline_response(None, Json::Obj(vec![]), "timeline: 0 events\n"),
             render_fetch_response(Some(6), "abc", Some(("key\ntext", "result\ntext"))),
             render_fetch_response(None, "abc", None),
             render_ping_response(

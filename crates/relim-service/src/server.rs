@@ -76,12 +76,11 @@ use crate::ops::{OpRequest, Prepared};
 use crate::protocol::{self, PingInfo, Request, RequestBody};
 use crate::queue::{Class, JobQueue, DEFAULT_AGING_LIMIT};
 use crate::store::{InflightClaim, ResultStore};
-use crate::timeline::{EventKind, EventLog, DEFAULT_EVENT_CAPACITY};
 use crate::trace::{SpanLog, TraceContext, Tracer, DEFAULT_SPAN_CAPACITY};
 use crate::wire;
 use relim_core::Engine;
 use relim_json::Json;
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -171,7 +170,7 @@ struct Job {
 /// (`shutdown` is not counted).
 /// The job ops are also the rows of `store_hits` and of the latency
 /// grid, so exposition names line up.
-const OP_NAMES: [&str; 11] = [
+const OP_NAMES: [&str; 10] = [
     "autolb",
     "autoub",
     "iterate",
@@ -179,7 +178,6 @@ const OP_NAMES: [&str; 11] = [
     "zero_round",
     "status",
     "metrics",
-    "timeline",
     "fetch",
     "ping",
     "trace",
@@ -194,10 +192,9 @@ fn op_slot(body: &RequestBody) -> Option<usize> {
         RequestBody::Job { op, .. } => op.slot(),
         RequestBody::Status => 5,
         RequestBody::Metrics => 6,
-        RequestBody::Timeline => 7,
-        RequestBody::Fetch { .. } => 8,
-        RequestBody::Ping => 9,
-        RequestBody::Trace { .. } => 10,
+        RequestBody::Fetch { .. } => 7,
+        RequestBody::Ping => 8,
+        RequestBody::Trace { .. } => 9,
         RequestBody::Shutdown => return None,
     })
 }
@@ -210,15 +207,6 @@ fn counts_json(names: &[&str], counts: &[AtomicU64]) -> Json {
             .map(|(n, c)| ((*n).to_owned(), Json::Int(c.load(Ordering::Relaxed) as i64)))
             .collect(),
     )
-}
-
-/// The counters object of a bounded window (timeline or span log).
-fn window_json(recorded: u64, dropped: u64, window: usize) -> Json {
-    Json::Obj(vec![
-        ("recorded".into(), Json::Int(recorded as i64)),
-        ("dropped".into(), Json::Int(dropped as i64)),
-        ("window".into(), Json::Int(window as i64)),
-    ])
 }
 
 /// Per-op × per-outcome latency histograms: every job request records
@@ -291,7 +279,8 @@ struct Shared {
     /// listener and when `acceptors` drops to zero: with both, the
     /// listener is closed ([`ServerHandle::join_and_report`] waits on it).
     acceptors_drained: Condvar,
-    /// The span log traced requests record into.
+    /// The daemon's one bounded log: traced requests record their spans
+    /// into it, untraced ones nothing.
     spans: SpanLog,
     /// The fleet tier, when `--peers` was given: remote owners are read
     /// through before local compute (see [`crate::fleet`]).
@@ -319,8 +308,6 @@ struct Shared {
     store_hits: [AtomicU64; JOB_OPS],
     /// Per-op × per-outcome latency histograms (see [`LatencyGrid`]).
     latency: LatencyGrid,
-    /// The bounded scheduler event log behind `{"op": "timeline"}`.
-    events: EventLog,
 }
 
 impl Shared {
@@ -331,6 +318,7 @@ impl Shared {
             let q = self.queue.lock().expect("queue lock poisoned");
             (q.promotions(), q.max_depth(), q.len(), q.aging_limit())
         };
+        let (spans_recorded, spans_dropped) = self.spans.stats();
         let engine_report = self.engine.report();
         let engine_pairs: Vec<(String, Json)> = engine_report
             .snapshot_pairs()
@@ -374,14 +362,14 @@ impl Shared {
                     ]),
                 ),
                 ("latency".into(), self.latency.json()),
-                {
-                    let (recorded, dropped) = self.events.stats();
-                    ("timeline".into(), window_json(recorded, dropped, self.events.capacity()))
-                },
-                {
-                    let (recorded, dropped) = self.spans.stats();
-                    ("trace".into(), window_json(recorded, dropped, self.spans.capacity()))
-                },
+                (
+                    "trace".into(),
+                    Json::Obj(vec![
+                        ("recorded".into(), Json::Int(spans_recorded as i64)),
+                        ("dropped".into(), Json::Int(spans_dropped as i64)),
+                        ("window".into(), Json::Int(self.spans.capacity() as i64)),
+                    ]),
+                ),
                 (
                     // Always present, zeros without a fleet: the scrape
                     // surface is identical with and without `--peers`.
@@ -478,7 +466,6 @@ impl Server {
             torn_lines: AtomicU64::new(0),
             store_hits: Default::default(),
             latency: LatencyGrid::default(),
-            events: EventLog::new(DEFAULT_EVENT_CAPACITY),
         });
 
         // First, so a refused spawn leaves no other thread behind.
@@ -668,21 +655,18 @@ fn executor_loop(shared: &Arc<Shared>) {
         if let Some((class, job)) = queue.pop() {
             let promoted = queue.promotions() > promotions_before;
             drop(queue);
-            if promoted {
-                shared.events.record(
-                    EventKind::Promote,
-                    job.prepared.digest(),
-                    job.op.name(),
-                    class,
-                );
-            }
-            shared.events.record(EventKind::Start, job.prepared.digest(), job.op.name(), class);
             // Traced only when the owning request carried a context;
             // `None` otherwise — the untraced path pays these branches
-            // and nothing else.
+            // and nothing else. The queue-wait span carries what a
+            // scheduler gantt labels and marks a job's lane with.
             let traced = job.trace.map(|(ctx, enqueued_ns)| {
                 let tracer = Tracer::new(&shared.spans, ctx);
-                let attrs = vec![("class".to_owned(), class.as_str().to_owned())];
+                let attrs = vec![
+                    ("class".to_owned(), class.as_str().to_owned()),
+                    ("digest".to_owned(), job.prepared.digest().to_owned()),
+                    ("op".to_owned(), job.op.name().to_owned()),
+                    ("promoted".to_owned(), promoted.to_string()),
+                ];
                 tracer.record("queue-wait", enqueued_ns, attrs);
                 (tracer, shared.engine.report(), tracer.now_ns())
             });
@@ -729,8 +713,6 @@ fn executor_loop(shared: &Arc<Shared>) {
             // Store first, complete second: a request that misses the
             // coalescing window after this point hits the store instead.
             shared.store.complete(job.prepared.key(), &result);
-            let finished = EventKind::Finish { ok: result.is_ok() };
-            shared.events.record(finished, job.prepared.digest(), job.op.name(), class);
             // A dropped receiver (client gone) is fine — work is stored.
             let _ = job.reply.send(result);
             queue = shared.queue.lock().expect("queue lock poisoned");
@@ -761,9 +743,6 @@ fn enqueue(shared: &Shared, class: Class, job: Job) -> Result<(), String> {
     if shared.shutdown.load(Ordering::SeqCst) {
         return Err("server is shutting down".to_owned());
     }
-    // Recorded under the queue lock: the job is not poppable until the
-    // lock drops, so its `enqueue` event always precedes its `start`.
-    shared.events.record(EventKind::Enqueue, job.prepared.digest(), job.op.name(), class);
     queue.push(class, job);
     shared.cv.notify_one();
     Ok(())
@@ -776,22 +755,33 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
     };
     let mut reader = BufReader::new(stream);
     loop {
-        // Manual `read_line` instead of `lines()`: the framing is
+        // Manual `read_until` instead of `lines()`: the framing is
         // line-delimited, so bytes arriving without their terminator —
         // a peer that died mid-write — are a **torn line**, not a
         // request. They are counted and discarded, never parsed: a
-        // half-written `{"op":"shutd` must not become anything.
-        let mut line = String::new();
-        match reader.read_line(&mut line) {
+        // half-written `{"op":"shutd` must not become anything. The
+        // read stops one byte past the request limit, so an endless
+        // line costs a bounded buffer.
+        let mut line = Vec::new();
+        let limited = (&mut reader).take(wire::MAX_REQUEST_BYTES + 1).read_until(b'\n', &mut line);
+        match limited {
             Ok(0) => break, // clean EOF at a frame boundary
-            Ok(_) if !line.ends_with('\n') => {
+            Ok(n) if n as u64 > wire::MAX_REQUEST_BYTES && !line.ends_with(b"\n") => {
+                shared.errors.fetch_add(1, Ordering::Relaxed);
+                let error =
+                    format!("request line exceeds the limit of {} bytes", wire::MAX_REQUEST_BYTES);
+                let _ =
+                    wire::write_frame(&mut writer, &protocol::render_error_response(None, &error));
+                break;
+            }
+            Ok(_) if !line.ends_with(b"\n") => {
                 shared.torn_lines.fetch_add(1, Ordering::Relaxed);
                 break;
             }
             Ok(_) => {}
             Err(_) => {
                 // A read error can also strand partial bytes in the
-                // buffer (`read_line` appends what it read before
+                // buffer (`read_until` appends what it read before
                 // failing) — same torn frame, same accounting.
                 if !line.is_empty() {
                     shared.torn_lines.fetch_add(1, Ordering::Relaxed);
@@ -799,6 +789,7 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
                 break;
             }
         }
+        let Ok(line) = String::from_utf8(line) else { break };
         if line.trim().is_empty() {
             continue;
         }
@@ -840,11 +831,6 @@ fn handle_line(line: &str, shared: &Shared) -> (String, bool) {
             let text = crate::metrics::render_prometheus(&shared.counters_json());
             protocol::render_metrics_response(id, &text)
         }
-        RequestBody::Timeline => {
-            let snapshot = shared.events.snapshot();
-            let gantt = snapshot.render_gantt();
-            protocol::render_timeline_response(id, snapshot.to_json(), &gantt)
-        }
         RequestBody::Fetch { digest, trace } => {
             // A read-only read by content address: never counted as
             // store traffic (the hits+misses↔submits reconciliation
@@ -867,8 +853,6 @@ fn handle_line(line: &str, shared: &Shared) -> (String, bool) {
             let info = PingInfo {
                 uptime_ms: shared.started.elapsed().as_millis() as u64,
                 store_entries: shared.store.stats().mem_entries as u64,
-                timeline_window: shared.events.capacity() as u64,
-                timeline_dropped: shared.events.stats().1,
                 span_window: shared.spans.capacity() as u64,
                 span_dropped: shared.spans.stats().1,
             };
@@ -1114,11 +1098,12 @@ mod tests {
     }
 
     #[test]
-    fn metrics_timeline_and_fetch_ops_serve_the_observability_surfaces() {
+    fn metrics_gantt_and_fetch_ops_serve_the_observability_surfaces() {
         let handle = Server::spawn("127.0.0.1:0", ServerConfig::default()).unwrap();
         let client = Client::new(handle.local_addr().to_string());
         let op = OpRequest::zero_round("M M M;P O O", "M [P O];O O").unwrap();
-        let reply = client.submit(&op, None).unwrap();
+        let ctx = TraceContext { trace_id: 0x5ca1e, parent: None };
+        let reply = client.submit_traced(&op, None, Some(&ctx)).unwrap();
 
         let text = client.metrics().unwrap();
         assert_eq!(crate::metrics::exposition_problems(&text), Vec::<String>::new(), "{text}");
@@ -1133,8 +1118,8 @@ mod tests {
             "relim_latency_zero_round_computed_count 1",
             "relim_queue_pending",
             "relim_engine_cache_entries",
-            "relim_timeline_recorded",
-            "relim_timeline_dropped 0",
+            "relim_trace_recorded",
+            "relim_trace_dropped 0",
             "relim_trace_window 4096",
         ] {
             assert!(text.contains(name), "missing {name} in:\n{text}");
@@ -1152,12 +1137,10 @@ mod tests {
             "{text}"
         );
 
-        let (timeline, gantt) = client.timeline().unwrap();
-        let Some(Json::Arr(events)) = timeline.get("events") else { panic!("events array") };
-        let kinds: Vec<&str> =
-            events.iter().filter_map(|e| e.get("event").and_then(Json::as_str)).collect();
-        assert_eq!(kinds, vec!["enqueue", "start", "finish"], "{gantt}");
-        assert!(gantt.contains(&reply.digest.chars().take(12).collect::<String>()), "{gantt}");
+        // The traced job is one gantt lane: enqueued, started, finished.
+        let gantt = crate::trace::render_gantt(&[client.trace_dump(None).unwrap()]);
+        let lane = format!("{} zero-round interactive|ESF", &reply.digest[..12]);
+        assert_eq!(gantt.lines().nth(1), Some(lane.as_str()), "{gantt}");
 
         let (key, result) = client.fetch(&reply.digest).unwrap().expect("stored");
         assert_eq!(result, reply.result, "fetch returns the stored bytes");
@@ -1191,10 +1174,19 @@ mod tests {
         let hit = client.submit_traced(&op, None, Some(&ctx)).unwrap();
         assert!(hit.cached);
         assert_eq!(computed.result, hit.result, "tracing never changes served bytes");
-        // An untraced submit records nothing.
-        let before = client.trace_dump(None).unwrap().spans.len();
+        // An untraced submit records nothing: neither a store hit nor
+        // a job computed through the queue on another op.
+        let recorded = || client.trace_dump(None).unwrap().recorded;
+        let before = recorded();
         client.submit(&op, None).unwrap();
-        assert_eq!(client.trace_dump(None).unwrap().spans.len(), before);
+        let cold = OpRequest::Iterate {
+            node: "M M M;P O O".into(),
+            edge: "M [P O];O O".into(),
+            max_steps: 1,
+            label_limit: 20,
+        };
+        assert!(!client.submit(&cold, None).unwrap().cached);
+        assert_eq!(recorded(), before);
 
         let dump = client.trace_dump(Some(0xabc)).unwrap();
         assert_eq!(dump.daemon, handle.local_addr().to_string());
@@ -1243,6 +1235,27 @@ mod tests {
         }
         client.shutdown().unwrap();
         fresh.join();
+    }
+
+    #[test]
+    fn an_oversized_request_line_is_refused_with_one_error_line() {
+        use std::io::Write;
+        let handle = Server::spawn("127.0.0.1:0", ServerConfig::default()).unwrap();
+        let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
+        let line = vec![b'x'; wire::MAX_REQUEST_BYTES as usize + 1];
+        stream.write_all(&line).unwrap();
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut answer = String::new();
+        BufReader::new(&stream).read_line(&mut answer).unwrap();
+        let doc = Json::parse(answer.trim_end()).expect("one error line");
+        assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(false));
+        let error = doc.get("error").and_then(Json::as_str).unwrap();
+        assert!(error.contains(&wire::MAX_REQUEST_BYTES.to_string()), "{error}");
+        let counters = handle.counters();
+        assert_eq!(counters.get("errors").and_then(Json::as_i64), Some(1));
+        assert_eq!(counters.get("requests_total").and_then(Json::as_i64), Some(0));
+        handle.shutdown();
+        handle.join();
     }
 
     #[test]

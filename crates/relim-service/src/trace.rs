@@ -13,14 +13,16 @@
 //! `fetch-serve` span.
 //!
 //! Every daemon records its spans into one bounded, thread-safe
-//! [`SpanLog`] built on the same bounded window as
-//! [`crate::timeline::EventLog`]: a fixed capacity, the oldest spans
-//! dropped **and counted** beyond it, so a long-lived daemon pays a
-//! fixed memory cost whatever its clients send. Every span is recorded
-//! through a [`Tracer`], the log plus a position in a trace. Spans
-//! carry a name, a start offset and duration in nanoseconds **on the
-//! recording daemon's own monotonic clock**, and a flat list of string
-//! attributes (retry numbers, breaker state, engine counter deltas).
+//! [`SpanLog`], the daemon's one bounded log: a fixed capacity, the
+//! oldest spans dropped **and counted** beyond it, so a long-lived
+//! daemon pays a fixed memory cost whatever its clients send. Every span
+//! is recorded through a [`Tracer`], the log plus a position in a trace.
+//! Spans carry a name, a start offset and duration in nanoseconds **on
+//! the recording daemon's own monotonic clock**, and a flat list of
+//! string attributes (retry numbers, breaker state, engine counter
+//! deltas). A traced job's `queue-wait` span also carries its `digest`,
+//! `op`, `class` and whether it was `promoted` past the interactive
+//! backlog, which is all a scheduler timeline needs.
 //!
 //! ## Clock model
 //!
@@ -35,16 +37,18 @@
 //! ## Renderings
 //!
 //! A set of per-daemon dumps ([`TraceDump`], the payload of the
-//! `{"op": "trace"}` protocol op) merges into a cross-daemon tree
-//! ([`render_tree`]) — straight-line chains contracted onto one line,
-//! the same readability idea `relim viz` applies to derivation DAGs —
-//! or into Chrome trace-event JSON ([`render_chrome`], `"ph":"X"`
-//! complete events, one process per daemon) loadable in Perfetto or
-//! `chrome://tracing`.
+//! `{"op": "trace"}` protocol op) renders three ways: a cross-daemon
+//! tree ([`render_tree`]) — straight-line chains contracted onto one
+//! line, the same readability idea `relim viz` applies to derivation
+//! DAGs; Chrome trace-event JSON ([`render_chrome`], `"ph":"X"`
+//! complete events, one process per daemon and one track per trace)
+//! loadable in Perfetto or `chrome://tracing`; and a scheduler gantt
+//! ([`render_gantt`], one lane per traced job, one section per daemon).
 
-use crate::window::Window;
 use relim_json::Json;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// The schema tag of the trace-dump JSON rendering.
@@ -127,15 +131,28 @@ pub struct Span {
 /// owns one; spans reach it only through a [`Tracer`].
 #[derive(Debug)]
 pub struct SpanLog {
-    window: Window<Span>,
+    /// The zero of the daemon's span clock.
+    epoch: Instant,
+    capacity: usize,
+    window: Mutex<Window>,
     next_id: AtomicU64,
+}
+
+/// The retained spans and the totals of the full stream.
+#[derive(Debug, Default)]
+struct Window {
+    spans: VecDeque<Span>,
+    recorded: u64,
+    dropped: u64,
 }
 
 impl SpanLog {
     /// An empty log retaining up to `capacity` spans (at least 1).
     pub fn new(capacity: usize) -> SpanLog {
         SpanLog {
-            window: Window::new(capacity),
+            epoch: Instant::now(),
+            capacity: capacity.max(1),
+            window: Mutex::new(Window::default()),
             // Seed at a random base: parent links cross daemons as bare
             // span ids, so two daemons both counting from 1 would alias
             // unrelated spans (and can even weave a parent cycle).
@@ -145,7 +162,7 @@ impl SpanLog {
 
     /// The window size.
     pub fn capacity(&self) -> usize {
-        self.window.capacity()
+        self.capacity
     }
 
     /// Allocates a fresh span id (never zero, monotone per daemon,
@@ -159,10 +176,25 @@ impl SpanLog {
         }
     }
 
+    /// Nanoseconds since the log was created.
+    fn now_ns(&self) -> u64 {
+        self.epoch.elapsed().as_nanos() as u64
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Window> {
+        self.window.lock().expect("span log lock poisoned")
+    }
+
     /// Appends one span, dropping (and counting) the oldest beyond the
     /// window.
     fn record(&self, span: Span) {
-        self.window.push(|_| span);
+        let mut window = self.lock();
+        window.recorded += 1;
+        if window.spans.len() >= self.capacity {
+            window.spans.pop_front();
+            window.dropped += 1;
+        }
+        window.spans.push_back(span);
     }
 
     /// Records span `span_id`, named `name`, covering `start_ns`..now
@@ -181,7 +213,7 @@ impl SpanLog {
             parent: ctx.parent,
             name: name.to_owned(),
             start_ns,
-            dur_ns: self.window.now_ns().saturating_sub(start_ns),
+            dur_ns: self.now_ns().saturating_sub(start_ns),
             attrs,
         });
     }
@@ -189,15 +221,21 @@ impl SpanLog {
     /// `(recorded, dropped)` without copying the window — the cheap
     /// reading `status`, `ping` and the scrape surface use.
     pub fn stats(&self) -> (u64, u64) {
-        self.window.stats()
+        let window = self.lock();
+        (window.recorded, window.dropped)
     }
 
     /// A consistent copy of the current window, optionally filtered to
     /// one trace id.
     pub fn snapshot(&self, trace_id: Option<u64>) -> TraceSnapshot {
-        let (recorded, dropped, spans) =
-            self.window.snapshot(|s| trace_id.is_none_or(|t| s.trace_id == t));
-        TraceSnapshot { window: self.capacity(), recorded, dropped, spans }
+        let window = self.lock();
+        let keep = |s: &&Span| trace_id.is_none_or(|t| s.trace_id == t);
+        TraceSnapshot {
+            window: self.capacity,
+            recorded: window.recorded,
+            dropped: window.dropped,
+            spans: window.spans.iter().filter(keep).cloned().collect(),
+        }
     }
 }
 
@@ -229,12 +267,12 @@ impl<'log> Tracer<'log> {
 
     /// Nanoseconds on the span log's clock.
     pub fn now_ns(&self) -> u64 {
-        self.log.window.now_ns()
+        self.log.now_ns()
     }
 
     /// `at` on the span log's clock, without reading the clock.
     pub fn ns_at(&self, at: Instant) -> u64 {
-        self.log.window.ns_at(at)
+        at.saturating_duration_since(self.log.epoch).as_nanos() as u64
     }
 
     /// Records a span named `name` covering `start_ns`..now here.
@@ -549,14 +587,18 @@ fn format_duration(ns: u64) -> String {
 
 /// Renders merged dumps as Chrome trace-event JSON (loadable in
 /// Perfetto or `chrome://tracing`): one process per daemon (named via a
-/// `"ph":"M"` `process_name` metadata event), one `"ph":"X"` complete
-/// event per span with microsecond `ts`/`dur` on the daemon's own
-/// clock. The layout is built by hand (not via [`Json`]) so the output
-/// is byte-predictable — `"ph":"X"` with no spaces — for machine
-/// consumers and the CI grep; each string goes through the escaper of
-/// every wire message ([`Json::render_compact`]).
+/// `"ph":"M"` `process_name` metadata event), one thread (`tid`) per
+/// trace id, the same on every daemon, so the spans of concurrent
+/// requests never share a track, and one `"ph":"X"` complete event per
+/// span with microsecond `ts`/`dur` on the daemon's own clock. The
+/// layout is built by hand (not via [`Json`]) so the output is
+/// byte-predictable — `"ph":"X"` with no spaces — for machine consumers
+/// and the CI grep; each string goes through the escaper of every wire
+/// message ([`Json::render_compact`]).
 pub fn render_chrome(dumps: &[TraceDump]) -> String {
     let json_str = |s: &str| Json::str(s).render_compact();
+    let traces = trace_ids(dumps);
+    let tid_of = |trace_id: u64| traces.partition_point(|&t| t < trace_id) + 1;
     let mut events: Vec<String> = Vec::new();
     for (i, dump) in dumps.iter().enumerate() {
         let pid = i + 1;
@@ -577,9 +619,10 @@ pub fn render_chrome(dumps: &[TraceDump]) -> String {
                 args.push(format!("{}:{}", json_str(k), json_str(v)));
             }
             events.push(format!(
-                "{{\"name\":{},\"cat\":\"relim\",\"ph\":\"X\",\"pid\":{pid},\"tid\":1,\
+                "{{\"name\":{},\"cat\":\"relim\",\"ph\":\"X\",\"pid\":{pid},\"tid\":{},\
                  \"ts\":{:.3},\"dur\":{:.3},\"args\":{{{}}}}}",
                 json_str(&span.name),
+                tid_of(span.trace_id),
                 span.start_ns as f64 / 1_000.0,
                 span.dur_ns as f64 / 1_000.0,
                 args.join(",")
@@ -587,6 +630,92 @@ pub fn render_chrome(dumps: &[TraceDump]) -> String {
         }
     }
     format!("{{\"traceEvents\":[{}]}}\n", events.join(","))
+}
+
+/// The value of `span`'s attribute `key`, if it has one.
+fn attr<'s>(span: &'s Span, key: &str) -> Option<&'s str> {
+    span.attrs.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
+}
+
+/// Renders merged dumps as a scheduler gantt, one section per daemon
+/// (span clocks are per daemon, so lanes of different daemons never
+/// share a time axis). Each traced job is one lane, built from its
+/// `queue-wait` span and the `compute` span under the same request:
+/// `E`nqueue at the wait's start, `P`romote (when the job aged past the
+/// interactive backlog) and `S`tart at its end, then `F`inish — `X` for
+/// a failed job — at the compute's end. Lanes run in enqueue order, one
+/// column per marker of the section; between its own markers a lane
+/// shows `.` while queued and `-` while executing, so waiting time and
+/// executor overlap line up across lanes. A lane is labeled with the
+/// job's digest prefix, op and class.
+pub fn render_gantt(dumps: &[TraceDump]) -> String {
+    let mut out = String::new();
+    for dump in dumps {
+        let mut lanes: Vec<(&Span, Option<&Span>)> = dump
+            .spans
+            .iter()
+            .filter(|s| s.name == "queue-wait")
+            .map(|wait| {
+                let sibling = |s: &&Span| {
+                    s.name == "compute" && s.trace_id == wait.trace_id && s.parent == wait.parent
+                };
+                (wait, dump.spans.iter().find(sibling))
+            })
+            .collect();
+        lanes.sort_by_key(|(wait, _)| wait.start_ns);
+        // Markers lane by lane in lifecycle order; the stable sort by
+        // time keeps a promotion before its start.
+        let mut marks: Vec<(u64, usize, char)> = Vec::new();
+        for (lane, (wait, compute)) in lanes.iter().enumerate() {
+            let started = wait.start_ns + wait.dur_ns;
+            marks.push((wait.start_ns, lane, 'E'));
+            if attr(wait, "promoted") == Some("true") {
+                marks.push((started, lane, 'P'));
+            }
+            marks.push((started, lane, 'S'));
+            if let Some(compute) = compute {
+                let marker = if attr(compute, "ok") == Some("true") { 'F' } else { 'X' };
+                marks.push((compute.start_ns + compute.dur_ns, lane, marker));
+            }
+        }
+        marks.sort_by_key(|&(at, _, _)| at);
+        out.push_str(&format!(
+            "daemon {}: {} traced job(s), {} event(s)\n",
+            dump.daemon,
+            lanes.len(),
+            marks.len()
+        ));
+        for (lane, (wait, _)) in lanes.iter().enumerate() {
+            let mut row = String::with_capacity(marks.len());
+            let (mut queued, mut running) = (false, false);
+            for &(_, of, marker) in &marks {
+                if of == lane {
+                    row.push(marker);
+                    match marker {
+                        'E' => queued = true,
+                        'S' => (queued, running) = (false, true),
+                        'F' | 'X' => running = false,
+                        _ => {}
+                    }
+                } else if running {
+                    row.push('-');
+                } else if queued {
+                    row.push('.');
+                } else {
+                    row.push(' ');
+                }
+            }
+            let label = |key| attr(wait, key).unwrap_or("?");
+            let digest: String = label("digest").chars().take(12).collect();
+            out.push_str(&format!(
+                "{digest:<12} {:<10} {:<11}|{}\n",
+                label("op"),
+                label("class"),
+                row.trim_end()
+            ));
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -817,6 +946,128 @@ mod tests {
             events[1].get("args").and_then(|a| a.get("op")).and_then(Json::as_str),
             Some("zero-round")
         );
+    }
+
+    #[test]
+    fn chrome_export_gives_each_trace_its_own_track() {
+        // Two concurrent requests on one daemon and one of them also on
+        // a second daemon: each trace keeps one tid everywhere.
+        let one = TraceDump {
+            daemon: "a".into(),
+            window: 16,
+            recorded: 2,
+            dropped: 0,
+            spans: vec![span(9, 1, None, "request", 0, 100), span(4, 2, None, "request", 10, 100)],
+        };
+        let two = TraceDump {
+            daemon: "b".into(),
+            window: 16,
+            recorded: 1,
+            dropped: 0,
+            spans: vec![span(9, 3, Some(1), "fetch-serve", 0, 5)],
+        };
+        let doc = Json::parse(render_chrome(&[one, two]).trim_end()).unwrap();
+        let Some(Json::Arr(events)) = doc.get("traceEvents") else { panic!("traceEvents") };
+        let tracks: Vec<(i64, i64, &str)> = events
+            .iter()
+            .filter(|e| e.get("ph").and_then(Json::as_str) == Some("X"))
+            .map(|e| {
+                let int = |k| e.get(k).and_then(Json::as_i64).unwrap();
+                let trace = e.get("args").and_then(|a| a.get("trace_id")).and_then(Json::as_str);
+                (int("pid"), int("tid"), trace.unwrap())
+            })
+            .collect();
+        assert_eq!(
+            tracks,
+            [(1, 2, "0000000000000009"), (1, 1, "0000000000000004"), (2, 2, "0000000000000009")]
+        );
+    }
+
+    /// A traced job's two scheduler spans under request span `request`:
+    /// queue-wait over `enqueued..started` and compute over
+    /// `started+1..finished`.
+    fn job_spans(
+        request: u64,
+        digest: &str,
+        op: &str,
+        class: &str,
+        promoted: bool,
+        [enqueued, started, finished]: [u64; 3],
+    ) -> [Span; 2] {
+        let mut wait = span(request, request * 10, Some(request), "queue-wait", enqueued, 0);
+        wait.dur_ns = started - enqueued;
+        wait.attrs = vec![
+            ("class".into(), class.into()),
+            ("digest".into(), digest.into()),
+            ("op".into(), op.into()),
+            ("promoted".into(), promoted.to_string()),
+        ];
+        let mut compute = span(request, request * 10 + 1, Some(request), "compute", started + 1, 0);
+        compute.dur_ns = finished - started - 1;
+        compute.attrs = vec![("ok".into(), "true".into())];
+        [wait, compute]
+    }
+
+    #[test]
+    fn gantt_shows_lifecycle_phases_per_job() {
+        // The bulk job queues through the interactive job's whole run,
+        // then is promoted, starts and finishes.
+        let [bulk_wait, bulk_compute] =
+            job_spans(1, "aaaaaaaaaaaaaaaa", "sweep", "bulk", true, [0, 40, 50]);
+        let [fast_wait, fast_compute] =
+            job_spans(2, "bbbbbbbbbbbbbbbb", "autolb", "interactive", false, [10, 20, 30]);
+        let dump = TraceDump {
+            daemon: "127.0.0.1:7341".into(),
+            window: 16,
+            recorded: 5,
+            dropped: 0,
+            // Recording order is compute-last per job, and a request
+            // span of its own is no lane.
+            spans: vec![
+                fast_wait,
+                fast_compute,
+                bulk_wait,
+                bulk_compute,
+                span(2, 2, None, "request", 10, 25),
+            ],
+        };
+        let gantt = render_gantt(&[dump]);
+        let lines: Vec<&str> = gantt.lines().collect();
+        assert_eq!(lines.len(), 3, "{gantt}");
+        assert_eq!(lines[0], "daemon 127.0.0.1:7341: 2 traced job(s), 7 event(s)");
+        // Digests are truncated; lanes run in enqueue order.
+        assert_eq!(
+            lines[1],
+            format!("{:<12} {:<10} {:<11}|E...PSF", "aaaaaaaaaaaa", "sweep", "bulk")
+        );
+        assert_eq!(
+            lines[2],
+            format!("{:<12} {:<10} {:<11}| ESF", "bbbbbbbbbbbb", "autolb", "interactive")
+        );
+    }
+
+    #[test]
+    fn gantt_marks_failures_and_running_jobs_per_daemon() {
+        let [failed_wait, mut failed] =
+            job_spans(1, "cccc", "iterate", "interactive", false, [0, 5, 20]);
+        failed.attrs = vec![("ok".into(), "false".into())];
+        let [running_wait, _] = job_spans(2, "dddd", "sweep", "bulk", false, [1, 21, 22]);
+        let dump = |daemon: &str, spans| TraceDump {
+            daemon: daemon.into(),
+            window: 16,
+            recorded: 3,
+            dropped: 0,
+            spans,
+        };
+        let gantt = render_gantt(&[
+            dump("a", vec![failed_wait, failed, running_wait]),
+            dump("b", Vec::new()),
+        ]);
+        let lines: Vec<&str> = gantt.lines().collect();
+        assert_eq!(lines.len(), 4, "{gantt}");
+        assert!(lines[1].ends_with("|E.SX"), "a failed job finishes with X: {gantt}");
+        assert!(lines[2].ends_with("| E..S"), "a job still running has no finish: {gantt}");
+        assert_eq!(lines[3], "daemon b: 0 traced job(s), 0 event(s)");
     }
 
     #[test]

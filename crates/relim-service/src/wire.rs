@@ -16,6 +16,12 @@ use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
+/// The longest request line the daemon reads, terminator excluded
+/// (16 MiB). A longer line is refused with one error line and its
+/// connection closed, so a sender that never ends its line cannot make
+/// the daemon buffer without limit.
+pub const MAX_REQUEST_BYTES: u64 = 16 << 20;
+
 /// A failed round trip, tagged with whether it was a timeout (the fleet
 /// counts `fetch_timeout` and `fetch_err` apart).
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -12,6 +12,7 @@ use relim_service::client::Client;
 use relim_service::ops::OpRequest;
 use relim_service::queue::Class;
 use relim_service::server::{Server, ServerConfig};
+use relim_service::trace::{render_gantt, TraceContext};
 use std::sync::{Arc, Barrier};
 
 const NODE: &str = "M M M\nP O O";
@@ -246,16 +247,16 @@ fn metrics_scrapes_stay_valid_and_monotone_under_live_traffic() {
         text.contains("relim_request_latency_ns_count{op=\"iterate\",outcome=\"computed\"}"),
         "{text}"
     );
-    // The timeline's window accounting is scrapeable alongside it.
-    assert!(text.contains("relim_timeline_dropped "), "{text}");
-    assert!(text.contains("relim_timeline_window "), "{text}");
+    // The span log's window accounting is scrapeable alongside it.
+    assert!(text.contains("relim_trace_dropped "), "{text}");
+    assert!(text.contains("relim_trace_window "), "{text}");
 
     Client::new(addr).shutdown().unwrap();
     handle.join();
 }
 
-/// An aged-promoted bulk job must log its full lifecycle to the
-/// timeline in order: enqueue, promote, start, finish. The promotion
+/// An aged-promoted traced bulk job must show its full lifecycle on its
+/// gantt lane in order: enqueue, promote, start, finish. The promotion
 /// window is made by parking a slow job on a width-1 pool and stacking
 /// the queue behind it; scheduling noise can close that window, so the
 /// scenario retries on a fresh daemon until a promotion is observed.
@@ -271,10 +272,13 @@ fn a_promoted_bulk_job_logs_ordered_timeline_events() {
         let addr = handle.local_addr().to_string();
         let client = Client::new(addr.clone());
 
-        let submit_thread = |op: OpRequest, class: Class| {
+        // Every job is traced, each under a trace id of its own: its
+        // spans are its gantt lane.
+        let submit_thread = |op: OpRequest, class: Class, trace_id: u64| {
             let addr = addr.clone();
             std::thread::spawn(move || {
-                Client::new(addr).submit(&op, Some(class)).expect("scenario submit");
+                let ctx = TraceContext { trace_id, parent: None };
+                Client::new(addr).submit_traced(&op, Some(class), Some(&ctx)).expect("submit");
             })
         };
         let wait_until = |cond: &dyn Fn() -> bool| {
@@ -285,13 +289,11 @@ fn a_promoted_bulk_job_logs_ordered_timeline_events() {
         };
 
         // Park a sweep on the only executor, and wait until it has
-        // actually been popped (its `start` event is on the timeline).
-        let holder = submit_thread(OpRequest::sweep(4, 8).unwrap(), Class::Interactive);
+        // actually been popped (its `queue-wait` span is recorded).
+        let holder = submit_thread(OpRequest::sweep(4, 8).unwrap(), Class::Interactive, 1);
         wait_until(&|| {
-            let (timeline, _) = client.timeline().expect("timeline poll");
-            timeline.get("events").and_then(Json::as_arr).is_some_and(|events| {
-                events.iter().any(|e| e.get("event").and_then(Json::as_str) == Some("start"))
-            })
+            let dump = client.trace_dump(Some(1)).expect("trace poll");
+            dump.spans.iter().any(|s| s.name == "queue-wait")
         });
 
         // Stack the queue behind it: the bulk job first, then two
@@ -304,35 +306,28 @@ fn a_promoted_bulk_job_logs_ordered_timeline_events() {
                 int_at(&status, "queue", "pending") >= n
             }
         };
-        let bulk = submit_thread(bulk_op.clone(), Class::Bulk);
+        let bulk = submit_thread(bulk_op.clone(), Class::Bulk, 2);
         wait_until(&pending(1));
-        let i1 = submit_thread(mis_iterate(1), Class::Interactive);
+        let i1 = submit_thread(mis_iterate(1), Class::Interactive, 3);
         wait_until(&pending(2));
-        let i2 = submit_thread(mis_iterate(2), Class::Interactive);
+        let i2 = submit_thread(mis_iterate(2), Class::Interactive, 4);
 
         for t in [holder, bulk, i1, i2] {
             t.join().expect("scenario thread panicked");
         }
         let status = client.status().unwrap();
         let promoted = int_at(&status, "queue", "aged_promotions") > 0;
-        let (timeline, gantt) = client.timeline().unwrap();
+        let gantt = render_gantt(&[client.trace_dump(None).unwrap()]);
         client.shutdown().unwrap();
         handle.join();
         if !promoted {
             continue; // the sweep finished before the stack built up
         }
 
-        let events = timeline.get("events").and_then(Json::as_arr).expect("events array");
-        let kinds: Vec<&str> = events
-            .iter()
-            .filter(|e| e.get("digest").and_then(Json::as_str) == Some(bulk_digest.as_str()))
-            .filter_map(|e| e.get("event").and_then(Json::as_str))
-            .collect();
-        assert_eq!(
-            kinds,
-            ["enqueue", "promote", "start", "finish"],
-            "bulk lifecycle out of order; gantt:\n{gantt}"
-        );
+        let lane = gantt.lines().find(|l| l.starts_with(&bulk_digest[..12])).expect("bulk lane");
+        let (_, phases) = lane.split_once('|').expect("lane label");
+        let markers: String = phases.chars().filter(char::is_ascii_uppercase).collect();
+        assert_eq!(markers, "EPSF", "bulk lifecycle out of order; gantt:\n{gantt}");
         return;
     }
     panic!("no promotion observed in 5 attempts — the promotion window never opened");
